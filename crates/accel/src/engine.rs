@@ -61,7 +61,7 @@ impl AccelRunResult {
 /// Parameters of one spatial session: who runs, where on the grid, for how
 /// long, and whether the session should freeze itself.
 ///
-/// The plain `execute*` entry points are the degenerate case — full-grid
+/// A solo run ([`SessionRequest::solo`]) is the degenerate case — full-grid
 /// region, never pause. The fabric manager uses explicit regions and
 /// `pause_at_cycle` to time-slice tenants.
 #[derive(Debug, Clone)]
@@ -81,8 +81,9 @@ pub struct SessionRequest<'a> {
 }
 
 impl<'a> SessionRequest<'a> {
-    /// A full-grid, never-pausing request — what the plain `execute*`
-    /// entry points use.
+    /// A full-grid, never-pausing request: the one
+    /// [`SpatialAccelerator::execute`] makes, and what faulted or traced
+    /// solo runs pass to [`SpatialAccelerator::run_session`].
     #[must_use]
     pub fn solo(requester: usize, max_iterations: u64, faults: &'a FaultPlan, grid: crate::GridDim) -> Self {
         SessionRequest {
@@ -102,12 +103,25 @@ impl<'a> SessionRequest<'a> {
 #[derive(Debug, Clone)]
 pub enum SessionStatus {
     /// Every tile's loop exited (or the iteration budget ran out); the
-    /// result is exactly what an uninterrupted `execute*` call returns.
+    /// result is exactly what an uninterrupted solo run returns.
     Completed(AccelRunResult),
     /// The session froze at a round boundary per
     /// [`SessionRequest::pause_at_cycle`]; resume it by passing the
     /// snapshot back to [`SpatialAccelerator::run_session`].
     Paused(Box<PlacementSnapshot>),
+}
+
+impl SessionStatus {
+    /// The run's result: the completed one, or a paused session's result
+    /// up to its freeze. A solo request never pauses, so solo callers get
+    /// exactly the completed result.
+    #[must_use]
+    pub fn into_result(self, prog: &AccelProgram) -> AccelRunResult {
+        match self {
+            SessionStatus::Completed(r) => r,
+            SessionStatus::Paused(s) => s.to_result(prog),
+        }
+    }
 }
 
 /// Errors starting or resuming a spatial session.
@@ -169,8 +183,8 @@ struct TileState {
     last_store_start: u64,
 }
 
-/// Per-iteration working buffers, allocated once per [`SpatialAccelerator::execute_traced`]
-/// call and reused across every `run_iteration` of every tile. The engine
+/// Per-iteration working buffers, allocated once per spatial session and
+/// reused across every `run_iteration` of every tile. The engine
 /// previously allocated four fresh `Vec`s plus two `ArchState`s per node
 /// fire per iteration; with hundreds of iterations per offload that
 /// dominated the run time. Buffers are reset with `fill`/`clear` at each
@@ -207,10 +221,10 @@ impl IterScratch {
     }
 }
 
-/// Static route of one dataflow edge, resolved once per
-/// [`SpatialAccelerator::execute_traced`] call. Placements never change
-/// during a run, so which link a transfer uses — and its model latency —
-/// is a constant; only the contention (fabric booking) is dynamic.
+/// Static route of one dataflow edge, resolved once per spatial session.
+/// Placements never change during a run, so which link a transfer uses —
+/// and its model latency — is a constant; only the contention (fabric
+/// booking) is dynamic.
 #[derive(Debug, Clone, Copy)]
 enum Route {
     /// Producer and consumer share a PE: the value is already there.
@@ -387,7 +401,9 @@ impl SpatialAccelerator {
     /// Functional state (memory) is updated through `mem`; the returned
     /// [`AccelRunResult::final_regs`] carry the live-out architectural
     /// registers for non-tiled runs (tiled induction live-outs are fixed up
-    /// by the controller, which knows the iteration count).
+    /// by the controller, which knows the iteration count). Faulted or
+    /// traced solo runs go through [`run_session`](Self::run_session) with
+    /// a [`SessionRequest::solo`] request.
     ///
     /// # Errors
     /// Returns [`ProgramError`] if the program fails validation against
@@ -400,102 +416,21 @@ impl SpatialAccelerator {
         requester: usize,
         max_iterations: u64,
     ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_traced(prog, entry, mem, requester, max_iterations, &mut NullTracer, 0)
+        let faults = FaultPlan::none();
+        let req = SessionRequest::solo(requester, max_iterations, &faults, self.cfg.grid());
+        Ok(self.session_inner(prog, entry, mem, &req, None, &mut NullTracer, 0)?.into_result(prog))
     }
 
-    /// [`execute`](Self::execute) with engine-level fault injection: the
-    /// plan's dropped-bus-token schedule is applied to the fallback bus
-    /// (timing-only; architectural results must not change) and the
-    /// resulting [`AccelRunResult::faults`] records what was injected.
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    pub fn execute_faulted(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        faults: &FaultPlan,
-    ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_faulted_traced(
-            prog,
-            entry,
-            mem,
-            requester,
-            max_iterations,
-            faults,
-            &mut NullTracer,
-            0,
-        )
-    }
-
-    /// [`execute`](Self::execute) with tracing: wraps the run in an
-    /// `accel.execute` span on the accelerator timeline starting at
-    /// `cycle_base` (the controller's episode clock, since the engine's own
-    /// cycles are run-relative) and samples iteration/busy counters at its
-    /// close.
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_traced(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        tracer: &mut dyn Tracer,
-        cycle_base: u64,
-    ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_faulted_traced(
-            prog,
-            entry,
-            mem,
-            requester,
-            max_iterations,
-            &FaultPlan::none(),
-            tracer,
-            cycle_base,
-        )
-    }
-
-    /// [`execute_traced`](Self::execute_traced) with engine-level fault
-    /// injection (see [`execute_faulted`](Self::execute_faulted)).
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_faulted_traced(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        faults: &FaultPlan,
-        tracer: &mut dyn Tracer,
-        cycle_base: u64,
-    ) -> Result<AccelRunResult, ProgramError> {
-        let req = SessionRequest::solo(requester, max_iterations, faults, self.cfg.grid());
-        match self.session_inner(prog, entry, mem, &req, None, tracer, cycle_base)? {
-            SessionStatus::Completed(r) => Ok(r),
-            // A solo request never pauses; mapped totally for panic freedom.
-            SessionStatus::Paused(s) => Ok(s.to_result(prog)),
-        }
-    }
-
-    /// Runs one spatial session: like
-    /// [`execute_faulted_traced`](Self::execute_faulted_traced) but
-    /// confined to `req.region`'s row band, optionally freezing at a
-    /// round boundary
+    /// Runs one spatial session: like [`execute`](Self::execute) but
+    /// under `req.faults` (the dropped-bus-token schedule is applied to
+    /// the fallback bus: timing-only, recorded in
+    /// [`AccelRunResult::faults`]), confined to `req.region`'s row band,
+    /// optionally freezing at a round boundary
     /// ([`SessionRequest::pause_at_cycle`]) and optionally continuing from
-    /// an earlier freeze (`resume`).
+    /// an earlier freeze (`resume`). The run is wrapped in an
+    /// `accel.execute` span on the accelerator timeline starting at
+    /// `cycle_base` (the caller's episode clock, since the engine's own
+    /// cycles are run-relative).
     ///
     /// Because the fabric's latencies depend only on *relative*
     /// coordinates and its booking counters travel inside the snapshot, a
@@ -503,7 +438,7 @@ impl SpatialAccelerator {
     /// region of the same grid continues cycle-identically; across grids
     /// with different port counts the timing shifts but the architectural
     /// results are unchanged. A session that runs to completion returns
-    /// exactly what an uninterrupted `execute*` call would.
+    /// exactly what an uninterrupted solo run would.
     ///
     /// # Errors
     /// [`SessionError::Program`] when the program does not fit the region,

@@ -19,10 +19,11 @@ use crate::engine::VIOLATION_REDO;
 use crate::faults::{FaultLog, FaultPlan, BUS_DROP_PENALTY};
 use crate::{
     AccelProgram, AccelRunResult, ActivityStats, Coord, LatencyModel, NodeConfig, Operand,
-    PerfCounters, ProgramError, SpatialAccelerator,
+    PerfCounters, ProgramError, SessionError, SessionRequest, SpatialAccelerator,
 };
 use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
 use mesa_mem::MemorySystem;
+use mesa_trace::NullTracer;
 use std::fmt;
 
 /// Per-tile interpreter state (the reference twin of the engine's
@@ -126,38 +127,15 @@ fn effective_instr(node: &NodeConfig, tiles: usize) -> Instruction {
 
 impl SpatialAccelerator {
     /// Executes a configured region on the reference interpreter (no
-    /// NodePlans, no reused scratch, per-operand route re-derivation).
-    /// Semantically interchangeable with [`execute`](Self::execute).
+    /// NodePlans, no reused scratch, per-operand route re-derivation)
+    /// under the same engine-level fault injection as
+    /// [`run_session`](Self::run_session). Semantically interchangeable
+    /// with a solo engine run.
     ///
     /// # Errors
     /// Returns [`ProgramError`] if the program fails validation against
     /// this accelerator's grid.
     pub fn execute_reference(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-    ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_reference_faulted(
-            prog,
-            entry,
-            mem,
-            requester,
-            max_iterations,
-            &FaultPlan::none(),
-        )
-    }
-
-    /// [`execute_reference`](Self::execute_reference) with the same
-    /// engine-level fault injection as
-    /// [`execute_faulted`](Self::execute_faulted).
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    pub fn execute_reference_faulted(
         &self,
         prog: &AccelProgram,
         entry: &ArchState,
@@ -599,8 +577,8 @@ pub fn compare_runs(fast: &AccelRunResult, reference: &AccelRunResult) -> Option
 /// returns the first divergence (or `None` when they agree).
 ///
 /// # Errors
-/// Returns [`ProgramError`] if the program fails validation (both engines
-/// validate identically, so one check reports for both).
+/// Returns [`SessionError::Program`] if the program fails validation (both
+/// engines validate identically, so one check reports for both).
 #[allow(clippy::too_many_arguments)]
 pub fn run_differential(
     accel: &SpatialAccelerator,
@@ -610,19 +588,15 @@ pub fn run_differential(
     requester: usize,
     max_iterations: u64,
     faults: &FaultPlan,
-) -> Result<Option<Divergence>, ProgramError> {
+) -> Result<Option<Divergence>, SessionError> {
     let mut fast_mem = mem.clone();
     let mut ref_mem = mem.clone();
-    let fast =
-        accel.execute_faulted(prog, entry, &mut fast_mem, requester, max_iterations, faults)?;
-    let reference = accel.execute_reference_faulted(
-        prog,
-        entry,
-        &mut ref_mem,
-        requester,
-        max_iterations,
-        faults,
-    )?;
+    let req = SessionRequest::solo(requester, max_iterations, faults, accel.config().grid());
+    let fast = accel
+        .run_session(prog, entry, &mut fast_mem, &req, None, &mut NullTracer, 0)?
+        .into_result(prog);
+    let reference =
+        accel.execute_reference(prog, entry, &mut ref_mem, requester, max_iterations, faults)?;
     Ok(compare_runs(&fast, &reference))
 }
 
@@ -697,7 +671,9 @@ mod tests {
         for i in 0..16u64 {
             mem.data_mut().store_u32(0x10000 + 4 * i, (i + 1) as u32);
         }
-        let r = accel.execute_reference(&prog, &entry, &mut mem, 0, 1_000).unwrap();
+        let r = accel
+            .execute_reference(&prog, &entry, &mut mem, 0, 1_000, &FaultPlan::none())
+            .unwrap();
         assert!(r.completed);
         assert_eq!(r.iterations, 16);
         let sum = r.final_regs.iter().find(|(r, _)| *r == T1).unwrap().1;
@@ -733,9 +709,11 @@ mod tests {
 
         // Dropped tokens slow the run down but never change results.
         let clean = accel.execute(&prog, &entry, &mut mem, 0, 1_000).unwrap();
+        let req = SessionRequest::solo(0, 1_000, &faults, accel.config().grid());
         let faulted = accel
-            .execute_faulted(&prog, &entry, &mut fault_mem, 0, 1_000, &faults)
-            .unwrap();
+            .run_session(&prog, &entry, &mut fault_mem, &req, None, &mut NullTracer, 0)
+            .unwrap()
+            .into_result(&prog);
         assert!(faulted.faults.bus_tokens_dropped > 0);
         assert!(faulted.cycles >= clean.cycles);
         assert_eq!(faulted.final_regs, clean.final_regs);

@@ -16,7 +16,8 @@ use crate::{
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, ActivityStats, BitstreamError, Coord, FaultLog, FaultPlan,
-    PerfCounters, ProgramError, Region, SessionError, SnapshotError, SpatialAccelerator,
+    PerfCounters, ProgramError, Region, SessionError, SessionRequest, SnapshotError,
+    SpatialAccelerator,
 };
 use mesa_cpu::{
     CoreConfig, FastForward, LoopStreamDetector, OoOCore, PipelineStats, RetireEvent, RetireMonitor,
@@ -444,6 +445,27 @@ pub(crate) struct PreparedEpisode {
     pub(crate) now: u64,
 }
 
+/// Per-run options of a MESA episode beyond the [`SystemConfig`]: what a
+/// caller arms or attaches, not what the hardware is. The default is a
+/// benign, uncached run.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Deterministic fault injection applied to every episode: stuck PEs
+    /// are scrubbed, the configuration stream is verified against
+    /// truncation, bus tokens drop, and latency counters are corrupted
+    /// before each F3 round — all seeded, so a failing episode replays
+    /// exactly from its plan. `None` runs benign.
+    pub faults: Option<FaultPlan>,
+    /// Process-wide [`SharedArtifactCache`](crate::SharedArtifactCache)
+    /// consulted for decoded programs (keyed by region + trace-cache fill
+    /// fingerprint, so a self-modified region can never be served a stale
+    /// decode) and mapped artifacts (keyed by the full F2 fingerprint).
+    /// Hits skip host-side work only — the episode's simulated latency
+    /// accounting is identical with or without the cache, keeping every
+    /// [`OffloadReport`] byte-identical at any cache state.
+    pub cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
+}
+
 /// The MESA hardware controller.
 #[derive(Debug)]
 pub struct MesaController {
@@ -457,18 +479,21 @@ pub struct MesaController {
     /// later episode and refills with identical words, its decoded
     /// [`Program`] is served from the cache instead of re-decoding.
     trace_cache: TraceCache,
-    /// Optional process-wide artifact cache shared across controllers
-    /// (the serving layer attaches one so repeat kernels skip the
-    /// host-side decode + map work; see [`crate::SharedArtifactCache`]).
-    shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
-    /// Armed fault-injection plan; applied to every subsequent episode.
-    fault_plan: Option<FaultPlan>,
+    /// Fault plan and shared artifact cache applied to every episode.
+    opts: RunOptions,
 }
 
 impl MesaController {
-    /// Builds a controller for the given system.
+    /// Builds a controller for the given system with default
+    /// [`RunOptions`].
     #[must_use]
     pub fn new(system: SystemConfig) -> Self {
+        Self::with_options(system, RunOptions::default())
+    }
+
+    /// Builds a controller whose episodes all run under `opts`.
+    #[must_use]
+    pub fn with_options(system: SystemConfig, opts: RunOptions) -> Self {
         let accel = SpatialAccelerator::new(system.accel);
         let trace_cache = TraceCache::new(system.accel.max_instrs());
         MesaController {
@@ -477,42 +502,8 @@ impl MesaController {
             cache: ConfigCache::new(),
             blacklist: std::collections::HashSet::new(),
             trace_cache,
-            shared_cache: None,
-            fault_plan: None,
+            opts,
         }
-    }
-
-    /// Attaches a process-wide [`SharedArtifactCache`](crate::SharedArtifactCache):
-    /// subsequent episodes consult it for decoded programs (keyed by
-    /// region + trace-cache fill fingerprint, so a self-modified region
-    /// can never be served a stale decode) and mapped artifacts (keyed by
-    /// the full F2 fingerprint). Hits skip host-side work only — the
-    /// episode's simulated latency accounting is identical with or
-    /// without the cache, keeping every [`OffloadReport`] byte-identical
-    /// at any cache state.
-    pub fn set_shared_cache(&mut self, cache: Option<std::sync::Arc<crate::SharedArtifactCache>>) {
-        self.shared_cache = cache;
-    }
-
-    /// The attached shared artifact cache, if any.
-    #[must_use]
-    pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::SharedArtifactCache>> {
-        self.shared_cache.as_ref()
-    }
-
-    /// Arms (or disarms, with `None`) deterministic fault injection: every
-    /// subsequent offload episode scrubs the plan's stuck PEs, verifies
-    /// the configuration stream against truncation, drops bus tokens, and
-    /// corrupts latency counters before each F3 round — all seeded, so a
-    /// failing episode replays exactly from its plan.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
-    }
-
-    /// The armed fault-injection plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// The system configuration.
@@ -533,30 +524,19 @@ impl MesaController {
     /// On success `state` is advanced past the loop with live-out registers
     /// applied, so the caller can resume CPU execution seamlessly.
     ///
-    /// # Errors
-    /// See [`MesaError`]. On `NoLoopDetected`/`Rejected` errors the CPU
-    /// state reflects the warmup execution performed so far.
-    pub fn offload(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        cpu: &mut OoOCore,
-    ) -> Result<OffloadReport, MesaError> {
-        self.offload_traced(program, state, mem, cpu, &mut NullTracer)
-    }
-
-    /// [`offload`](Self::offload) with tracing: every phase of the episode
-    /// — detection, translation, per-`imap`-stage mapping, configuration
-    /// write, CPU overlap, offloaded execution, and F3 reoptimization
-    /// rounds — is emitted as spans on an episode-relative cycle clock
-    /// (cycle 0 = monitoring start). See the `mesa-trace` crate docs for
-    /// the span vocabulary.
+    /// Every phase of the episode — detection, translation,
+    /// per-`imap`-stage mapping, configuration write, CPU overlap,
+    /// offloaded execution, and F3 reoptimization rounds — is emitted to
+    /// `tracer` as spans on an episode-relative cycle clock (cycle 0 =
+    /// monitoring start). See the `mesa-trace` crate docs for the span
+    /// vocabulary; pass `&mut NullTracer` to skip tracing.
     ///
     /// # Errors
-    /// See [`MesaError`]. All spans opened before an error path are closed
-    /// before returning, so traces of failed episodes stay balanced.
-    pub fn offload_traced(
+    /// See [`MesaError`]. On `NoLoopDetected`/`Rejected` errors the CPU
+    /// state reflects the warmup execution performed so far. All spans
+    /// opened before an error path are closed before returning, so traces
+    /// of failed episodes stay balanced.
+    pub fn offload(
         &mut self,
         program: &Program,
         state: &mut ArchState,
@@ -717,7 +697,7 @@ impl MesaController {
         // stream during monitoring. Instructions never executed (paths
         // skipped by forward branches) use the "stall fetch and read the
         // I-cache directly" fallback of §4.1.
-        let shared = self.shared_cache.clone();
+        let shared = self.opts.cache.clone();
         let tc = &mut self.trace_cache;
         let region_from_tc = tc
             .open_region(hot.start_pc, hot.end_pc)
@@ -837,7 +817,7 @@ impl MesaController {
                 // but charges exactly the cold path's analytic
                 // configuration latency, so the report stays
                 // byte-identical.
-                let shared_key = self.shared_cache.as_deref().map(|cache| {
+                let shared_key = self.opts.cache.as_deref().map(|cache| {
                     (
                         cache,
                         crate::artifact_cache::artifact_fingerprint(
@@ -902,7 +882,7 @@ impl MesaController {
         };
         drop(host_map);
         // ---- injected configuration-time faults (if a plan is armed) ----
-        let fault_plan = self.fault_plan.clone().unwrap_or_default();
+        let fault_plan = self.opts.faults.clone().unwrap_or_default();
         let mut fault_log = FaultLog::default();
         if !fault_plan.is_benign() {
             // Stuck PEs: nodes placed on a dead coordinate are scrubbed off
@@ -1109,20 +1089,12 @@ impl MesaController {
             } else {
                 self.system.max_accel_iterations
             };
-            let r = match self.accel.execute_faulted_traced(
-                &current,
-                state,
-                mem,
-                ACCEL,
-                budget,
-                &fault_plan,
-                tracer,
-                now,
-            ) {
-                Ok(r) => r,
+            let req = SessionRequest::solo(ACCEL, budget, &fault_plan, self.system.accel.grid());
+            let r = match self.accel.run_session(&current, state, mem, &req, None, tracer, now) {
+                Ok(status) => status.into_result(&current),
                 Err(e) => {
                     tracer.span_end(Subsystem::Controller, "offload", now);
-                    return Err(MesaError::Accel(e));
+                    return Err(e.into());
                 }
             };
 
@@ -1309,24 +1281,9 @@ impl MesaController {
         cpu: &mut OoOCore,
         max_cpu_instrs: u64,
     ) -> ProgramRunReport {
-        self.run_program_traced(program, state, mem, cpu, max_cpu_instrs, &mut NullTracer)
-    }
-
-    /// [`run_program`](Self::run_program) with tracing: each offload
-    /// episode's spans are emitted on its own episode-relative clock, and
-    /// rejected regions surface as `reject` instant events.
-    pub fn run_program_traced(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        cpu: &mut OoOCore,
-        max_cpu_instrs: u64,
-        tracer: &mut dyn Tracer,
-    ) -> ProgramRunReport {
         let mut report = ProgramRunReport::default();
         loop {
-            match self.offload_traced(program, state, mem, cpu, tracer) {
+            match self.offload(program, state, mem, cpu, &mut NullTracer) {
                 Ok(ep) => {
                     report.total_cycles += ep.total_cycles();
                     report.cpu_instrs += ep.warmup_instrs;
@@ -1494,81 +1451,31 @@ pub fn run_offload(
     mem: &mut MemorySystem,
     system: &SystemConfig,
 ) -> Result<OffloadReport, MesaError> {
-    run_offload_traced(program, state, mem, system, &mut NullTracer)
+    run_offload_with(program, state, mem, system, &RunOptions::default(), &mut NullTracer)
 }
 
-/// [`run_offload`] with tracing (see
-/// [`MesaController::offload_traced`]).
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_traced(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    tracer: &mut dyn Tracer,
-) -> Result<OffloadReport, MesaError> {
-    let mut controller = MesaController::new(system.clone());
-    let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
-}
-
-/// [`run_offload`] with a process-wide [`crate::SharedArtifactCache`]
-/// attached: repeat kernels skip the host-side decode + map work while
-/// producing a report byte-identical to the cold path (the cache is
-/// architecturally invisible — only wall-clock time changes).
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_shared(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    cache: &std::sync::Arc<crate::SharedArtifactCache>,
-    tracer: &mut dyn Tracer,
-) -> Result<OffloadReport, MesaError> {
-    let mut controller = MesaController::new(system.clone());
-    controller.set_shared_cache(Some(cache.clone()));
-    let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
-}
-
-/// [`run_offload`] under an armed fault-injection plan: the episode either
-/// completes with correct architectural results (recovering from injected
-/// faults) or declines with a typed [`MesaError`] — it never panics.
+/// [`run_offload`] under `opts`, with tracing (see
+/// [`MesaController::offload`]). Under a fault plan the episode either
+/// completes with correct architectural results (recovering from
+/// injected faults, which surface as instants on the `fault` subsystem
+/// timeline) or declines with a typed [`MesaError`] — it never panics. A
+/// shared cache lets repeat kernels skip host-side decode + map work
+/// while the report stays byte-identical to the cold path.
 ///
 /// # Errors
 /// Propagates [`MesaController::offload`] errors, including
 /// [`MesaError::ConfigStream`] when the plan truncates the bitstream.
-pub fn run_offload_faulted(
+pub fn run_offload_with(
     program: &Program,
     state: &mut ArchState,
     mem: &mut MemorySystem,
     system: &SystemConfig,
-    plan: &FaultPlan,
-) -> Result<OffloadReport, MesaError> {
-    run_offload_faulted_traced(program, state, mem, system, plan, &mut NullTracer)
-}
-
-/// [`run_offload_faulted`] with tracing: injected faults surface as
-/// instants on the `fault` subsystem timeline.
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_faulted_traced(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    plan: &FaultPlan,
+    opts: &RunOptions,
     tracer: &mut dyn Tracer,
 ) -> Result<OffloadReport, MesaError> {
-    let mut controller = MesaController::new(system.clone());
-    controller.set_fault_plan(Some(plan.clone()));
+    let mut controller = MesaController::with_options(system.clone(), opts.clone());
     let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
+    controller.offload(program, state, mem, &mut cpu, tracer)
 }
 
 #[cfg(test)]
@@ -1742,13 +1649,15 @@ mod tests {
 
         let mut st = st0.clone();
         let mut mem = mem_with_data(n);
-        let first = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap();
+        let first =
+            controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap();
         assert!(!first.from_cache);
 
         // Encounter the same loop again (fresh data, same PCs).
         let mut st = st0.clone();
         let mut mem = mem_with_data(n);
-        let second = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap();
+        let second =
+            controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap();
         assert!(second.from_cache);
         assert!(
             second.config.total() < first.config.total(),
@@ -1764,8 +1673,10 @@ mod tests {
         let (p, mut st) = sum_kernel(n);
         let mut mem = mem_with_data(n);
         let mut tracer = mesa_trace::RingTracer::new(4096);
+        let opts = RunOptions::default();
         let report =
-            run_offload_traced(&p, &mut st, &mut mem, &SystemConfig::m128(), &mut tracer).unwrap();
+            run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), &opts, &mut tracer)
+                .unwrap();
 
         assert!(tracer.open_spans().is_empty(), "open: {:?}", tracer.open_spans());
         let chrome = tracer.to_chrome_trace();
@@ -1803,8 +1714,9 @@ mod tests {
         let (p, mut st) = sum_kernel(20);
         let mut mem = mem_with_data(20);
         let mut tracer = mesa_trace::RingTracer::new(1024);
+        let opts = RunOptions::default();
         let err =
-            run_offload_traced(&p, &mut st, &mut mem, &SystemConfig::m128(), &mut tracer)
+            run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), &opts, &mut tracer)
                 .unwrap_err();
         assert!(matches!(err, MesaError::Rejected(_)));
         assert!(tracer.open_spans().is_empty());
@@ -1825,8 +1737,9 @@ mod tests {
         let mut st_b = st0;
         let mut mem_b = mem_with_data(n);
         let mut tracer = mesa_trace::RingTracer::new(4096);
+        let opts = RunOptions::default();
         let b =
-            run_offload_traced(&p, &mut st_b, &mut mem_b, &SystemConfig::m128(), &mut tracer)
+            run_offload_with(&p, &mut st_b, &mut mem_b, &SystemConfig::m128(), &opts, &mut tracer)
                 .unwrap();
         assert_eq!(a.accel_iterations, b.accel_iterations);
         assert_eq!(a.total_cycles(), b.total_cycles());
@@ -1854,6 +1767,17 @@ mod tests {
         (0..4).flat_map(|r| (0..8).map(move |c| mesa_accel::Coord::new(r, c))).collect()
     }
 
+    /// [`run_offload_with`] on m128 under `plan`, untraced.
+    fn run_faulted(
+        p: &Program,
+        st: &mut ArchState,
+        mem: &mut MemorySystem,
+        plan: FaultPlan,
+    ) -> Result<OffloadReport, MesaError> {
+        let opts = RunOptions { faults: Some(plan), cache: None };
+        run_offload_with(p, st, mem, &SystemConfig::m128(), &opts, &mut NullTracer)
+    }
+
     fn expected_sum(n: u64) -> u64 {
         (0..n).map(|i| u64::from((i % 100) as u32 + 1)).sum::<u64>() & 0xFFFF_FFFF
     }
@@ -1864,7 +1788,7 @@ mod tests {
         let (p, mut st) = sum_kernel(n);
         let mut mem = mem_with_data(n);
         let plan = FaultPlan { stuck_pes: all_tile_coords(), ..FaultPlan::none() };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_faulted(&p, &mut st, &mut mem, plan)
             .expect("episode survives stuck PEs");
         assert!(r.faults.stuck_pes_scrubbed > 0, "every placed node was on a stuck PE");
         assert_eq!(r.unmapped_nodes, r.placement.len(), "all nodes fell back to the bus");
@@ -1890,7 +1814,7 @@ mod tests {
         };
         let mut st = st0;
         let mut mem = mem_with_data(n);
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_faulted(&p, &mut st, &mut mem, plan)
             .expect("episode survives dropped bus tokens");
         assert!(r.faults.bus_tokens_dropped > 0);
         assert!(
@@ -1906,7 +1830,7 @@ mod tests {
         let (p, mut st) = sum_kernel(n);
         let mut mem = mem_with_data(n);
         let plan = FaultPlan { seed: 7, counter_bit_flips: 4, ..FaultPlan::none() };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_faulted(&p, &mut st, &mut mem, plan)
             .expect("episode survives counter corruption");
         if !r.reopt_rounds.is_empty() {
             assert!(r.faults.counter_bits_flipped > 0);
@@ -1922,18 +1846,16 @@ mod tests {
         let mut mem = mem_with_data(n);
         let mut system = SystemConfig::m128();
         system.max_warmup_instrs = 50_000;
-        let mut controller = MesaController::new(system.clone());
-        controller.set_fault_plan(Some(FaultPlan {
-            truncate_config: Some(3),
-            ..FaultPlan::none()
-        }));
+        let plan = FaultPlan { truncate_config: Some(3), ..FaultPlan::none() };
+        let opts = RunOptions { faults: Some(plan), cache: None };
+        let mut controller = MesaController::with_options(system.clone(), opts);
         let mut cpu = OoOCore::new(system.core);
 
-        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap_err();
+        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap_err();
         assert!(matches!(err, MesaError::ConfigStream(_)), "got {err}");
 
         // The region is blacklisted; a re-attempt declines without a loop.
-        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap_err();
+        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap_err();
         assert!(
             matches!(err, MesaError::NoLoopDetected | MesaError::LoopExitedDuringConfig),
             "got {err}"
@@ -1952,11 +1874,9 @@ mod tests {
         let mut mem = mem_with_data(n);
         let mut system = SystemConfig::m128();
         system.max_warmup_instrs = 50_000;
-        let mut controller = MesaController::new(system.clone());
-        controller.set_fault_plan(Some(FaultPlan {
-            truncate_config: Some(1),
-            ..FaultPlan::none()
-        }));
+        let plan = FaultPlan { truncate_config: Some(1), ..FaultPlan::none() };
+        let opts = RunOptions { faults: Some(plan), cache: None };
+        let mut controller = MesaController::with_options(system.clone(), opts);
         let mut cpu = OoOCore::new(system.core);
         let report = controller.run_program(&p, &mut st, &mut mem, &mut cpu, 10_000_000);
         assert!(report.halted, "program must reach its exit on the CPU");
@@ -1975,7 +1895,7 @@ mod tests {
             bus_drop_period: 3,
             ..FaultPlan::none()
         };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan).unwrap();
+        let r = run_faulted(&p, &mut st, &mut mem, plan).unwrap();
         let mut reg = MetricsRegistry::new();
         r.record_metrics(&mut reg);
         assert_eq!(reg.counter("offload.fault.stuck_pes_scrubbed"), r.faults.stuck_pes_scrubbed);
@@ -2015,40 +1935,56 @@ mod tests {
     }
 
     /// The warm path must be architecturally invisible: a repeat request
-    /// served from the shared cache produces a byte-identical report to
-    /// the same request cold, while skipping the host-side map work
-    /// (visible in the hit counters).
+    /// served from the shared cache produces a byte-identical report and
+    /// final state to the same request cold, while skipping the host-side
+    /// map work (visible in the hit counters) — with or without an armed
+    /// fault plan, whose scrubbing must act on the cached artifact exactly
+    /// as on a freshly mapped one.
     #[test]
     fn shared_cache_is_architecturally_invisible() {
         let n = 2000;
         let system = SystemConfig::m128();
-        let cache = std::sync::Arc::new(crate::SharedArtifactCache::new());
-
-        let run = |cache: &std::sync::Arc<crate::SharedArtifactCache>| {
-            let (p, mut st) = sum_kernel(n);
-            let mut mem = mem_with_data(n);
-            let r = run_offload_shared(&p, &mut st, &mut mem, &system, cache, &mut NullTracer)
-                .unwrap();
-            (format!("{r:?}"), format!("{st:?}"))
+        // Stuck PEs push every node onto the bus, where every 3rd token drops.
+        let plan = FaultPlan {
+            stuck_pes: all_tile_coords(),
+            bus_drop_period: 3,
+            ..FaultPlan::none()
         };
 
-        let cold = run(&cache);
-        let stats_cold = cache.stats();
-        assert_eq!(stats_cold.hits(), 0);
-        assert!(stats_cold.misses() > 0);
-        assert!(stats_cold.inserts >= 2, "decoded program + mapped artifact");
+        let run = |opts: &RunOptions| {
+            let (p, mut st) = sum_kernel(n);
+            let mut mem = mem_with_data(n);
+            let r = run_offload_with(&p, &mut st, &mut mem, &system, opts, &mut NullTracer)
+                .unwrap();
+            let faults = r.faults;
+            (format!("{r:?}"), format!("{st:?}"), faults)
+        };
 
-        let warm = run(&cache);
-        let stats_warm = cache.stats();
-        assert!(stats_warm.program_hits > 0, "warm run must hit the decode cache");
-        assert!(stats_warm.artifact_hits > 0, "warm run must hit the artifact cache");
-        assert_eq!(cold, warm, "cache state must not leak into the report or state");
+        for faults in [None, Some(plan)] {
+            let armed = faults.is_some();
+            let cache = std::sync::Arc::new(crate::SharedArtifactCache::new());
+            let cached = RunOptions { faults: faults.clone(), cache: Some(cache.clone()) };
 
-        // And both match a run with no shared cache at all.
-        let (p, mut st) = sum_kernel(n);
-        let mut mem = mem_with_data(n);
-        let solo = run_offload(&p, &mut st, &mut mem, &system).unwrap();
-        assert_eq!(cold.0, format!("{solo:?}"));
+            let cold = run(&cached);
+            let stats_cold = cache.stats();
+            assert_eq!(stats_cold.hits(), 0);
+            assert!(stats_cold.misses() > 0);
+            assert!(stats_cold.inserts >= 2, "decoded program + mapped artifact");
+            if armed {
+                assert!(cold.2.stuck_pes_scrubbed > 0, "the plan must scrub placed nodes");
+                assert!(cold.2.bus_tokens_dropped > 0, "the plan must drop bus tokens");
+            }
+
+            let warm = run(&cached);
+            let stats_warm = cache.stats();
+            assert!(stats_warm.program_hits > 0, "warm run must hit the decode cache");
+            assert!(stats_warm.artifact_hits > 0, "warm run must hit the artifact cache");
+            assert_eq!(cold, warm, "cache state must not leak into the report or state");
+
+            // And both match the same run with no shared cache at all.
+            let uncached = run(&RunOptions { faults, cache: None });
+            assert_eq!(cold, uncached, "faults armed: {armed}");
+        }
     }
 
     /// Stale-artifact coherence (the bugfix this PR exists for): a region
@@ -2066,14 +2002,14 @@ mod tests {
         // Request 1: the sum kernel, filling the cache for [0x1000,0x1010).
         let (p1, mut st1) = sum_kernel(n);
         let mut mem1 = mem_with_data(n);
-        run_offload_shared(&p1, &mut st1, &mut mem1, &system, &cache, &mut NullTracer).unwrap();
+        let opts = RunOptions { faults: None, cache: Some(cache) };
+        run_offload_with(&p1, &mut st1, &mut mem1, &system, &opts, &mut NullTracer).unwrap();
 
         // Request 2: same region bounds, rewritten body (sub, not add).
         let (p2, mut st2) = diff_kernel(n);
         let mut mem2 = mem_with_data(n);
         let warm =
-            run_offload_shared(&p2, &mut st2, &mut mem2, &system, &cache, &mut NullTracer)
-                .unwrap();
+            run_offload_with(&p2, &mut st2, &mut mem2, &system, &opts, &mut NullTracer).unwrap();
         assert_eq!(warm.region, (0x1000, 0x1010));
 
         // The rewritten region must compute the difference — exactly what

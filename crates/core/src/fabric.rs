@@ -21,7 +21,8 @@
 //! so a migrated tenant's timing is bit-identical to one that never moved.
 
 use crate::controller::{
-    apply_live_outs, MesaController, MesaError, OffloadReport, PreparedEpisode, SystemConfig,
+    apply_live_outs, MesaController, MesaError, OffloadReport, PreparedEpisode, RunOptions,
+    SystemConfig,
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, AccelRunResult, FaultPlan, PlacementSnapshot, ProgramError,
@@ -32,9 +33,7 @@ use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
 use mesa_mem::MemorySystem;
 use mesa_trace::host::{self, HostClock};
-use mesa_trace::{
-    FlightRecorder, Histogram, MetricsRegistry, NullTracer, Subsystem, Tracer,
-};
+use mesa_trace::{FlightRecorder, Histogram, MetricsRegistry, Subsystem, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -1021,7 +1020,7 @@ impl FabricManager {
     }
 }
 
-/// One loop's worth of work for [`run_tenants`]: its program, the
+/// One loop's worth of work for [`run_tenants_fleet`]: its program, the
 /// architectural state to start monitoring from, and a private memory
 /// system (tenants are address-space isolated; nothing is shared).
 #[derive(Debug)]
@@ -1109,33 +1108,25 @@ impl<'a> FleetDriver<'a> {
     const ACCEL: usize = 1;
 
     /// Prepares every job solo (F1 monitoring + F2 configuration on its
-    /// own CPU and memory) and admits the survivors to a fresh
-    /// [`FabricManager`]. Prepare-stage declines settle immediately and
-    /// are logged to the flight recorder under the job's index.
-    pub fn new(
-        system: &SystemConfig,
-        jobs: &'a mut [TenantJob],
-        quantum: u64,
-        migrate_every: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Self {
-        Self::new_shared(system, jobs, quantum, migrate_every, tracer, None)
-    }
-
-    /// [`new`](Self::new) with an optional process-wide
-    /// [`SharedArtifactCache`](crate::SharedArtifactCache) attached to
+    /// own CPU and memory, under the job's own fault plan) and admits the
+    /// survivors to a fresh [`FabricManager`]. Prepare-stage declines
+    /// settle immediately and are logged to the flight recorder under the
+    /// job's index.
+    ///
+    /// An optional process-wide
+    /// [`SharedArtifactCache`](crate::SharedArtifactCache) is attached to
     /// every per-tenant controller: repeat kernels across tenants (and
     /// across fleet runs sharing the cache) skip the host-side decode +
     /// map work, and fleet exports carry the cache counters. The cache is
     /// architecturally invisible — outcomes are byte-identical with or
     /// without it.
-    pub fn new_shared(
+    pub fn new(
         system: &SystemConfig,
         jobs: &'a mut [TenantJob],
         quantum: u64,
         migrate_every: u64,
-        tracer: &mut dyn Tracer,
         shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
+        tracer: &mut dyn Tracer,
     ) -> Self {
         let mut manager = FabricManager::new(system.accel);
         let mut outcomes: Vec<Option<Result<OffloadReport, MesaError>>> =
@@ -1146,13 +1137,11 @@ impl<'a> FleetDriver<'a> {
             // A fresh controller per tenant: config/trace caches are keyed
             // by PC range, and unrelated tenants may reuse the same
             // addresses.
-            let mut ctl = MesaController::new(system.clone());
-            if let Some(cache) = &shared_cache {
-                ctl.set_shared_cache(Some(cache.clone()));
-            }
-            if !job.faults.is_benign() {
-                ctl.set_fault_plan(Some(job.faults.clone()));
-            }
+            let opts = RunOptions {
+                faults: (!job.faults.is_benign()).then(|| job.faults.clone()),
+                cache: shared_cache.clone(),
+            };
+            let mut ctl = MesaController::with_options(system.clone(), opts);
             let mut cpu = OoOCore::new(system.core);
             match ctl.prepare_episode(&job.program, &mut job.state, &mut job.mem, &mut cpu, tracer)
             {
@@ -1443,49 +1432,29 @@ impl<'a> FleetDriver<'a> {
 /// loop assumes grid ownership); reports have `reconfigurations == 0` and
 /// carry the tenant id, final band, and migration count.
 ///
-/// Returns one outcome per job, in job order: declines (no loop, C1–C3
-/// rejection, truncated config, admission failure) are reported as typed
-/// errors, exactly like solo offloads.
-pub fn run_tenants(
-    system: &SystemConfig,
-    jobs: &mut [TenantJob],
-    quantum: u64,
-    migrate_every: u64,
-) -> Vec<Result<OffloadReport, MesaError>> {
-    run_tenants_fleet(system, jobs, quantum, migrate_every, &mut NullTracer).outcomes
-}
-
-/// [`run_tenants`] with tracing: per-tenant spans ride each tenant's own
-/// episode-relative clock, band residency shows as balanced
+/// Returns the full [`FleetRun`]: one outcome per job, in job order —
+/// declines (no loop, C1–C3 rejection, truncated config, admission
+/// failure) are reported as typed errors, exactly like solo offloads —
+/// plus fleet stats, flight history, and any auto-generated post-mortem.
+/// `cache` is attached to every per-tenant controller (see
+/// [`FleetDriver::new`]). Per-tenant spans ride each tenant's own
+/// episode-relative clock on `tracer`, band residency shows as balanced
 /// `region_held@rNN` spans, and migrations surface as `migrate` instants.
-pub fn run_tenants_traced(
-    system: &SystemConfig,
-    jobs: &mut [TenantJob],
-    quantum: u64,
-    migrate_every: u64,
-    tracer: &mut dyn Tracer,
-) -> Vec<Result<OffloadReport, MesaError>> {
-    run_tenants_fleet(system, jobs, quantum, migrate_every, tracer).outcomes
-}
-
-/// [`run_tenants`] returning the full [`FleetRun`]: outcomes plus fleet
-/// stats, flight history, and any auto-generated post-mortem.
 pub fn run_tenants_fleet(
     system: &SystemConfig,
     jobs: &mut [TenantJob],
     quantum: u64,
     migrate_every: u64,
+    cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
     tracer: &mut dyn Tracer,
 ) -> FleetRun {
-    let mut driver = FleetDriver::new(system, jobs, quantum, migrate_every, tracer);
+    let mut driver = FleetDriver::new(system, jobs, quantum, migrate_every, cache, tracer);
     while driver.step(tracer) {}
     driver.into_run()
 }
 
-/// [`run_tenants_fleet`] with a process-wide
-/// [`SharedArtifactCache`](crate::SharedArtifactCache) attached to every
-/// per-tenant controller (see [`FleetDriver::new_shared`]); the run's
-/// [`FleetStats`] carry the cache counters.
+/// [`run_tenants_fleet`] with a required shared cache, in the argument
+/// order the end-to-end benchmark (`bench/`) calls.
 pub fn run_tenants_fleet_shared(
     system: &SystemConfig,
     jobs: &mut [TenantJob],
@@ -1494,10 +1463,7 @@ pub fn run_tenants_fleet_shared(
     tracer: &mut dyn Tracer,
     cache: &std::sync::Arc<crate::SharedArtifactCache>,
 ) -> FleetRun {
-    let mut driver =
-        FleetDriver::new_shared(system, jobs, quantum, migrate_every, tracer, Some(cache.clone()));
-    while driver.step(tracer) {}
-    driver.into_run()
+    run_tenants_fleet(system, jobs, quantum, migrate_every, Some(cache.clone()), tracer)
 }
 
 /// Assembles the per-tenant [`OffloadReport`] once its session completes.
@@ -1556,6 +1522,7 @@ mod tests {
     use mesa_isa::reg::abi::*;
     use mesa_isa::{Asm, ArchState, Program, Xlen};
     use mesa_mem::MemConfig;
+    use mesa_trace::NullTracer;
 
     const BASE: u64 = 0x10_0000;
     const OUT: u64 = 0x20_0000;
@@ -1591,7 +1558,8 @@ mod tests {
     fn two_tenants_share_the_grid_on_disjoint_aligned_bands() {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(3000)];
-        let reports = run_tenants(&system, &mut jobs, 200, 0);
+        let reports =
+            run_tenants_fleet(&system, &mut jobs, 200, 0, None, &mut NullTracer).outcomes;
         assert_eq!(reports.len(), 2);
         let a = reports[0].as_ref().unwrap();
         let b = reports[1].as_ref().unwrap();
@@ -1611,11 +1579,13 @@ mod tests {
     fn migration_mid_episode_is_architecturally_invisible() {
         let system = SystemConfig::m128();
         let mut solo = vec![sum_job(2500)];
-        let solo_reports = run_tenants(&system, &mut solo, 150, 0);
+        let solo_reports =
+            run_tenants_fleet(&system, &mut solo, 150, 0, None, &mut NullTracer).outcomes;
         let solo_report = solo_reports[0].as_ref().unwrap();
 
         let mut moved = vec![sum_job(2500)];
-        let moved_reports = run_tenants(&system, &mut moved, 150, 2);
+        let moved_reports =
+            run_tenants_fleet(&system, &mut moved, 150, 2, None, &mut NullTracer).outcomes;
         let moved_report = moved_reports[0].as_ref().unwrap();
 
         assert!(moved_report.migrations > 0, "migrate_every=2 must actually migrate");
@@ -1631,7 +1601,7 @@ mod tests {
     fn fleet_stats_conserve_occupancy_and_validate() {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(3000)];
-        let run = run_tenants_fleet(&system, &mut jobs, 200, 2, &mut NullTracer);
+        let run = run_tenants_fleet(&system, &mut jobs, 200, 2, None, &mut NullTracer);
         assert!(run.outcomes.iter().all(Result::is_ok));
         let s = &run.stats;
         assert_eq!(s.runs, 1);
@@ -1672,9 +1642,9 @@ mod tests {
     fn fleet_stats_merge_preserves_conservation() {
         let system = SystemConfig::m128();
         let mut a_jobs = vec![sum_job(1500)];
-        let a = run_tenants_fleet(&system, &mut a_jobs, 150, 0, &mut NullTracer).stats;
+        let a = run_tenants_fleet(&system, &mut a_jobs, 150, 0, None, &mut NullTracer).stats;
         let mut b_jobs = vec![sum_job(2500), sum_job(1000)];
-        let b = run_tenants_fleet(&system, &mut b_jobs, 150, 0, &mut NullTracer).stats;
+        let b = run_tenants_fleet(&system, &mut b_jobs, 150, 0, None, &mut NullTracer).stats;
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.runs, 2);
@@ -1692,7 +1662,7 @@ mod tests {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(1500)];
         let mut tracer = mesa_trace::RingTracer::new(8192);
-        let _ = run_tenants_traced(&system, &mut jobs, 150, 2, &mut tracer);
+        let _ = run_tenants_fleet(&system, &mut jobs, 150, 2, None, &mut tracer);
         assert!(tracer.open_spans().is_empty(), "every region_held span must close");
         let chrome = tracer.to_chrome_trace();
         assert!(

@@ -67,15 +67,14 @@ pub mod optimizer;
 pub use artifact_cache::{ArtifactCacheStats, SharedArtifactCache};
 pub use configure::{build_accel_program, choose_tiles, ConfigCache, OptFlags};
 pub use controller::{
-    fast_forward_enabled, run_offload, run_offload_faulted, run_offload_faulted_traced,
-    run_offload_shared, run_offload_traced, set_fast_forward, MesaController, MesaError,
-    OffloadReport, ProgramRunReport, SystemConfig,
+    fast_forward_enabled, run_offload, run_offload_with, set_fast_forward, MesaController,
+    MesaError, OffloadReport, ProgramRunReport, RunOptions, SystemConfig,
 };
 pub use detect::{check_region, estimate_trip_count, DetectConfig, DetectedRegion, RejectReason};
 pub use fabric::{
-    run_tenants, run_tenants_fleet, run_tenants_fleet_shared, run_tenants_traced, Admission,
-    FabricError, FabricManager, FleetDriver, FleetRun, FleetStats, HostStats, TenantId, TenantJob,
-    TenantProgress, TenantStats,
+    run_tenants_fleet, run_tenants_fleet_shared, Admission, FabricError, FabricManager,
+    FleetDriver, FleetRun, FleetStats, HostStats, TenantId, TenantJob, TenantProgress,
+    TenantStats,
 };
 pub use dfg::{BuildError, Ldfg, LdfgNode};
 pub use imap::{config_latency, reconfig_latency, trace_map_stages, ConfigLatency, ImapTiming};

@@ -9,7 +9,7 @@
 use crate::{CoreConfig, NullMonitor, OoOCore, RunLimits, RunResult};
 use mesa_isa::{ArchState, Program};
 use mesa_mem::{MemConfig, MemorySystem};
-use mesa_trace::{NullTracer, Subsystem, Tracer};
+use mesa_trace::{Subsystem, Tracer};
 
 /// Result of a multicore run.
 #[derive(Debug, Clone)]
@@ -71,24 +71,15 @@ impl Multicore {
     /// by `make_state(core_id)` (the workload's static iteration split).
     ///
     /// Returns per-core timing; wall-clock time is the slowest core.
-    pub fn run_parallel(
-        &mut self,
-        program: &Program,
-        make_state: impl FnMut(usize) -> ArchState,
-        limits: RunLimits,
-    ) -> MulticoreResult {
-        self.run_parallel_traced(program, make_state, limits, &mut NullTracer)
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with tracing: emits one
-    /// `multicore.run_parallel` span covering the wall-clock window plus
-    /// per-core cycle/retire counter samples.
+    /// `tracer` receives one `multicore.run_parallel` span covering the
+    /// wall-clock window plus per-core cycle/retire counter samples (pass
+    /// `&mut NullTracer` to skip tracing).
     ///
     /// Per-core *spans* would overlap on the single CPU timeline (cores
     /// share one trace thread and all start at cycle 0), which breaks
     /// Chrome-trace begin/end nesting — so per-core data is emitted as
     /// counters instead.
-    pub fn run_parallel_traced(
+    pub fn run_parallel(
         &mut self,
         program: &Program,
         mut make_state: impl FnMut(usize) -> ArchState,
@@ -139,6 +130,7 @@ impl Multicore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_trace::NullTracer;
     use mesa_isa::{Asm, Xlen};
     use mesa_isa::reg::abi::*;
 
@@ -181,6 +173,7 @@ mod tests {
                 st
             },
             RunLimits::none(),
+            &mut NullTracer,
         );
 
         // Single core over the whole array.
@@ -218,6 +211,7 @@ mod tests {
                 st
             },
             RunLimits::none(),
+            &mut NullTracer,
         );
         assert_eq!(r.cycles, r.per_core.iter().map(|c| c.cycles).max().unwrap());
         assert!(r.per_core[0].cycles > r.per_core[1].cycles);
@@ -232,7 +226,7 @@ mod tests {
             mc.mem_mut().data_mut().store_u32(BASE + 4 * i, 1);
         }
         let mut tracer = mesa_trace::RingTracer::new(256);
-        let r = mc.run_parallel_traced(
+        let r = mc.run_parallel(
             &program,
             |id| {
                 let mut st = ArchState::new(0x1000, Xlen::Rv32);

@@ -10,7 +10,7 @@
 //! (set `MESA_BENCH_OUT=<path>` to write elsewhere — `scripts/bench_diff.sh`
 //! uses this to compare a fresh run against the committed baseline).
 
-use mesa_accel::{AccelConfig, Coord, FaultPlan, SpatialAccelerator};
+use mesa_accel::{AccelConfig, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
 use mesa_core::{
     analyze_memopts, build_accel_program, map_instructions, FabricManager, Ldfg, MapperConfig,
     OptFlags, SystemConfig, TenantProgress,
@@ -116,17 +116,21 @@ fn bench_engine(suite: &mut BenchSuite) {
     });
 }
 
-/// The same engine workload through the traced entry point with a
-/// [`NullTracer`]: `scripts/ci.sh` gates this against the untraced run
-/// above, so the disabled-tracing fast path stays free.
+/// The same engine workload as a solo session through
+/// [`SpatialAccelerator::run_session`] with a [`NullTracer`]:
+/// `scripts/ci.sh` gates this against the plain run above, so the
+/// disabled-tracing fast path stays free.
 fn bench_engine_null_tracer(suite: &mut BenchSuite) {
     let (kernel, sa, prog) = nn_engine_setup();
+    let faults = FaultPlan::none();
+    let req = SessionRequest::solo(0, 1_000_000, &faults, sa.config().grid());
     suite.run_cycles("tracer/null_engine_nn_on_m128", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
         black_box(
-            sa.execute_traced(&prog, &kernel.entry, &mut mem, 0, 1_000_000, &mut NullTracer, 0)
-                .expect("runs"),
+            sa.run_session(&prog, &kernel.entry, &mut mem, &req, None, &mut NullTracer, 0)
+                .expect("runs")
+                .into_result(&prog),
         )
         .cycles
     });

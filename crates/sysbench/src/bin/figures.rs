@@ -34,7 +34,7 @@
 //! stays byte-comparable across worker counts.
 
 use mesa_bench as bench;
-use mesa_core::SystemConfig;
+use mesa_core::{RunOptions, SystemConfig};
 use mesa_trace::host::{self, HostClock};
 use mesa_trace::{MetricsRegistry, RingTracer};
 use mesa_workloads::{by_name, KernelSize};
@@ -51,7 +51,7 @@ fn main() {
     let mut host_path = std::env::var("MESA_HOST_PROFILE").ok().filter(|p| !p.is_empty());
     let mut host_clock = std::env::var("MESA_HOST_CLOCK").ok().filter(|c| !c.is_empty());
     let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = bench::cli::fast_forward_args().into_iter();
     while let Some(a) = args.next() {
         if a == "--trace" {
             trace_path = args.next();
@@ -73,16 +73,9 @@ fn main() {
             set_jobs_arg(args.next().as_deref());
         } else if let Some(n) = a.strip_prefix("--jobs=") {
             set_jobs_arg(Some(n));
-        } else if a == "--fast-forward" {
-            mesa_core::set_fast_forward(true);
         } else {
             rest.push(a);
         }
-    }
-    // Env fallback for the fast-forward switch (set before any worker
-    // threads build their SystemConfigs).
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
     }
     // Wall clock + allocation counters back the always-on stderr
     // summary; the span profiler only engages under `--host-profile`.
@@ -222,10 +215,11 @@ fn set_jobs_arg(value: Option<&str>) {
 fn capture_trace(path: &str, size: KernelSize) {
     let kernel = by_name("nn", size).expect("nn is registered");
     let mut tracer = RingTracer::new(1 << 16);
-    let run = bench::mesa_offload_traced(
+    let run = bench::mesa_offload_with(
         &kernel,
         &SystemConfig::m128(),
         bench::BASELINE_CORES,
+        &RunOptions::default(),
         &mut tracer,
     );
     // Write the artifacts before printing anything long, so a closed

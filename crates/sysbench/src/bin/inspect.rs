@@ -16,8 +16,8 @@
 use mesa_accel::{AccelConfig, Coord, SpatialAccelerator};
 use mesa_bench::region_ldfg;
 use mesa_core::{
-    analyze_memopts, build_accel_program, map_instructions, run_offload_traced, MapperConfig,
-    MesaError, OptFlags,
+    analyze_memopts, build_accel_program, map_instructions, run_offload_with, MapperConfig,
+    MesaError, OptFlags, RunOptions,
 };
 use mesa_isa::OpClass;
 use mesa_mem::{MemConfig, MemorySystem};
@@ -29,7 +29,7 @@ fn main() {
     let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
     let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
     let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = mesa_bench::cli::fast_forward_args().into_iter();
     while let Some(a) = args.next() {
         if a == "--trace" {
             trace_path = args.next();
@@ -39,14 +39,9 @@ fn main() {
             profile_path = args.next();
         } else if let Some(p) = a.strip_prefix("--profile=") {
             profile_path = Some(p.to_string());
-        } else if a == "--fast-forward" {
-            mesa_core::set_fast_forward(true);
         } else {
             rest.push(a);
         }
-    }
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
     }
     let name = rest.first().map_or("nn", String::as_str);
     let size = match rest.get(1).map(String::as_str) {
@@ -64,8 +59,9 @@ fn main() {
     let mut sys_mem = MemorySystem::new(system.mem, 2);
     kernel.populate(sys_mem.data_mut());
     let mut sys_state = kernel.entry.clone();
+    let (program, opts) = (&kernel.program, RunOptions::default());
     let outcome =
-        run_offload_traced(&kernel.program, &mut sys_state, &mut sys_mem, &system, &mut tracer);
+        run_offload_with(program, &mut sys_state, &mut sys_mem, &system, &opts, &mut tracer);
     match &outcome {
         Ok(report) => {
             println!(

@@ -243,7 +243,7 @@ fn main() -> ExitCode {
     let mut jobs: Vec<_> = named.into_iter().map(|(_, j)| j).collect();
     let mut tracer = NullTracer;
     let mut driver =
-        FleetDriver::new(&system, &mut jobs, quantum, migrate_every, &mut tracer);
+        FleetDriver::new(&system, &mut jobs, quantum, migrate_every, None, &mut tracer);
     match host_clock.as_deref() {
         None | Some("off") => {}
         Some("real") => driver.set_host_clock(Box::new(RealClock::new())),

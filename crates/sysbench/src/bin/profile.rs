@@ -17,20 +17,15 @@ use mesa_workloads::{by_name, KernelSize};
 fn main() {
     let mut out = String::from("mesa_profile.json");
     let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = bench::cli::fast_forward_args().into_iter();
     while let Some(a) = args.next() {
         if a == "--out" {
             out = args.next().expect("--out needs a path");
         } else if let Some(p) = a.strip_prefix("--out=") {
             out = p.to_string();
-        } else if a == "--fast-forward" {
-            mesa_core::set_fast_forward(true);
         } else {
             rest.push(a);
         }
-    }
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
     }
     let name = rest.first().map_or("nn", String::as_str);
     let size = match rest.get(1).map(String::as_str) {

@@ -124,7 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--require-hits" => opts.require_hits = true,
             "--quiet" => opts.quiet = true,
             "--bench" => opts.bench = true,
-            "--fast-forward" => mesa_core::set_fast_forward(true),
             other => {
                 return Err(CliError {
                     flag: other.to_string(),
@@ -182,7 +181,7 @@ fn run_bench(opts: &mut Options) {
 
 fn main() -> ExitCode {
     mesa_trace::alloc::set_counting(true);
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::fast_forward_args();
     let mut opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(e) => {
@@ -191,10 +190,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
-
     if opts.bench {
         run_bench(&mut opts);
         return ExitCode::SUCCESS;

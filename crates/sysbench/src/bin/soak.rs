@@ -105,7 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                     Some(cli::take_value(flag, args, &mut i)?.to_string());
             }
             "--force-fault" => opts.force_fault = true,
-            "--fast-forward" => mesa_core::set_fast_forward(true),
             other => {
                 return Err(CliError {
                     flag: other.to_string(),
@@ -196,7 +195,7 @@ fn episode(
 fn main() -> ExitCode {
     let mut wall = host::RealClock::new();
     mesa_trace::alloc::set_counting(true);
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::fast_forward_args();
     let Options {
         iters,
         base_seed,
@@ -214,10 +213,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
 
     let mut agg = FleetAggregate::default();
     let mut failures = 0u64;

@@ -2,10 +2,7 @@
 //! 16-core multicore baseline, and the MESA system, collecting cycles and
 //! memory-hierarchy activity in the form the energy model consumes.
 
-use mesa_accel::FaultPlan;
-use mesa_core::{
-    run_offload_faulted_traced, run_offload_traced, Ldfg, MesaError, OffloadReport, SystemConfig,
-};
+use mesa_core::{run_offload_with, Ldfg, MesaError, OffloadReport, RunOptions, SystemConfig};
 use mesa_cpu::{CoreConfig, Multicore, NullMonitor, OoOCore, RunLimits};
 use mesa_mem::{MemConfig, MemTraffic, MemorySystem};
 use mesa_power::MemActivity;
@@ -110,6 +107,7 @@ pub fn cpu_multicore(kernel: &Kernel, n: usize) -> BaselineRun {
         &kernel.program,
         |core| kernel.multicore_entry(core, n),
         RunLimits::none(),
+        &mut NullTracer,
     );
     let overhead = if kernel.split.is_some() && n > 1 { FORK_JOIN_CYCLES } else { 0 };
     let core_cycles = r.per_core.iter().map(|c| c.cycles).sum();
@@ -122,47 +120,25 @@ pub fn cpu_multicore(kernel: &Kernel, n: usize) -> BaselineRun {
 /// deployment would do.
 #[must_use]
 pub fn mesa_offload(kernel: &Kernel, system: &SystemConfig, fallback_cores: usize) -> MesaRun {
-    mesa_offload_traced(kernel, system, fallback_cores, &mut NullTracer)
+    mesa_offload_with(kernel, system, fallback_cores, &RunOptions::default(), &mut NullTracer)
 }
 
-/// [`mesa_offload`] with an observer: the controller's phase spans land in
-/// `tracer`, bracketed by a harness-level `harness.mesa_offload` span, and
-/// a `harness.fallback` instant marks rejected episodes.
+/// [`mesa_offload`] under `opts`, with an observer: the controller's phase
+/// spans land in `tracer`, bracketed by a harness-level
+/// `harness.mesa_offload` span, and a `harness.fallback` instant marks
+/// rejected episodes. Under an armed fault plan the episode either
+/// recovers (correct results, fault events in the report and as instants
+/// on the `fault` subsystem timeline) or declines and falls back to the
+/// host multicore. Never panics.
 #[must_use]
-pub fn mesa_offload_traced(
+pub fn mesa_offload_with(
     kernel: &Kernel,
     system: &SystemConfig,
     fallback_cores: usize,
+    opts: &RunOptions,
     tracer: &mut dyn Tracer,
 ) -> MesaRun {
-    episode(kernel, system, fallback_cores, tracer, false, None).0
-}
-
-/// [`mesa_offload`] under an armed fault-injection plan: the episode
-/// either recovers (correct results, fault events in the report) or
-/// declines and falls back to the host multicore. Never panics.
-#[must_use]
-pub fn mesa_offload_faulted(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    plan: &FaultPlan,
-) -> MesaRun {
-    episode(kernel, system, fallback_cores, &mut NullTracer, false, Some(plan)).0
-}
-
-/// [`mesa_offload_faulted`] with an observer: injected faults surface as
-/// instants on the `fault` subsystem timeline alongside the controller's
-/// phase spans.
-#[must_use]
-pub fn mesa_offload_faulted_traced(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    plan: &FaultPlan,
-    tracer: &mut dyn Tracer,
-) -> MesaRun {
-    episode(kernel, system, fallback_cores, tracer, false, Some(plan)).0
+    episode(kernel, system, fallback_cores, opts, tracer, false).0
 }
 
 /// Runs the kernel under the MESA system and assembles the full
@@ -176,18 +152,8 @@ pub fn mesa_profile(
     system: &SystemConfig,
     fallback_cores: usize,
 ) -> (MesaRun, ProfileReport) {
-    mesa_profile_traced(kernel, system, fallback_cores, &mut NullTracer)
-}
-
-/// [`mesa_profile`] with an observer (see [`mesa_offload_traced`]).
-#[must_use]
-pub fn mesa_profile_traced(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    tracer: &mut dyn Tracer,
-) -> (MesaRun, ProfileReport) {
-    let (run, profile) = episode(kernel, system, fallback_cores, tracer, true, None);
+    let opts = RunOptions::default();
+    let (run, profile) = episode(kernel, system, fallback_cores, &opts, &mut NullTracer, true);
     (run, profile.expect("profile requested"))
 }
 
@@ -199,9 +165,9 @@ fn episode(
     kernel: &Kernel,
     system: &SystemConfig,
     fallback_cores: usize,
+    opts: &RunOptions,
     tracer: &mut dyn Tracer,
     want_profile: bool,
-    plan: Option<&FaultPlan>,
 ) -> (MesaRun, Option<ProfileReport>) {
     // Host-side episode span: the controller opens its per-phase
     // children (detect/translate/map/configure/offload) beneath it.
@@ -210,12 +176,7 @@ fn episode(
     kernel.populate(mem.data_mut());
     let mut state = kernel.entry.clone();
     tracer.span_begin(Subsystem::Harness, "harness.mesa_offload", 0);
-    let outcome = match plan {
-        Some(plan) => {
-            run_offload_faulted_traced(&kernel.program, &mut state, &mut mem, system, plan, tracer)
-        }
-        None => run_offload_traced(&kernel.program, &mut state, &mut mem, system, tracer),
-    };
+    let outcome = run_offload_with(&kernel.program, &mut state, &mut mem, system, opts, tracer);
     let (run, profile) = match outcome {
         Ok(report) => {
             let profile = want_profile.then(|| {
@@ -303,6 +264,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_accel::FaultPlan;
     use mesa_workloads::{by_name, KernelSize};
 
     #[test]
@@ -363,7 +325,8 @@ mod tests {
     fn traced_harness_run_brackets_controller_spans() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let mut tracer = mesa_trace::RingTracer::new(4096);
-        let r = mesa_offload_traced(&k, &SystemConfig::m128(), 4, &mut tracer);
+        let opts = RunOptions::default();
+        let r = mesa_offload_with(&k, &SystemConfig::m128(), 4, &opts, &mut tracer);
         assert!(r.report.is_some());
         assert!(tracer.open_spans().is_empty(), "all spans closed");
         let summary = mesa_trace::validate_chrome_trace(&tracer.to_chrome_trace()).unwrap();
@@ -372,11 +335,16 @@ mod tests {
         }
     }
 
+    fn offload_under(k: &Kernel, plan: FaultPlan) -> MesaRun {
+        let opts = RunOptions { faults: Some(plan), cache: None };
+        mesa_offload_with(k, &SystemConfig::m128(), 4, &opts, &mut NullTracer)
+    }
+
     #[test]
     fn config_stream_fault_falls_back_instead_of_panicking() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let plan = FaultPlan { truncate_config: Some(2), ..FaultPlan::none() };
-        let r = mesa_offload_faulted(&k, &SystemConfig::m128(), 4, &plan);
+        let r = offload_under(&k, plan);
         assert!(r.report.is_none(), "truncated config must decline");
         assert!(
             matches!(r.declined, Some(mesa_core::MesaError::ConfigStream(_))),
@@ -391,7 +359,7 @@ mod tests {
     fn survivable_fault_plan_keeps_the_offload() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let plan = FaultPlan { bus_drop_period: 4, ..FaultPlan::none() };
-        let r = mesa_offload_faulted(&k, &SystemConfig::m128(), 4, &plan);
+        let r = offload_under(&k, plan);
         assert!(r.report.is_some(), "bus drops are survivable: {:?}", r.declined);
     }
 

@@ -14,15 +14,16 @@
 //!    complete fault taxonomy must either produce a report or a typed
 //!    decline — never a panic.
 
-use mesa_accel::{AccelConfig, AccelProgram, Coord, FaultPlan, SpatialAccelerator};
+use mesa_accel::{AccelConfig, AccelProgram, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
 use mesa_core::{
-    analyze_memopts, build_accel_program, map_instructions, run_tenants, Ldfg, MapperConfig,
-    OptFlags, SystemConfig, TenantJob,
+    analyze_memopts, build_accel_program, map_instructions, run_tenants_fleet, Ldfg, MapperConfig,
+    OptFlags, RunOptions, SystemConfig, TenantJob,
 };
 use mesa_isa::reg::abi::*;
 use mesa_isa::{step, ArchState, Asm, OpClass, Outcome, ParallelKind, Program, Reg, Xlen};
 use mesa_mem::{MemConfig, MemorySystem};
 use mesa_test::{splitmix64, Rng};
+use mesa_trace::NullTracer;
 use mesa_workloads::KernelSize;
 
 /// Base address of the input array every generated loop reads.
@@ -219,9 +220,11 @@ pub fn differential_episode(seed: u64) -> Result<EpisodeStats, String> {
     }
 
     // Golden compare: injected timing faults must never change results.
+    let req = SessionRequest::solo(0, 10_000, &plan, grid);
     let r = accel
-        .execute_faulted(&prog, &entry, &mut mem, 0, 10_000, &plan)
-        .map_err(|e| format!("engine rejected validated program: {e}"))?;
+        .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
+        .map_err(|e| format!("engine rejected validated program: {e}"))?
+        .into_result(&prog);
     if !r.completed {
         return Err("loop did not terminate within the iteration budget".into());
     }
@@ -273,7 +276,8 @@ pub fn controller_episode(seed: u64) -> Result<(), String> {
     let system = SystemConfig::m128();
     let grid = system.accel.grid();
     let plan = FaultPlan::from_seed(splitmix64(&mut s), grid.rows, grid.cols);
-    let run = crate::harness::mesa_offload_faulted(kernel, &system, 4, &plan);
+    let opts = RunOptions { faults: Some(plan), cache: None };
+    let run = crate::harness::mesa_offload_with(kernel, &system, 4, &opts, &mut NullTracer);
     if run.report.is_some() == run.declined.is_some() {
         return Err(format!(
             "{}: episode must end with exactly one of report/decline",
@@ -401,7 +405,9 @@ pub fn tenants_episode_fleet(
         if force_fault && slot == 0 {
             jobs[0].faults.truncate_config = Some(2);
         }
-        let mut reports = run_tenants(&system, &mut jobs, quantum, migrate_every);
+        let mut reports =
+            run_tenants_fleet(&system, &mut jobs, quantum, migrate_every, None, &mut NullTracer)
+                .outcomes;
         let outcome = reports.pop().expect("one report per job");
         let digest = data_digest(&mut jobs[0].mem);
         solo.push((outcome, format!("{:?}", jobs[0].state), digest));
@@ -410,13 +416,7 @@ pub fn tenants_episode_fleet(
     // The concurrent run: all jobs admitted to one shared fabric.
     let mut jobs: Vec<TenantJob> = named.into_iter().map(|(_, j)| j).collect();
     arm(&mut jobs);
-    let run = mesa_core::run_tenants_fleet(
-        &system,
-        &mut jobs,
-        quantum,
-        migrate_every,
-        &mut mesa_trace::NullTracer,
-    );
+    let run = run_tenants_fleet(&system, &mut jobs, quantum, migrate_every, None, &mut NullTracer);
     let reports = &run.outcomes;
 
     let mut stats = TenantsStats { tenants, ..TenantsStats::default() };

@@ -21,8 +21,7 @@ pub use figures::{
     BASELINE_CORES,
 };
 pub use harness::{
-    cpu_multicore, cpu_single, geomean, mesa_offload, mesa_offload_faulted,
-    mesa_offload_faulted_traced, mesa_offload_traced, mesa_profile, mesa_profile_traced,
+    cpu_multicore, cpu_single, geomean, mesa_offload, mesa_offload_with, mesa_profile,
     region_ldfg, BaselineRun, MesaRun,
 };
 pub use kernelgen::{

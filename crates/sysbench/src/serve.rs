@@ -17,8 +17,8 @@
 
 use crate::kernelgen::{tenant_jobs, ARR_A, ARR_OUT};
 use mesa_core::{
-    run_offload_shared, run_offload_traced, run_tenants_fleet_shared, ArtifactCacheStats,
-    FleetRun, SharedArtifactCache, SystemConfig, TenantJob,
+    run_offload_with, run_tenants_fleet, ArtifactCacheStats, FleetRun, RunOptions,
+    SharedArtifactCache, SystemConfig, TenantJob,
 };
 use mesa_isa::reg::abi::*;
 use mesa_isa::{ArchState, Asm, Program, Xlen};
@@ -242,13 +242,8 @@ fn run_request(req: &ServeRequest, cache: Option<&Arc<SharedArtifactCache>>) -> 
             }
         }
     };
-    let mut tracer = NullTracer;
-    let result = match cache {
-        Some(cache) => {
-            run_offload_shared(&program, &mut state, &mut mem, &system, cache, &mut tracer)
-        }
-        None => run_offload_traced(&program, &mut state, &mut mem, &system, &mut tracer),
-    };
+    let opts = RunOptions { faults: None, cache: cache.cloned() };
+    let result = run_offload_with(&program, &mut state, &mut mem, &system, &opts, &mut NullTracer);
     let (ok, accel_iterations, accel_cycles) = match &result {
         Ok(r) => (true, r.accel_iterations, r.accel_cycles),
         Err(_) => (false, 0, 0),
@@ -358,14 +353,8 @@ impl ServeEngine {
         let system = SystemConfig::m128();
         let (quantum, named) = tenant_jobs(seed, tenants);
         let mut jobs: Vec<TenantJob> = named.into_iter().map(|(_, j)| j).collect();
-        run_tenants_fleet_shared(
-            &system,
-            &mut jobs,
-            quantum,
-            migrate_every,
-            &mut NullTracer,
-            &self.cache,
-        )
+        let cache = Some(self.cache.clone());
+        run_tenants_fleet(&system, &mut jobs, quantum, migrate_every, cache, &mut NullTracer)
     }
 }
 

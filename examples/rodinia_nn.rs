@@ -11,7 +11,7 @@
 //! offload episode (phases on simulated-cycle timestamps; open it in
 //! Perfetto or `chrome://tracing`).
 
-use mesa::core::{run_offload_traced, SystemConfig};
+use mesa::core::{run_offload_with, RunOptions, SystemConfig};
 use mesa::cpu::{CoreConfig, NullMonitor, OoOCore, RunLimits};
 use mesa::mem::{MemConfig, MemorySystem};
 use mesa::power::{accel_energy, config_energy, cpu_energy, EnergyParams, MemActivity};
@@ -44,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut state = kernel.entry.clone();
     let trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
     let mut tracer = RingTracer::new(1 << 16);
+    let (system, opts) = (SystemConfig::m128(), RunOptions::default());
     let report =
-        run_offload_traced(&kernel.program, &mut state, &mut mem, &SystemConfig::m128(), &mut tracer)?;
+        run_offload_with(&kernel.program, &mut state, &mut mem, &system, &opts, &mut tracer)?;
     if let Some(path) = &trace_path {
         std::fs::write(path, tracer.to_chrome_trace())?;
         println!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)\n");

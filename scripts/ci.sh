@@ -30,6 +30,24 @@ if [[ "$panic_free_violations" != 0 ]]; then
 fi
 echo "panic-free gate: no unwrap/panic/unreachable in non-test core/accel sources"
 
+# Run-API gate: each layer has one plain call and one options call
+# (`RunOptions`/`SessionRequest` plus an explicit `&mut dyn Tracer`), so
+# non-test library code must not regrow `pub fn …_traced/_faulted/_shared`
+# variants. Test modules are cut off at `#[cfg(test)]` as above. The one
+# allowed name is `run_tenants_fleet_shared`: the end-to-end benchmark
+# in bench/ pins it.
+run_api_hits="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' | sort | while read -r f; do
+  awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f":"FNR": "$0}' "$f"
+done | grep -E 'pub fn [A-Za-z0-9_]*_(traced|faulted|shared)[(<]' \
+  | grep -v 'pub fn run_tenants_fleet_shared(' || true)"
+if [[ -n "$run_api_hits" ]]; then
+  echo "ci: per-variant run entry point in library code:" >&2
+  echo "$run_api_hits" >&2
+  echo "ci: take RunOptions / SessionRequest and a &mut dyn Tracer instead" >&2
+  exit 1
+fi
+echo "run-API gate: no _traced/_faulted/_shared public run variants"
+
 # Host-clock gate: `std::time::Instant`/`SystemTime` may only appear in
 # the HostClock module (crates/trace/src/host.rs, the one sanctioned
 # wall-clock seam). Everything else must take an injectable HostClock so
@@ -186,8 +204,8 @@ echo "host-profile smoke: mock-clock export is conserved and --jobs invariant"
 # mode noise cancels), so it stays tight and single-shot.
 MESA_BENCH_OUT="$bench_tmp" cargo bench --offline -p mesa-bench --bench components
 
-# (1) The NullTracer fast path through the traced engine entry point must
-#     stay within noise of the untraced path.
+# (1) A NullTracer solo session through `run_session` must stay within
+#     noise of the plain `execute` run.
 cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
   "$bench_tmp" \
   tracer/null_engine_nn_on_m128 \

@@ -7,12 +7,11 @@
 //! process-global (`mesa_bench::set_jobs`), so splitting this into several
 //! `#[test]`s would race on it.
 
-use mesa::core::{
-    run_tenants, run_tenants_fleet, FleetStats, OffloadReport, SystemConfig, TenantJob,
-};
+use mesa::core::{run_tenants_fleet, FleetStats, OffloadReport, SystemConfig, TenantJob};
 use mesa::isa::reg::abi::*;
 use mesa::isa::{ArchState, Asm, Xlen};
 use mesa::mem::{MemConfig, MemorySystem};
+use mesa::trace::NullTracer;
 use mesa_bench as bench;
 use mesa_workloads::KernelSize;
 
@@ -66,7 +65,8 @@ fn fleet_stats_json() -> String {
         &mut jobs,
         180,
         0,
-        &mut mesa::trace::NullTracer,
+        None,
+        &mut NullTracer,
     );
     run.stats.to_json()
 }
@@ -136,7 +136,7 @@ fn normalized(report: &OffloadReport) -> String {
 /// memory results to N sequential solo runs, under every admission order.
 ///
 /// This test does not touch the process-global `mesa_bench::set_jobs`
-/// worker count (`run_tenants` time-slices one engine on one thread), so
+/// worker count (`run_tenants_fleet` time-slices one engine on one thread), so
 /// it can live alongside `figures_identical_for_any_worker_count` as its
 /// own `#[test]` without racing it.
 #[test]
@@ -150,7 +150,8 @@ fn concurrent_tenants_match_sequential_solo_runs_in_any_order() {
     let mut solo_states = Vec::new();
     for &(kind, n) in &shapes {
         let mut jobs = vec![tenant_job(kind, n)];
-        let mut reports = run_tenants(&system, &mut jobs, QUANTUM, 0);
+        let mut reports =
+            run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, None, &mut NullTracer).outcomes;
         let report = reports.pop().unwrap().expect("solo tenant offloads");
         solo_reports.push(normalized(&report));
         solo_states.push(format!("{:?}", jobs[0].state));
@@ -160,7 +161,8 @@ fn concurrent_tenants_match_sequential_solo_runs_in_any_order() {
     for order in [[0usize, 1, 2], [2, 1, 0], [1, 2, 0]] {
         let mut jobs: Vec<TenantJob> =
             order.iter().map(|&i| tenant_job(shapes[i].0, shapes[i].1)).collect();
-        let reports = run_tenants(&system, &mut jobs, QUANTUM, 0);
+        let reports =
+            run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, None, &mut NullTracer).outcomes;
 
         // All three really shared the grid: pairwise disjoint bands.
         let regions: Vec<_> = reports
@@ -210,8 +212,7 @@ fn fleet_stats_equal_fold_of_solo_runs_in_any_order() {
     let mut fold = FleetStats::default();
     for &(kind, n) in &shapes {
         let mut jobs = vec![tenant_job(kind, n)];
-        let run =
-            run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, &mut mesa::trace::NullTracer);
+        let run = run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, None, &mut NullTracer);
         assert!(run.outcomes[0].is_ok(), "solo tenant offloads");
         fold.merge(&run.stats);
     }
@@ -219,7 +220,7 @@ fn fleet_stats_equal_fold_of_solo_runs_in_any_order() {
     let shared = |order: [usize; 3]| {
         let mut jobs: Vec<TenantJob> =
             order.iter().map(|&i| tenant_job(shapes[i].0, shapes[i].1)).collect();
-        run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, &mut mesa::trace::NullTracer)
+        run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, None, &mut NullTracer)
     };
 
     // Determinism: replaying the same admission order reproduces the

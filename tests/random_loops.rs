@@ -248,6 +248,7 @@ fn compare_multicore(seed: u64, n_cores: usize) {
             st
         },
         RunLimits::none(),
+        &mut mesa::trace::NullTracer,
     );
 
     for (id, core) in r.per_core.iter().enumerate() {

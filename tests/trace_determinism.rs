@@ -7,10 +7,10 @@
 //! additionally checks that the ring tracer keeps span begin/end events
 //! balanced under arbitrary interleavings.
 
-use mesa::core::SystemConfig;
+use mesa::core::{RunOptions, SystemConfig};
 use mesa::trace::{RingTracer, Subsystem, Tracer};
 use mesa::workloads::{by_name, KernelSize};
-use mesa_bench::mesa_offload_traced;
+use mesa_bench::mesa_offload_with;
 use mesa_test::{forall, prop_assert, prop_assert_eq, Checker, Rng};
 
 const REGRESSIONS: &str =
@@ -23,7 +23,8 @@ fn checker(name: &str) -> Checker {
 fn traced_nn_run() -> RingTracer {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
     let mut tracer = RingTracer::new(1 << 16);
-    let run = mesa_offload_traced(&kernel, &SystemConfig::m128(), 4, &mut tracer);
+    let opts = RunOptions::default();
+    let run = mesa_offload_with(&kernel, &SystemConfig::m128(), 4, &opts, &mut tracer);
     assert!(run.report.is_some(), "nn must accelerate");
     tracer
 }
@@ -32,13 +33,8 @@ fn traced_faulted_nn_run(seed: u64) -> (RingTracer, Option<u64>) {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
     let plan = mesa::accel::FaultPlan::from_seed(seed, 4, 8);
     let mut tracer = RingTracer::new(1 << 16);
-    let run = mesa_bench::mesa_offload_faulted_traced(
-        &kernel,
-        &SystemConfig::m128(),
-        4,
-        &plan,
-        &mut tracer,
-    );
+    let opts = RunOptions { faults: Some(plan), cache: None };
+    let run = mesa_offload_with(&kernel, &SystemConfig::m128(), 4, &opts, &mut tracer);
     (tracer, run.report.map(|r| r.faults.total()))
 }
 
