@@ -5,7 +5,7 @@ use crate::{Coord, GridDim};
 use mesa_isa::OpClass;
 
 /// Which PEs carry single-precision floating-point hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpPattern {
     /// No FP anywhere (integer-only fabric).
     None,
@@ -31,7 +31,7 @@ impl FpPattern {
 }
 
 /// Full accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccelConfig {
     /// Grid rows.
     pub rows: usize,

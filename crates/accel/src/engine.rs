@@ -661,8 +661,11 @@ impl SpatialAccelerator {
         }
 
         if paused {
+            // A resumed session's snapshot already carries `prog`'s digest
+            // (`run_session` checked it), so each slice hashes the program
+            // at most once.
             let snap = PlacementSnapshot {
-                fingerprint: prog.fingerprint(),
+                fingerprint: resume.map_or_else(|| prog.fingerprint(), |s| s.fingerprint),
                 xlen,
                 nodes: n,
                 tiles,
@@ -1731,5 +1734,72 @@ mod tests {
             .run_session(&other, &other_entry, &mut mem, &req, Some(&snap), &mut NullTracer, 0)
             .unwrap_err();
         assert!(matches!(err, SessionError::Snapshot(SnapshotError::Mismatch { .. })), "{err}");
+    }
+
+    /// The program digest alone rejects a foreign program: every mutation
+    /// here keeps the node and tile counts, so only the fingerprint
+    /// differs, while an unmutated clone resumes and finishes as solo.
+    #[test]
+    fn session_rejects_a_program_differing_in_one_field() {
+        use mesa_test::{forall, prop_assert, Checker};
+
+        let (prog, entry) = sum_loop();
+        let accel = SpatialAccelerator::new(AccelConfig::m128());
+        let none = FaultPlan::none();
+        let solo = accel.execute(&prog, &entry, &mut sum_loop_mem(), 0, 10_000).unwrap();
+        let region = Region::new(0, 4, 8);
+        let mut mem = sum_loop_mem();
+        let req = session_req(&none, region, Some(solo.cycles / 2));
+        let SessionStatus::Paused(snap) = accel
+            .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
+            .unwrap()
+        else {
+            panic!("did not pause");
+        };
+        let resume_req = session_req(&none, region, None);
+        let resume = |p: &AccelProgram| {
+            let mut mem = mem.clone();
+            accel.run_session(p, &entry, &mut mem, &resume_req, Some(&snap), &mut NullTracer, 0)
+        };
+
+        forall!(
+            Checker::new("engine::one_field_foreign_program_is_rejected").cases(64),
+            |(field in 0usize..6, at in 0usize..4, delta in 1i64..1024)| {
+                let mut foreign = prog.clone();
+                match field {
+                    0 => foreign.nodes[at].prefetched ^= true,
+                    1 => foreign.pipelined ^= true,
+                    2 => foreign.nodes[at].instr.imm += delta,
+                    3 => {
+                        let c = foreign.nodes[at].coord.unwrap();
+                        let col = c.col + 1 + delta as usize % 4;
+                        foreign.nodes[at].coord = Some(Coord::new(c.row, col));
+                    }
+                    4 => {
+                        let slot = &mut foreign.live_out[at % 2].1;
+                        *slot = (*slot + 1 + delta as u32 % 3) % 4;
+                    }
+                    _ => foreign.nodes[at].guards.push(3),
+                }
+                prop_assert!(foreign != prog);
+                let err = resume(&foreign).unwrap_err();
+                prop_assert!(
+                    matches!(
+                        err,
+                        SessionError::Snapshot(SnapshotError::Mismatch {
+                            field: "program fingerprint",
+                            ..
+                        })
+                    ),
+                    "{}",
+                    err
+                );
+
+                let SessionStatus::Completed(resumed) = resume(&prog.clone()).unwrap() else {
+                    panic!("resume did not complete");
+                };
+                expect_full_equality(&solo, &resumed);
+            }
+        );
     }
 }

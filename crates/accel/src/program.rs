@@ -10,9 +10,10 @@
 use crate::{Coord, GridDim};
 use mesa_isa::{Instruction, Reg};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Where one operand of a node comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// No operand in this slot (immediate-only or unused).
     None,
@@ -41,7 +42,7 @@ impl Operand {
 }
 
 /// One configured instruction slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct NodeConfig {
     /// Original instruction address (matched against the dynamic PC for
     /// predication, §5.2).
@@ -96,7 +97,7 @@ impl NodeConfig {
 }
 
 /// A fully configured accelerator region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct AccelProgram {
     /// First PC of the region.
     pub start_pc: u64,
@@ -199,18 +200,16 @@ impl AccelProgram {
         (max_row + 1).next_multiple_of(4)
     }
 
-    /// A stable 64-bit digest of the whole configuration (FNV-1a over the
-    /// `Debug` rendering, which covers every field). A `PlacementSnapshot`
-    /// records it so a checkpoint can only be resumed against the exact
-    /// program it was taken from.
+    /// A stable 64-bit digest of the whole configuration: the derived
+    /// [`Hash`] of every field, fed to one byte-wise FNV-1a
+    /// [`Fnv64`](mesa_trace::Fnv64) with no formatting or allocation. A
+    /// `PlacementSnapshot` records it so a checkpoint can only be resumed
+    /// against the exact program it was taken from.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        hash
+        let mut h = mesa_trace::Fnv64::new();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Checks structural sanity against a target grid.

@@ -23,7 +23,9 @@ use crate::counters::{ActivityStats, NodeCounter, PerfCounters};
 use crate::faults::{FaultLog, FaultPlan};
 use crate::{AccelProgram, AccelRunResult, Region};
 use mesa_isa::{Reg, Xlen};
+use mesa_trace::Fnv64;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Magic word opening every snapshot stream (`"MESASNP1"` as ASCII).
 pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"MESASNP1");
@@ -447,14 +449,11 @@ impl<'a> WordReader<'a> {
 /// FNV-1a over the little-endian bytes of a word stream (the checksum the
 /// trailing word carries).
 fn fnv_words(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
+    let mut hash = Fnv64::new();
+    for &w in words {
+        hash.write_u64(w);
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

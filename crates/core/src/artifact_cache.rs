@@ -38,26 +38,14 @@
 use crate::{Ldfg, MapperConfig, OptFlags};
 use mesa_accel::{AccelConfig, AccelProgram};
 use mesa_isa::{ParallelKind, Program};
-use mesa_trace::MetricsRegistry;
+use mesa_trace::{Fnv64, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
 
 /// Default bound on entries per map (decoded programs and mapped
 /// artifacts are bounded independently).
 const DEFAULT_CAPACITY: usize = 256;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Incremental FNV-1a over arbitrary byte chunks.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Fingerprint of everything the F2 map/configure stage is a pure
 /// function of. Two episodes with equal fingerprints would compute
@@ -68,10 +56,10 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// pure function of the region's machine words, which
 /// `region_fingerprint` (the trace cache's fill fingerprint) already
 /// digests — so only the *measured* inputs layered on top need hashing
-/// here: the AMAT-seeded node and edge weights. That keeps the
-/// fingerprint O(nodes) integer mixing with no per-node formatting; the
-/// small configuration structs go through their (deterministic, total)
-/// Debug renderings once per episode.
+/// here: the AMAT-seeded node and edge weights. The small configuration
+/// structs enter through their derived [`Hash`], so the whole key is
+/// O(nodes) integer mixing into one [`Fnv64`] with no formatting or
+/// allocation.
 #[must_use]
 pub(crate) fn artifact_fingerprint(
     region_fingerprint: u64,
@@ -82,22 +70,18 @@ pub(crate) fn artifact_fingerprint(
     mapper: &MapperConfig,
     expected_iterations: u64,
 ) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
-    mix(region_fingerprint);
-    mix(ldfg.start_pc);
-    mix(ldfg.end_pc);
+    let mut h = Fnv64::new();
+    h.write_u64(region_fingerprint);
+    h.write_u64(ldfg.start_pc);
+    h.write_u64(ldfg.end_pc);
     for node in &ldfg.nodes {
-        mix(node.op_weight);
-        mix(node.edge_weight[0]);
-        mix(node.edge_weight[1]);
+        h.write_u64(node.op_weight);
+        h.write_u64(node.edge_weight[0]);
+        h.write_u64(node.edge_weight[1]);
     }
-    fnv1a(&mut h, format!("{annotation:?}").as_bytes());
-    fnv1a(&mut h, format!("{accel:?}").as_bytes());
-    fnv1a(&mut h, format!("{opts:?}").as_bytes());
-    fnv1a(&mut h, format!("{mapper:?}").as_bytes());
-    fnv1a(&mut h, &expected_iterations.to_le_bytes());
-    h
+    (annotation, accel, opts, mapper).hash(&mut h);
+    h.write_u64(expected_iterations);
+    h.finish()
 }
 
 /// Hit/miss/insert/evict counters of a [`SharedArtifactCache`], split by

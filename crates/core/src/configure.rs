@@ -9,7 +9,7 @@ use mesa_isa::{Opcode, ParallelKind};
 use std::collections::HashMap;
 
 /// Which optimizations the controller applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptFlags {
     /// Store→load forwarding, vectorization, prefetching (§4.2).
     pub memory_opts: bool,

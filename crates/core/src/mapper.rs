@@ -15,7 +15,7 @@ use mesa_accel::{Coord, GridDim, LatencyModel, Operand};
 use mesa_isa::OpClass;
 
 /// How the candidate matrix is positioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowMode {
     /// Fixed `rows × cols` window anchored at the higher-latency
     /// predecessor — what the paper's RTL implements ("due to constraints,
@@ -29,7 +29,7 @@ pub enum WindowMode {
 }
 
 /// Mapper parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MapperConfig {
     /// Candidate window rows.
     pub window_rows: usize,

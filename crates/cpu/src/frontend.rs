@@ -9,6 +9,8 @@
 
 use crate::{RetireEvent, RetireMonitor};
 use mesa_isa::{codec, Outcome, Program};
+use mesa_trace::Fnv64;
+use std::hash::Hasher;
 
 /// A loop region candidate emitted by the LSD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,24 +265,14 @@ impl TraceCache {
     /// key on this instead of the generation.
     #[must_use]
     pub fn fill_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.start_pc);
-        mix(self.end_pc);
+        let mut h = Fnv64::new();
+        h.write_u64(self.start_pc);
+        h.write_u64(self.end_pc);
         for w in &self.words {
             // Distinguish "empty slot" from any captured word value.
-            match w {
-                Some(word) => mix(1 + u64::from(*word)),
-                None => mix(0),
-            }
+            h.write_u64(w.map_or(0, |word| 1 + u64::from(word)));
         }
-        h
+        h.finish()
     }
 
     /// Decodes the captured region into a [`Program`] based at the region

@@ -162,6 +162,30 @@ fn bench_fabric(suite: &mut BenchSuite) {
         }
     });
 
+    // The same episode advanced in fixed ~1,000-cycle quanta (about 24
+    // slices): every slice resumes from and re-freezes a snapshot, so the
+    // ratio to the single-session run above is the per-slice overhead
+    // (gated by ci.sh).
+    suite.run_cycles("fabric/nn_sliced_session_on_m128", 20, || {
+        let mut mem = MemorySystem::new(MemConfig::default(), 1);
+        kernel.populate(mem.data_mut());
+        let mut manager = FabricManager::new(cfg);
+        let (id, _) = manager
+            .admit(prog.clone(), kernel.entry.clone(), FaultPlan::none(), 1_000_000)
+            .expect("admits");
+        loop {
+            match black_box(
+                manager
+                    .advance(id, &mut mem, 0, 1_000, &mut NullTracer, 0)
+                    .expect("runs"),
+            ) {
+                TenantProgress::Paused(_) => {}
+                TenantProgress::Completed(cycles) => break cycles,
+                TenantProgress::Queued => break 0,
+            }
+        }
+    });
+
     // Checkpoint + restore round trip of a tenant frozen mid-episode: the
     // snapshot wire format (serialize, checksum, decode) plus the
     // compatibility re-validation against the tenant's binding.

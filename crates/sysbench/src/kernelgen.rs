@@ -23,8 +23,9 @@ use mesa_isa::reg::abi::*;
 use mesa_isa::{step, ArchState, Asm, OpClass, Outcome, ParallelKind, Program, Reg, Xlen};
 use mesa_mem::{MemConfig, MemorySystem};
 use mesa_test::{splitmix64, Rng};
-use mesa_trace::NullTracer;
+use mesa_trace::{Fnv64, NullTracer};
 use mesa_workloads::KernelSize;
+use std::hash::Hasher;
 
 /// Base address of the input array every generated loop reads.
 pub const ARR_A: u64 = 0x10_0000;
@@ -301,11 +302,11 @@ pub struct TenantsStats {
     pub declined: usize,
 }
 
-/// FNV-1a digest of every data window the workloads kernels write, so two
-/// runs of the same kernel can be compared without knowing its footprint
-/// (untouched addresses read as zero).
+/// FNV-1a digest (one symbol per 32-bit word) of every data window the
+/// workloads kernels write, so two runs of the same kernel can be compared
+/// without knowing its footprint (untouched addresses read as zero).
 fn data_digest(mem: &mut MemorySystem) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for base in [
         mesa_workloads::DATA_A,
         mesa_workloads::DATA_B,
@@ -314,11 +315,10 @@ fn data_digest(mem: &mut MemorySystem) -> u64 {
         0x140_0000, // backprop's private delta block
     ] {
         for off in (0..0x8000u64).step_by(4) {
-            h ^= u64::from(mem.data_mut().load_u32(base + off));
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            h.write_symbol(u64::from(mem.data_mut().load_u32(base + off)));
         }
     }
-    h
+    h.finish()
 }
 
 /// The seed-derived plan for one multi-tenant episode: the round-robin

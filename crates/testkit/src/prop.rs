@@ -15,7 +15,9 @@
 //!    before generating novel cases.
 
 use crate::rng::{splitmix64, Rng, SampleUniform};
+use mesa_trace::Fnv64;
 use std::fmt::Debug;
+use std::hash::Hasher;
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -461,12 +463,9 @@ impl Checker {
     /// but every run of the same property is identical.
     #[must_use]
     pub fn base_seed(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv64::new();
+        h.write(self.name.as_bytes());
+        h.finish()
     }
 
     /// Runs the property: regression seeds first, then either the single

@@ -76,6 +76,7 @@
 pub mod alloc;
 pub mod export;
 pub mod flight;
+pub mod fnv;
 pub mod folded;
 pub mod histogram;
 pub mod host;
@@ -85,6 +86,7 @@ pub mod tracer;
 pub use alloc::{AllocStats, CountingAlloc};
 pub use export::{json_string, validate_chrome_trace, validate_json, ChromeTraceSummary};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_LANE_CAPACITY};
+pub use fnv::Fnv64;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use host::{
     ClockSpec, HostClock, HostProfile, HostProfiler, HostSpan, MockClock, RealClock, SpanGuard,

@@ -50,6 +50,15 @@ cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
   engine/nn_512_iterations_on_m128 \
   1.10
 
+# Slicing gate, same-run pair: the nn episode advanced in ~24 fabric
+# slices must stay within 2x of the same episode in one session
+# (measured 1.33-1.65).
+cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
+  "$fresh" \
+  fabric/nn_sliced_session_on_m128 \
+  fabric/nn_single_tenant_session_on_m128 \
+  2.0
+
 # Host-profiler overhead gate, same-run pair (common-mode noise cancels):
 # a fully profiled offload episode must stay within 5% of the same
 # episode with the span profiler off.

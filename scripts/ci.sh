@@ -48,6 +48,22 @@ if [[ -n "$run_api_hits" ]]; then
 fi
 echo "run-API gate: no _traced/_faulted/_shared public run variants"
 
+# Digest gate: fingerprints hash a value's structure (derived `Hash` into
+# `mesa_trace::Fnv64`), never its Debug rendering. Hashing
+# `format!("{x:?}")` bytes formats and allocates on every call; it cost
+# fleet slices half their host time when the program fingerprint did it.
+# Test modules are cut off at `#[cfg(test)]` as above.
+debug_hash_hits="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' | sort | while read -r f; do
+  awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f":"FNR": "$0}' "$f"
+done | grep -E 'format!\("[^"]*:#?\?\}[^"]*"[^;]*\)\.(as_)?bytes\(\)' || true)"
+if [[ -n "$debug_hash_hits" ]]; then
+  echo "ci: Debug rendering hashed as bytes in library code:" >&2
+  echo "$debug_hash_hits" >&2
+  echo "ci: derive Hash and feed a mesa_trace::Fnv64 instead" >&2
+  exit 1
+fi
+echo "digest gate: no Debug-formatted bytes hashed in library code"
+
 # Host-clock gate: `std::time::Instant`/`SystemTime` may only appear in
 # the HostClock module (crates/trace/src/host.rs, the one sanctioned
 # wall-clock seam). Everything else must take an injectable HostClock so
@@ -255,7 +271,20 @@ cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
   serve/repeat_kernel_cold \
   0.77
 
-# (6) No component's median may regress past MAX_RATIO of the committed
+# (6) Slicing gate, same-run pair: the nn episode advanced in ~24 fabric
+#     slices of ~1,000 cycles must stay within 2x of the same episode in
+#     one session (measured 1.33-1.65: the ~5 us per-slice cost is fixed
+#     while the engine loop's speed drifts with the host; 8.5 when every
+#     slice hashed the program's Debug rendering twice). Per-slice host
+#     cost has to scale with the state a slice moves, not with the
+#     program's size.
+cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
+  "$bench_tmp" \
+  fabric/nn_sliced_session_on_m128 \
+  fabric/nn_single_tenant_session_on_m128 \
+  2.0
+
+# (7) No component's median may regress past MAX_RATIO of the committed
 #     baseline (bench_diff.sh's 1.15 default is for quiet machines), and
 #     the fabric virtualization benches get a tighter leash
 #     (FABRIC_MAX_RATIO, default 1.05): the telemetry instrumentation
