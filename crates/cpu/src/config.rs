@@ -33,10 +33,11 @@ pub struct CoreConfig {
     pub xlen: Xlen,
     /// Macro-op fusion in the predecoded micro-op cache (RV32 only).
     ///
-    /// Purely a simulator-speed optimization: the fused run loop produces
-    /// bit-identical cycle counts and architectural state to the unfused
-    /// one (property-tested in `mesa-bench`), it just gets there faster.
-    /// Disable to force the reference one-uop-per-iteration loop.
+    /// Purely a simulator-speed optimization: the run loop's fast paths
+    /// produce bit-identical cycle counts and architectural state to the
+    /// reference path (property-tested in `mesa-bench`), they just get
+    /// there faster. Disable to send every uop through the same loop's
+    /// general `step` interpreter and generic timing arm.
     pub fusion: bool,
 }
 

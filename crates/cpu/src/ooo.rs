@@ -292,12 +292,13 @@ const SLOT_COUNT_MASK: u64 = (1 << SLOT_COUNT_BITS) - 1;
 /// Flat register index meaning "no destination".
 const NO_DEST: u8 = u8::MAX;
 
-/// Constituent-kind discriminants for `run_fused`'s `timing_retire!`
+/// Constituent-kind discriminants for [`OoOCore::run`]'s `timing_retire!`
 /// macro. Passed as constants so constant folding deletes the dead arms of
 /// each expansion: a fused pair's leading constituent is statically known
 /// to be a pure int ALU op, the trailing one a branch / load / store / ALU
 /// op, and predecode classifies singletons the same way. `K_GEN` keeps
-/// every arm (the reference path for anything outside the flat subset).
+/// every arm: it times anything outside the flat subset, and every uop
+/// when fusion is off (the reference path).
 const K_GEN: u8 = 0;
 const K_ALU: u8 = 1;
 const K_BR: u8 = 2;
@@ -321,7 +322,8 @@ struct Uop {
     base_latency: u64,
     is_jalr: bool,
     /// Flattened functional form for the RV32 hot subset (`None` falls
-    /// back to the general `step` interpreter).
+    /// back to the general `step` interpreter; always `None` with fusion
+    /// off).
     flat: Option<FlatOp>,
     /// Timing-dispatch kind (`K_ALU`/`K_BR`/`K_LD`/`K_ST`/`K_GEN`): which
     /// specialized `timing_retire!` expansion is exact for this op. `Jal`
@@ -331,7 +333,7 @@ struct Uop {
 }
 
 impl Uop {
-    fn from_instr(instr: Instruction, xlen: Xlen) -> Self {
+    fn from_instr(instr: Instruction, xlen: Xlen, lower: bool) -> Self {
         let mut srcs = [0u8; 3];
         let mut nsrcs = 0u8;
         for src in instr.raw_sources() {
@@ -347,7 +349,7 @@ impl Uop {
             OpClass::Load | OpClass::Store => 3,
             _ => 0,
         };
-        let flat = FlatOp::lower(&instr, xlen);
+        let flat = if lower { FlatOp::lower(&instr, xlen) } else { None };
         let dkind = match flat {
             Some(f) => match f.kind {
                 k if k.is_int_alu() => K_ALU,
@@ -393,8 +395,8 @@ struct Predecoded {
     uops: Vec<Uop>,
     /// Macro-op fusion map: `fused[i]` holds the superinstruction starting
     /// at static index `i` (covering `i` and `i + 1`), from a greedy
-    /// left-to-right non-overlapping pairing pass. Empty pairing when
-    /// fusion is disabled.
+    /// left-to-right non-overlapping pairing pass. Empty when fusion is
+    /// disabled, since only lowered `FlatOp`s pair.
     fused: Vec<Option<FusedOp>>,
 }
 
@@ -479,30 +481,29 @@ impl OoOCore {
         &mut self.predictor
     }
 
-    /// Micro-op cache: revalidate (cheap compare) or rebuild, including the
-    /// macro-op fusion pairing when enabled.
+    /// Micro-op cache: revalidate (cheap compare) or rebuild. With fusion
+    /// on, predecode lowers the flat subset and pairs it; with fusion off
+    /// nothing lowers, so nothing pairs either.
     fn ensure_predecoded(&mut self, program: &Program) {
         if self.predecoded.as_ref().is_some_and(|p| p.matches(program)) {
             return;
         }
-        let xlen = self.cfg.xlen;
+        let (xlen, lower) = (self.cfg.xlen, self.cfg.fusion);
         let uops: Vec<Uop> =
-            program.instrs.iter().map(|&i| Uop::from_instr(i, xlen)).collect();
+            program.instrs.iter().map(|&i| Uop::from_instr(i, xlen, lower)).collect();
+        // Greedy left-to-right non-overlapping pairing over the static
+        // instruction stream.
         let mut fused = vec![None; uops.len()];
-        if self.cfg.fusion && xlen == Xlen::Rv32 {
-            // Greedy left-to-right non-overlapping pairing over the static
-            // instruction stream.
-            let mut i = 0;
-            while i + 1 < uops.len() {
-                if let (Some(a), Some(b)) = (uops[i].flat, uops[i + 1].flat) {
-                    if let Some(f) = FusedOp::fuse(a, b) {
-                        fused[i] = Some(f);
-                        i += 2;
-                        continue;
-                    }
+        let mut i = 0;
+        while i + 1 < uops.len() {
+            if let (Some(a), Some(b)) = (uops[i].flat, uops[i + 1].flat) {
+                if let Some(f) = FusedOp::fuse(a, b) {
+                    fused[i] = Some(f);
+                    i += 2;
+                    continue;
                 }
-                i += 1;
             }
+            i += 1;
         }
         self.predecoded = Some(Predecoded { base_pc: program.base_pc, uops, fused });
     }
@@ -513,293 +514,21 @@ impl OoOCore {
     /// `state` and `mem` are updated functionally; the returned
     /// [`RunResult`] carries the timing.
     ///
-    /// With `CoreConfig::fusion` enabled (the default) on an RV32 core this
-    /// takes the macro-op-fused fast path, which produces bit-identical
-    /// timing, architectural state, and retire stream — only the simulator
-    /// wall clock (and the `fusion` counters) differ.
+    /// One loop serves every configuration. With `CoreConfig::fusion` on
+    /// (the default), predecode lowers the RV32 hot subset to `FlatOp`s and
+    /// pairs adjacent ones into `FusedOp` superinstructions, and the loop
+    /// takes three fast paths: (a) flattened functional dispatch
+    /// (`step_flat` instead of the general `step` match tree), (b) fused
+    /// pairs that execute two instructions per iteration via `step_fused`,
+    /// and (c) the `K_ALU`/`K_BR`/`K_LD`/`K_ST` timing specialisations.
+    /// With fusion off (or on an RV64 core, where nothing lowers) every uop
+    /// takes `step` and the generic `K_GEN` timing arm: the reference path.
+    /// Every stage performs the same arithmetic in the same per-instruction
+    /// order either way, so timing, architectural state and the retire
+    /// stream are bit-identical; only the simulator wall clock and the
+    /// `fusion` counters differ. Monitors that don't want events skip
+    /// `RetireEvent` construction in both.
     pub fn run(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        limits: RunLimits,
-        monitor: &mut dyn RetireMonitor,
-    ) -> RunResult {
-        if self.cfg.fusion && self.cfg.xlen == Xlen::Rv32 {
-            self.run_fused(program, state, mem, requester, limits, monitor)
-        } else {
-            self.run_unfused(program, state, mem, requester, limits, monitor)
-        }
-    }
-
-    /// The reference one-uop-per-iteration run loop (timing ground truth).
-    fn run_unfused(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        limits: RunLimits,
-        monitor: &mut dyn RetireMonitor,
-    ) -> RunResult {
-        let cfg = self.cfg;
-        let mut reg_ready = [0u64; 64];
-
-        self.ensure_predecoded(program);
-        let pred = self.predecoded.as_ref().expect("predecode populated above");
-        let base_pc = pred.base_pc;
-        let uops: &[Uop] = &pred.uops;
-
-        let predictor = &mut self.predictor;
-        let scratch = &mut self.scratch;
-        if scratch.issue_ring.is_empty() {
-            scratch.issue_ring = vec![0u64; ISSUE_RING];
-        }
-        scratch.issue_gen += 1;
-        let gen_tag = scratch.issue_gen << SLOT_COUNT_BITS;
-        let issue_ring = &mut scratch.issue_ring[..];
-        let mut issue_ring_base = 0u64;
-
-        // Functional-unit next-free times.
-        for pool in [
-            &mut scratch.alu_free,
-            &mut scratch.muldiv_free,
-            &mut scratch.fp_free,
-            &mut scratch.mem_free,
-        ] {
-            pool.fill(0);
-        }
-
-        let mut fetch_cycle = 0u64;
-        let mut fetched_this_cycle = 0u32;
-        let mut last_commit = 0u64;
-        let rob_size = cfg.rob_size as u64;
-        let commit_width = u64::from(cfg.commit_width);
-
-        let mut result = RunResult {
-            cycles: 0,
-            retired: 0,
-            loads: 0,
-            stores: 0,
-            branches: 0,
-            mispredicts: 0,
-            issue_wait_cycles: 0,
-            fetch_redirects: 0,
-            fusion: FusionCounts::default(),
-            stop: StopReason::OutOfProgram,
-        };
-
-        loop {
-            if let Some(stop) = limits.stop_pc {
-                if state.pc == stop {
-                    result.stop = StopReason::StopPc;
-                    break;
-                }
-            }
-            if limits.max_instrs > 0 && result.retired >= limits.max_instrs {
-                result.stop = StopReason::InstrLimit;
-                break;
-            }
-            let pc = state.pc;
-            let uop_idx = if pc < base_pc || !(pc - base_pc).is_multiple_of(4) {
-                usize::MAX
-            } else {
-                ((pc - base_pc) / 4) as usize
-            };
-            let Some(uop) = uops.get(uop_idx) else {
-                result.stop = StopReason::OutOfProgram;
-                break;
-            };
-
-            // ---- fetch ----
-            if fetched_this_cycle >= cfg.fetch_width {
-                fetch_cycle += 1;
-                fetched_this_cycle = 0;
-            }
-            let my_fetch = fetch_cycle;
-            fetched_this_cycle += 1;
-
-            // ---- dispatch: frontend depth + ROB space ----
-            // `result.retired` is this instruction's dynamic index: the ring
-            // slot it reuses holds the commit time of the instruction
-            // `rob_size` back (the entry an equally-sized FIFO would pop).
-            let mut dispatch = my_fetch + cfg.frontend_depth;
-            if result.retired >= rob_size {
-                let freed = scratch.rob_ring[(result.retired % rob_size) as usize];
-                dispatch = dispatch.max(freed);
-            }
-
-            // ---- operand readiness ----
-            let mut ready = dispatch;
-            for &src in &uop.srcs[..usize::from(uop.nsrcs)] {
-                ready = ready.max(reg_ready[usize::from(src)]);
-            }
-
-            // ---- functional execution (values, branch outcome, address) ----
-            let info = step(state, &uop.instr, mem.data_mut());
-
-            // ---- issue: FU + issue bandwidth ----
-            let class = uop.class;
-            let pool: &mut Vec<u64> = match uop.pool {
-                1 => &mut scratch.muldiv_free,
-                2 => &mut scratch.fp_free,
-                3 => &mut scratch.mem_free,
-                _ => &mut scratch.alu_free,
-            };
-            let unit = pool
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &t)| t)
-                .map(|(i, _)| i)
-                .expect("unit pool nonempty");
-            let mut issue = ready.max(pool[unit]);
-
-            // Issue-bandwidth ring: at most issue_width issues per cycle.
-            // Slots from earlier runs carry a stale generation tag and read
-            // as zero.
-            loop {
-                // Advance ring base if the window moved far ahead.
-                if issue < issue_ring_base {
-                    issue = issue_ring_base;
-                }
-                while issue >= issue_ring_base + ISSUE_RING as u64 {
-                    let idx = (issue_ring_base % ISSUE_RING as u64) as usize;
-                    issue_ring[idx] = gen_tag;
-                    issue_ring_base += 1;
-                }
-                let idx = (issue % ISSUE_RING as u64) as usize;
-                let slot = issue_ring[idx];
-                let count = if slot & !SLOT_COUNT_MASK == gen_tag { slot & SLOT_COUNT_MASK } else { 0 };
-                if count < u64::from(cfg.issue_width) {
-                    issue_ring[idx] = gen_tag | (count + 1);
-                    break;
-                }
-                issue += 1;
-            }
-            result.issue_wait_cycles += issue - ready;
-
-            // ---- execute latency ----
-            let (latency, mem_latency, occupancy) = match class {
-                OpClass::Load => {
-                    let acc = mem.access(
-                        requester,
-                        info.mem.expect("load has access").addr,
-                        false,
-                        issue,
-                    );
-                    (acc.total, Some(acc.total), 1)
-                }
-                OpClass::Store => {
-                    // Stores drain from the store buffer after commit; the
-                    // producing instruction's "result" (store complete) is
-                    // cheap, but the cache access still occupies a port and
-                    // updates timing state.
-                    let acc = mem.access(
-                        requester,
-                        info.mem.expect("store has access").addr,
-                        true,
-                        issue,
-                    );
-                    (1, Some(acc.total), 1)
-                }
-                OpClass::IntDiv | OpClass::FpDiv => {
-                    let l = uop.base_latency;
-                    (l, None, l) // unpipelined
-                }
-                OpClass::System => {
-                    // Serializing; syscalls cost a fixed pipeline drain.
-                    let l = if matches!(info.outcome, Outcome::Syscall) { 200 } else { 1 };
-                    (l, None, 1)
-                }
-                _ => (uop.base_latency, None, 1),
-            };
-            pool[unit] = issue + occupancy;
-            let complete = issue + latency;
-
-            // ---- writeback ----
-            if uop.dest != NO_DEST {
-                reg_ready[usize::from(uop.dest)] = complete;
-            }
-
-            // ---- branch resolution / fetch redirect ----
-            match info.outcome {
-                Outcome::Branch { taken, target } => {
-                    result.branches += 1;
-                    let correct = predictor.update(pc, taken, target);
-                    if !correct {
-                        result.mispredicts += 1;
-                        let redirect = complete + cfg.mispredict_penalty;
-                        if redirect > fetch_cycle {
-                            result.fetch_redirects += 1;
-                            fetch_cycle = redirect;
-                            fetched_this_cycle = 0;
-                        }
-                    }
-                }
-                Outcome::Jump { .. }
-                    // Direct jumps resolve in decode; JALR may redirect.
-                    if uop.is_jalr => {
-                        let redirect = complete + 1;
-                        if redirect > fetch_cycle {
-                            result.fetch_redirects += 1;
-                            fetch_cycle = redirect;
-                            fetched_this_cycle = 0;
-                        }
-                    }
-                _ => {}
-            }
-
-            // ---- in-order commit ----
-            // The commit ring reuses the slot of the instruction
-            // `commit_width` back: at most commit_width commits per cycle.
-            let mut commit = complete.max(last_commit);
-            let commit_slot = (result.retired % commit_width) as usize;
-            if result.retired >= commit_width {
-                commit = commit.max(scratch.commit_ring[commit_slot] + 1);
-            }
-            scratch.commit_ring[commit_slot] = commit;
-            last_commit = commit;
-            scratch.rob_ring[(result.retired % rob_size) as usize] = commit;
-
-            result.retired += 1;
-            match class {
-                OpClass::Load => result.loads += 1,
-                OpClass::Store => result.stores += 1,
-                _ => {}
-            }
-
-            monitor.on_retire(&RetireEvent {
-                pc,
-                instr: uop.instr,
-                info,
-                mem_latency,
-                complete_cycle: complete,
-                commit_cycle: commit,
-            });
-
-            if matches!(info.outcome, Outcome::Halt) {
-                result.stop = StopReason::Halted;
-                break;
-            }
-        }
-
-        result.cycles = last_commit;
-        result
-    }
-
-    /// The macro-op-fused fast path.
-    ///
-    /// Timing-invariant with respect to [`Self::run_unfused`]: every stage
-    /// below (fetch grouping, dispatch, readiness, issue ring, FU pools,
-    /// redirect, commit rings) performs the same arithmetic in the same
-    /// per-constituent order, so cycle counts are bit-identical. The
-    /// speedup comes from (a) flattened functional dispatch (`step_flat`
-    /// instead of the general `step` match tree), (b) fused superinstruction
-    /// pairs that execute two instructions per loop iteration via
-    /// `step_fused` handlers, and (c) skipping `RetireEvent` construction
-    /// for monitors that don't want events.
-    fn run_fused(
         &mut self,
         program: &Program,
         state: &mut ArchState,
@@ -868,8 +597,8 @@ impl OoOCore {
         };
 
         // The full per-constituent timing pipeline, written once and
-        // stamped into the pair and singleton paths below so the arithmetic
-        // cannot drift from `run_unfused`.
+        // stamped into the pair and singleton paths below, so the fast
+        // paths and the fusion-off reference share every stage.
         macro_rules! timing_retire {
             ($kind:expr, $uop:expr, $pc:expr, $info:expr) => {{
                 let uop = $uop;
@@ -897,19 +626,24 @@ impl OoOCore {
                     ready = ready.max(reg_ready[usize::from(src)]);
                 }
 
+                // A specialised `$kind` narrows the op class and unit pool
+                // to constants, so each stage below is written once and
+                // folds down to its one live arm; `K_GEN` reads them from
+                // the uop.
+                let (class, pool) = match $kind {
+                    K_ALU => (OpClass::IntAlu, 0),
+                    K_BR => (OpClass::Branch, 0),
+                    K_LD => (OpClass::Load, 3),
+                    K_ST => (OpClass::Store, 3),
+                    _ => (uop.class, uop.pool),
+                };
+
                 // ---- issue: FU + issue bandwidth ----
-                let class = uop.class;
-                let pool: &mut Vec<u64> = if $kind == K_ALU || $kind == K_BR {
-                    &mut scratch.alu_free
-                } else if $kind == K_LD || $kind == K_ST {
-                    &mut scratch.mem_free
-                } else {
-                    match uop.pool {
-                        1 => &mut scratch.muldiv_free,
-                        2 => &mut scratch.fp_free,
-                        3 => &mut scratch.mem_free,
-                        _ => &mut scratch.alu_free,
-                    }
+                let pool: &mut Vec<u64> = match pool {
+                    1 => &mut scratch.muldiv_free,
+                    2 => &mut scratch.fp_free,
+                    3 => &mut scratch.mem_free,
+                    _ => &mut scratch.alu_free,
                 };
                 // First-minimum selection, identical to min_by_key.
                 let mut unit = 0usize;
@@ -943,38 +677,30 @@ impl OoOCore {
                 result.issue_wait_cycles += issue - ready;
 
                 // ---- execute latency ----
-                let (latency, mem_latency, occupancy) = if $kind == K_ALU || $kind == K_BR {
-                    (uop.base_latency, None, 1)
-                } else if $kind == K_LD {
-                    let addr = info.mem.map_or(0, |m| m.addr);
-                    let acc = mem.access(requester, addr, false, issue);
-                    (acc.total, Some(acc.total), 1)
-                } else if $kind == K_ST {
-                    let addr = info.mem.map_or(0, |m| m.addr);
-                    let acc = mem.access(requester, addr, true, issue);
-                    (1, Some(acc.total), 1)
-                } else {
-                    match class {
-                        OpClass::Load => {
-                            let addr = info.mem.map_or(0, |m| m.addr);
-                            let acc = mem.access(requester, addr, false, issue);
-                            (acc.total, Some(acc.total), 1)
-                        }
-                        OpClass::Store => {
-                            let addr = info.mem.map_or(0, |m| m.addr);
-                            let acc = mem.access(requester, addr, true, issue);
-                            (1, Some(acc.total), 1)
-                        }
-                        OpClass::IntDiv | OpClass::FpDiv => {
-                            let l = uop.base_latency;
-                            (l, None, l)
-                        }
-                        OpClass::System => {
-                            let l = if matches!(info.outcome, Outcome::Syscall) { 200 } else { 1 };
-                            (l, None, 1)
-                        }
-                        _ => (uop.base_latency, None, 1),
+                let (latency, mem_latency, occupancy) = match class {
+                    OpClass::Load => {
+                        let addr = info.mem.map_or(0, |m| m.addr);
+                        let acc = mem.access(requester, addr, false, issue);
+                        (acc.total, Some(acc.total), 1)
                     }
+                    OpClass::Store => {
+                        // Stores drain from the store buffer after commit;
+                        // the access still occupies a port and updates
+                        // cache timing state.
+                        let addr = info.mem.map_or(0, |m| m.addr);
+                        let acc = mem.access(requester, addr, true, issue);
+                        (1, Some(acc.total), 1)
+                    }
+                    OpClass::IntDiv | OpClass::FpDiv => {
+                        let l = uop.base_latency;
+                        (l, None, l) // unpipelined
+                    }
+                    OpClass::System => {
+                        // Serializing; syscalls cost a fixed pipeline drain.
+                        let l = if matches!(info.outcome, Outcome::Syscall) { 200 } else { 1 };
+                        (l, None, 1)
+                    }
+                    _ => (uop.base_latency, None, 1),
                 };
                 pool[unit] = issue + occupancy;
                 let complete = issue + latency;
@@ -985,45 +711,26 @@ impl OoOCore {
                 }
 
                 // ---- branch resolution / fetch redirect ----
-                if $kind == K_BR {
-                    if let Outcome::Branch { taken, target } = info.outcome {
+                // Only `K_BR` and `K_GEN` can resolve a branch, and only
+                // `K_GEN` a JALR (direct jumps resolve in decode). A zero
+                // redirect never moves the fetch point.
+                let redirect = match info.outcome {
+                    Outcome::Branch { taken, target } if $kind == K_BR || $kind == K_GEN => {
                         result.branches += 1;
-                        let correct = predictor.update(pc, taken, target);
-                        if !correct {
+                        if predictor.update(pc, taken, target) {
+                            0
+                        } else {
                             result.mispredicts += 1;
-                            let redirect = complete + cfg.mispredict_penalty;
-                            if redirect > fetch_cycle {
-                                result.fetch_redirects += 1;
-                                fetch_cycle = redirect;
-                                fetched_this_cycle = 0;
-                            }
+                            complete + cfg.mispredict_penalty
                         }
                     }
-                } else if $kind == K_GEN {
-                    match info.outcome {
-                        Outcome::Branch { taken, target } => {
-                            result.branches += 1;
-                            let correct = predictor.update(pc, taken, target);
-                            if !correct {
-                                result.mispredicts += 1;
-                                let redirect = complete + cfg.mispredict_penalty;
-                                if redirect > fetch_cycle {
-                                    result.fetch_redirects += 1;
-                                    fetch_cycle = redirect;
-                                    fetched_this_cycle = 0;
-                                }
-                            }
-                        }
-                        Outcome::Jump { .. } if uop.is_jalr => {
-                            let redirect = complete + 1;
-                            if redirect > fetch_cycle {
-                                result.fetch_redirects += 1;
-                                fetch_cycle = redirect;
-                                fetched_this_cycle = 0;
-                            }
-                        }
-                        _ => {}
-                    }
+                    Outcome::Jump { .. } if $kind == K_GEN && uop.is_jalr => complete + 1,
+                    _ => 0,
+                };
+                if redirect > fetch_cycle {
+                    result.fetch_redirects += 1;
+                    fetch_cycle = redirect;
+                    fetched_this_cycle = 0;
                 }
 
                 // ---- in-order commit ----
@@ -1044,16 +751,10 @@ impl OoOCore {
                 if cw_slot == commit_width_us {
                     cw_slot = 0;
                 }
-                if $kind == K_LD {
-                    result.loads += 1;
-                } else if $kind == K_ST {
-                    result.stores += 1;
-                } else if $kind == K_GEN {
-                    match class {
-                        OpClass::Load => result.loads += 1,
-                        OpClass::Store => result.stores += 1,
-                        _ => {}
-                    }
+                match class {
+                    OpClass::Load => result.loads += 1,
+                    OpClass::Store => result.stores += 1,
+                    _ => {}
                 }
 
                 if wants_events {
@@ -1101,8 +802,9 @@ impl OoOCore {
             // ---- fused superinstruction pair ----
             if let Some(f) = &fused[uop_idx] {
                 // Executing two instructions per iteration must be invisible
-                // to RunLimits: fall back to the singleton path when the
-                // unfused loop would have stopped between the halves.
+                // to RunLimits: fall back to the singleton path when a
+                // one-instruction-per-iteration run would have stopped
+                // between the halves.
                 let second_pc = pc.wrapping_add(4);
                 let fits_limit =
                     limits.max_instrs == 0 || result.retired + 2 <= limits.max_instrs;
@@ -1424,10 +1126,10 @@ mod tests {
         a.finish().unwrap()
     }
 
-    fn run_with_fusion(fusion: bool) -> (RunResult, ArchState, MemorySystem) {
+    fn run_with_fusion(fusion: bool, xlen: Xlen) -> (RunResult, ArchState, MemorySystem) {
         let p = fusion_rich_program();
-        let mut core = OoOCore::new(CoreConfig { fusion, ..CoreConfig::default() });
-        let mut st = ArchState::new(0x1000, Xlen::Rv32);
+        let mut core = OoOCore::new(CoreConfig { fusion, xlen, ..CoreConfig::default() });
+        let mut st = ArchState::new(0x1000, xlen);
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         for i in 0..20 {
             mem.data_mut().store_u32(0x100 + 4 * i, (7 * i + 1) as u32);
@@ -1438,8 +1140,8 @@ mod tests {
 
     #[test]
     fn fused_run_is_cycle_identical_to_unfused() {
-        let (fused, st_f, mut mem_f) = run_with_fusion(true);
-        let (unfused, st_u, mut mem_u) = run_with_fusion(false);
+        let (fused, st_f, mut mem_f) = run_with_fusion(true, Xlen::Rv32);
+        let (unfused, st_u, mut mem_u) = run_with_fusion(false, Xlen::Rv32);
 
         assert!(fused.fusion.fused_pairs() > 0, "no pairs fused: {:?}", fused.fusion);
         assert_eq!(unfused.fusion, FusionCounts::default());
@@ -1458,8 +1160,19 @@ mod tests {
     }
 
     #[test]
+    fn rv64_runs_the_reference_path_with_fusion_on() {
+        // Nothing lowers on RV64, so the fusion flag must be inert there.
+        let (on, st_on, _) = run_with_fusion(true, Xlen::Rv64);
+        let (off, st_off, _) = run_with_fusion(false, Xlen::Rv64);
+        assert_eq!(on.stop, StopReason::Halted);
+        assert_eq!(on.fusion, FusionCounts::default());
+        assert_eq!(on, off);
+        assert_eq!(st_on, st_off);
+    }
+
+    #[test]
     fn fusion_counters_cover_each_idiom() {
-        let (r, _, _) = run_with_fusion(true);
+        let (r, _, _) = run_with_fusion(true, Xlen::Rv32);
         assert!(r.fusion.cmp_branch > 0, "{:?}", r.fusion);
         assert!(r.fusion.addr_load > 0, "{:?}", r.fusion);
         assert!(r.fusion.addr_store > 0, "{:?}", r.fusion);
@@ -1501,7 +1214,7 @@ mod tests {
 
     #[test]
     fn fusion_counters_flow_into_metrics() {
-        let (r, _, _) = run_with_fusion(true);
+        let (r, _, _) = run_with_fusion(true, Xlen::Rv32);
         let mut reg = mesa_trace::MetricsRegistry::new();
         r.record_metrics(&mut reg, "core");
         assert_eq!(reg.counter("core.fused_pairs"), r.fusion.fused_pairs());

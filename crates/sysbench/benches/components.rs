@@ -207,9 +207,10 @@ fn bench_fabric(suite: &mut BenchSuite) {
 
 fn bench_ooo_core(suite: &mut BenchSuite) {
     let kernel = by_name("pathfinder", KernelSize::Tiny).expect("pathfinder");
-    // Reference loop: fusion off, one micro-op per iteration. The fused
-    // run is timing-identical, so `pathfinder_fused / pathfinder_tiny_to_halt`
-    // measures pure simulator speedup (gated ≤ 0.75 by ci.sh).
+    // Reference: the same run loop with fusion off, every micro-op through
+    // `step` and the generic timing arm. The fused run is timing-identical,
+    // so `pathfinder_fused / pathfinder_tiny_to_halt` measures the fast
+    // paths' simulator speedup (gated ≤ 0.75 by ci.sh).
     suite.run_cycles("ooo_core/pathfinder_tiny_to_halt", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
@@ -241,7 +242,7 @@ fn bench_ooo_core(suite: &mut BenchSuite) {
         .cycles
     });
     // Whole-program hybrid fast-forward: interpreter speed outside the
-    // sampled hot-loop windows (gated ≤ 0.40 of the unfused run by ci.sh).
+    // sampled hot-loop windows (gated ≤ 0.40 of the fusion-off run by ci.sh).
     suite.run_cycles("cpu/pathfinder_full_fastfwd", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());

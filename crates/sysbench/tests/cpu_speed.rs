@@ -1,10 +1,11 @@
 //! Differential arbitration of the CPU speed layers (macro-op fusion and
 //! functional fast-forward): both optimizations must be invisible to
-//! architecture. Fused and unfused execution agree on the final state of
-//! random generated kernels; the hybrid fast-forward/OoO handoff preserves
-//! registers, memory, the retired-PC stream, and the predictor-visible
-//! branch history at every boundary. A final (non-property) test measures
-//! the hybrid's cycle-estimate error against full simulation — the number
+//! architecture. Fused and unfused execution agree on the final state and
+//! on every retired instruction's timing over random generated kernels;
+//! the hybrid fast-forward/OoO handoff preserves registers, memory, the
+//! retired-PC stream, and the predictor-visible branch history at every
+//! boundary. A final (non-property) test measures the hybrid's
+//! cycle-estimate error against full simulation — the number
 //! EXPERIMENTS.md's fast-forward recipe reports.
 
 use mesa_bench::kernelgen::{self, ARR_A, ARR_OUT, ITERS};
@@ -23,19 +24,33 @@ fn checker(name: &str, cases: u32) -> Checker {
     Checker::new(name).cases(cases).regressions_file(REGRESSIONS)
 }
 
+/// Records every retire event's `(pc, complete_cycle, commit_cycle,
+/// mem_latency)`: the per-instruction timing the fused ≡ unfused oracle
+/// compares event by event.
+#[derive(Default)]
+struct RetireLog(Vec<(u64, u64, u64, Option<u64>)>);
+
+impl RetireMonitor for RetireLog {
+    fn on_retire(&mut self, e: &RetireEvent) {
+        self.0.push((e.pc, e.complete_cycle, e.commit_cycle, e.mem_latency));
+    }
+}
+
 /// Runs `seed`'s generated kernel on a fresh core and returns everything
-/// architecture-visible (plus the timing result for invariance checks).
+/// architecture-visible (plus the timing result and retire stream for
+/// invariance checks).
 fn run_generated(
     seed: u64,
     fusion: bool,
-) -> (mesa_cpu::RunResult, mesa_isa::ArchState, MemorySystem) {
+) -> (mesa_cpu::RunResult, mesa_isa::ArchState, MemorySystem, RetireLog) {
     let program = kernelgen::random_loop(seed);
     let mut mem = MemorySystem::new(MemConfig::default(), 1);
     kernelgen::populate_input(&mut mem, seed);
     let mut state = kernelgen::entry_state(seed);
     let mut cpu = OoOCore::new(CoreConfig { fusion, ..CoreConfig::boom_baseline() });
-    let r = cpu.run(&program, &mut state, &mut mem, 0, RunLimits::none(), &mut NullMonitor);
-    (r, state, mem)
+    let mut log = RetireLog::default();
+    let r = cpu.run(&program, &mut state, &mut mem, 0, RunLimits::none(), &mut log);
+    (r, state, mem, log)
 }
 
 /// Words of the input + output arrays — the full memory footprint a
@@ -48,16 +63,23 @@ fn array_words(mem: &mut MemorySystem) -> Vec<u32> {
 }
 
 /// Fused and unfused execution are differentially arbitrated over random
-/// kernels: identical timing, identical architectural state, identical
-/// memory. Only the fusion counters may differ.
+/// kernels: identical timing, in total and per retired instruction,
+/// identical architectural state, identical memory. Only the fusion
+/// counters may differ.
 #[test]
 fn fused_and_unfused_agree_on_random_kernels() {
     forall!(checker("fused_vs_unfused_kernelgen", 128), |(seed in 0u64..1_000_000)| {
-        let (fused, st_f, mut mem_f) = run_generated(seed, true);
-        let (unfused, st_u, mut mem_u) = run_generated(seed, false);
+        let (fused, st_f, mut mem_f, log_f) = run_generated(seed, true);
+        let (unfused, st_u, mut mem_u, log_u) = run_generated(seed, false);
         let mut masked = fused;
         masked.fusion = unfused.fusion;
         prop_assert_eq!(masked, unfused, "timing diverged (seed {seed})");
+        if let Some(i) = (0..log_f.0.len().max(log_u.0.len()))
+            .find(|&i| log_f.0.get(i) != log_u.0.get(i))
+        {
+            prop_assert_eq!(log_f.0.get(i), log_u.0.get(i),
+                "retire event {i} (pc, complete, commit, mem_latency) diverged (seed {seed})");
+        }
         prop_assert_eq!(st_f, st_u, "arch state diverged (seed {seed})");
         prop_assert_eq!(array_words(&mut mem_f), array_words(&mut mem_u),
             "memory diverged (seed {seed})");

@@ -41,54 +41,8 @@ cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchdiff \
   "$fresh" "$BASELINE" "${FABRIC_MAX_RATIO:-1.05}" \
   fabric/nn_single_tenant_session_on_m128 fabric/nn_checkpoint_restore_roundtrip
 
-# Cross-entry gate from the same fresh run (common-mode noise cancels):
-# the single-tenant FabricManager session must stay within 10% of the raw
-# engine run — the virtualization layer is free for solo offloads.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  fabric/nn_single_tenant_session_on_m128 \
-  engine/nn_512_iterations_on_m128 \
-  1.10
-
-# Slicing gate, same-run pair: the nn episode advanced in ~24 fabric
-# slices must stay within 2x of the same episode in one session
-# (measured 1.33-1.65).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  fabric/nn_sliced_session_on_m128 \
-  fabric/nn_single_tenant_session_on_m128 \
-  2.0
-
-# Host-profiler overhead gate, same-run pair (common-mode noise cancels):
-# a fully profiled offload episode must stay within 5% of the same
-# episode with the span profiler off.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  host/offload_nn_on_m128_profiled \
-  host/offload_nn_on_m128_off \
-  1.05
-
-# CPU speed gates, same-run ratios against the unfused cycle-accurate
-# pathfinder run: the macro-op fused decode path must deliver >= 1.33x
-# wall-clock (ratio <= 0.75, measured ~0.70), and the hybrid
-# fast-forward core must deliver >= 2.5x (ratio <= 0.40, measured ~0.32).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  ooo_core/pathfinder_fused \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.75
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  cpu/pathfinder_full_fastfwd \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.40
-
-# Serving gate, same-run warm-vs-cold pair (common-mode noise cancels):
-# a repeat kernel served from the warm shared artifact cache must
-# deliver >= 1.3x episodes/sec over the cold path (ratio <= 0.77,
-# measured ~0.61).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$fresh" \
-  serve/repeat_kernel_warm \
-  serve/repeat_kernel_cold \
-  0.77
+# Same-run ratio gates from the fresh run (common-mode noise cancels),
+# the same list ci.sh applies.
+# shellcheck source=scripts/bench_gates.sh
+source scripts/bench_gates.sh
+bench_gates "$fresh"

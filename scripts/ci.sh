@@ -216,73 +216,14 @@ echo "host-profile smoke: mock-clock export is conserved and --jobs invariant"
 # so the absolute diff against the committed baseline gets a loose ratio
 # (override with MAX_RATIO=...) and up to three attempts — a genuine
 # regression fails every attempt, a loaded-box blip passes a retry. The
-# tracer-vs-engine gate compares two numbers from the same run (common-
-# mode noise cancels), so it stays tight and single-shot.
+# same-run gates compare two numbers from one run (common-mode noise
+# cancels), so they stay tight and single-shot.
 MESA_BENCH_OUT="$bench_tmp" cargo bench --offline -p mesa-bench --bench components
 
-# (1) A NullTracer solo session through `run_session` must stay within
-#     noise of the plain `execute` run.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  tracer/null_engine_nn_on_m128 \
-  engine/nn_512_iterations_on_m128 \
-  1.15
-
-# (2) Virtualizing the fabric must stay cheap for the solo case: a
-#     single-tenant session through the FabricManager (admission, band
-#     placement, session bookkeeping) within 10% of the raw engine run.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  fabric/nn_single_tenant_session_on_m128 \
-  engine/nn_512_iterations_on_m128 \
-  1.10
-
-# (3) The host span profiler must be effectively free when wrapped
-#     around a full offload episode: profiled vs unprofiled from the
-#     same run, within 5%.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  host/offload_nn_on_m128_profiled \
-  host/offload_nn_on_m128_off \
-  1.05
-
-# (4) CPU speed gates, both same-run ratios against the unfused
-#     cycle-accurate pathfinder run so common-mode noise cancels: the
-#     macro-op fused decode path must deliver >= 1.33x wall-clock
-#     (ratio <= 0.75, measured ~0.70), and the hybrid fast-forward core
-#     must deliver >= 2.5x (ratio <= 0.40, measured ~0.32).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  ooo_core/pathfinder_fused \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.75
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  cpu/pathfinder_full_fastfwd \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.40
-
-# (5) Serving gate, same-run warm-vs-cold pair: a repeat kernel served
-#     from the warm shared artifact cache must deliver >= 1.3x
-#     episodes/sec over the cold path (ratio <= 0.77, measured ~0.61).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  serve/repeat_kernel_warm \
-  serve/repeat_kernel_cold \
-  0.77
-
-# (6) Slicing gate, same-run pair: the nn episode advanced in ~24 fabric
-#     slices of ~1,000 cycles must stay within 2x of the same episode in
-#     one session (measured 1.33-1.65: the ~5 us per-slice cost is fixed
-#     while the engine loop's speed drifts with the host; 8.5 when every
-#     slice hashed the program's Debug rendering twice). Per-slice host
-#     cost has to scale with the state a slice moves, not with the
-#     program's size.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  fabric/nn_sliced_session_on_m128 \
-  fabric/nn_single_tenant_session_on_m128 \
-  2.0
+# (1)-(6) Same-run ratio gates, listed once in bench_gates.sh.
+# shellcheck source=scripts/bench_gates.sh
+source scripts/bench_gates.sh
+bench_gates "$bench_tmp"
 
 # (7) No component's median may regress past MAX_RATIO of the committed
 #     baseline (bench_diff.sh's 1.15 default is for quiet machines), and
