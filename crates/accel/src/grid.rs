@@ -122,6 +122,14 @@ pub trait LatencyModel {
     fn is_local(&self, from: Coord, to: Coord) -> bool {
         from == to || self.transfer_latency(from, to) <= 1
     }
+
+    /// A lower bound on [`transfer_latency`](Self::transfer_latency)
+    /// between any two PEs `rows` rows apart, nondecreasing in `rows`.
+    /// The mapper stops scanning rows once this bound rules them out; the
+    /// default of 0 never rules a row out.
+    fn min_latency_rows_apart(&self, _rows: usize) -> u64 {
+        0
+    }
 }
 
 /// Pure 2-D mesh: latency is the Manhattan distance (Fig. 4, Example 2).
@@ -131,6 +139,10 @@ pub struct MeshModel;
 impl LatencyModel for MeshModel {
     fn transfer_latency(&self, from: Coord, to: Coord) -> u64 {
         from.manhattan(to)
+    }
+
+    fn min_latency_rows_apart(&self, rows: usize) -> u64 {
+        rows as u64
     }
 }
 
@@ -164,6 +176,14 @@ impl LatencyModel for HierarchicalRowModel {
 
     fn is_local(&self, from: Coord, to: Coord) -> bool {
         from.row == to.row
+    }
+
+    fn min_latency_rows_apart(&self, rows: usize) -> u64 {
+        if rows == 0 {
+            0
+        } else {
+            self.cross_row
+        }
     }
 }
 
@@ -207,6 +227,16 @@ impl LatencyModel for HalfRingModel {
 
     fn is_local(&self, from: Coord, to: Coord) -> bool {
         from == to || from.is_adjacent(to)
+    }
+
+    fn min_latency_rows_apart(&self, rows: usize) -> u64 {
+        // Same PE; the vertical direct link; else the NoC's inject + eject
+        // plus one hop per row.
+        match rows {
+            0 => 0,
+            1 => 1,
+            _ => 2 + rows as u64,
+        }
     }
 }
 
@@ -296,6 +326,7 @@ impl fmt::Display for Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_test::{forall, prop_assert, Checker};
 
     #[test]
     fn manhattan_and_adjacency() {
@@ -375,6 +406,43 @@ mod tests {
                 assert_eq!(r.transfer_latency(a, b), r.transfer_latency(b, a));
             }
         }
+    }
+
+    /// The mapper's row pruning is exact only if no transfer beats the row
+    /// bound and the bound never falls as rows grow apart.
+    #[test]
+    fn row_bounds_are_monotone_lower_bounds() {
+        forall!(
+            Checker::new("grid::row_bounds_are_monotone_lower_bounds").cases(256),
+            |(
+                a_row in 0usize..80,
+                a_col in 0usize..16,
+                b_row in 0usize..80,
+                b_col in 0usize..16,
+                hier in (0u64..8, 0u64..8),
+                slice_width in 1usize..9,
+            )| {
+                let (a, b) = (Coord::new(a_row, a_col), Coord::new(b_row, b_col));
+                let rows = a_row.abs_diff(b_row);
+                let (within_row, cross_row) = hier;
+                let models: [&dyn LatencyModel; 3] = [
+                    &MeshModel,
+                    &HierarchicalRowModel { within_row, cross_row },
+                    &HalfRingModel { slice_width },
+                ];
+                for (m, model) in models.into_iter().enumerate() {
+                    let bound = model.min_latency_rows_apart(rows);
+                    prop_assert!(
+                        model.transfer_latency(a, b) >= bound,
+                        "model {m}: {a} -> {b} beats its row bound {bound}"
+                    );
+                    prop_assert!(
+                        model.min_latency_rows_apart(rows + 1) >= bound,
+                        "model {m}: bound falls after {rows} rows"
+                    );
+                }
+            }
+        );
     }
 
     #[test]

@@ -1,18 +1,33 @@
 //! The Spatial DFG (SDFG) and the data-driven instruction mapping
 //! algorithm (paper §3.3, Algorithm 1).
 //!
-//! For each instruction in LDFG order, the mapper gathers a candidate
-//! matrix `C_i` of nearby positions (a fixed 4×8 window positioned at the
+//! For each instruction in LDFG order, the mapper takes a candidate
+//! window `C_i` of nearby positions (a fixed 4×8 window positioned at the
 //! higher-latency predecessor, as in the hardware implementation), filters
 //! it with the occupancy matrix `F_free` and the per-operation support
 //! matrix `F_op`, computes the expected completion latency of the
-//! instruction at every remaining candidate (Eq. 1), and greedily commits
+//! instruction at the remaining candidates (Eq. 1), and greedily commits
 //! to the latency-minimizing position — single pass, no backtracking.
 //! Instructions that fail to place fall back to the slower shared bus.
+//!
+//! The winner is the lexicographic minimum of `(latency, −free neighbors,
+//! row, col)`, or `(latency, row, col)` with the neighbor tie-break off:
+//! exactly the position a row-major scan keeping strict improvements (and
+//! strictly more free neighbors on a latency tie) would pick. Since the key
+//! alone fixes the winner, the window's rows can be visited in any order.
+//! They are visited outward from the row of the *pivot*, the placed
+//! non-carried source with the largest latency `l*`: every candidate `r`
+//! rows from it costs at least `op_weight + l* +`
+//! [`LatencyModel::min_latency_rows_apart`]`(r)`, a bound that never falls
+//! as `r` grows, so the scan stops at the first row whose bound exceeds
+//! the best latency found. On a tall exhaustive window this scores a few
+//! rows instead of every free PE, with the same placement. Nodes without a
+//! pivot score the same everywhere and scan the window row-major.
 
 use crate::{Ldfg, LdfgNode};
 use mesa_accel::{Coord, GridDim, LatencyModel, Operand};
 use mesa_isa::OpClass;
+use std::ops::Range;
 
 /// How the candidate matrix is positioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,26 +168,16 @@ where
     let mut est_latency = vec![0u64; n];
     let mut failed = Vec::new();
     let mut last_placed: Option<Coord> = None;
-    // Reused across nodes: the filtered candidate window and the memoized
-    // per-source (latency, producer placement) pairs.
-    let mut candidates: Vec<Coord> = Vec::with_capacity(cfg.window_rows * cfg.window_cols);
+    // Reused across nodes: the memoized per-source (latency, producer
+    // placement) pairs.
     let mut src_arrivals: Vec<(u64, Option<Coord>)> = Vec::new();
 
     for (i, node) in ldfg.nodes.iter().enumerate() {
         // Arrival estimate per source and the anchoring predecessor.
         let (anchor, rect_corners) =
             anchor_for(node, &placement, &est_latency, last_placed);
-
-        gather_candidates(
-            grid,
-            anchor,
-            rect_corners,
-            cfg,
-            node.instr.class(),
-            &free,
-            supports,
-            &mut candidates,
-        );
+        let (rows, cols) = window(grid, anchor, rect_corners, cfg);
+        let class = node.instr.class();
 
         // Memoize the placed-source arrival inputs once per node instead of
         // re-resolving operands and placements for every candidate.
@@ -185,38 +190,67 @@ where
                 ));
             }
         }
-
-        // Evaluate expected latency at each candidate (Alg. 1 lines 8-18).
-        // `free_neighbors` is only consulted to break exact latency ties,
-        // so it is evaluated lazily: for candidates that improve on the
-        // best latency (to seed future tie-breaks) and for tie candidates.
-        let mut best: Option<(Coord, u64, usize)> = None;
-        for &c in &candidates {
-            let mut arrival = 0u64;
-            for &(l_s, p) in &src_arrivals {
-                let transfer = match p {
-                    Some(p) => model.transfer_latency(p, c),
-                    None => cfg.fallback_penalty,
-                };
-                arrival = arrival.max(l_s + transfer);
+        // The pivot: the placed source with the largest latency `l*`. A
+        // candidate `r` rows from it costs at least `floor` (`op_weight +
+        // l*`) plus the model's bound for `r` rows. Without a pivot the
+        // scan is row-major from the window's first row.
+        let pivot = src_arrivals
+            .iter()
+            .filter_map(|&(l, p)| Some((p?.row, l)))
+            .max_by_key(|&(_, l)| l);
+        let (pivot_row, floor) = match pivot {
+            Some((row, l)) => (row, Some(node.op_weight + l)),
+            None => (rows.start, None),
+        };
+        // `free_neighbors` only breaks exact latency ties, so it is
+        // evaluated lazily: for candidates that improve on the best
+        // latency (to seed future tie-breaks) and for tie candidates.
+        let neighbors = |c: Coord| {
+            if cfg.tie_break_neighbors {
+                free_neighbors(grid, &free, c)
+            } else {
+                0
             }
-            let exp = node.op_weight + arrival;
-            match best {
-                Some((_, bl, _)) if exp > bl => {}
-                Some((_, bl, bn)) if exp == bl => {
-                    if cfg.tie_break_neighbors {
-                        let neighbors = free_neighbors(grid, &free, c);
-                        if neighbors > bn {
-                            best = Some((c, exp, neighbors));
+        };
+
+        // Evaluate expected latency at the candidates (Alg. 1 lines 8-18).
+        let mut best: Option<(Coord, u64, usize)> = None;
+        'rows: for row in rows_outward(pivot_row, rows) {
+            if let (Some(floor), Some((_, bl, _))) = (floor, best) {
+                if floor + model.min_latency_rows_apart(row.abs_diff(pivot_row)) > bl {
+                    break;
+                }
+            }
+            for col in cols.clone() {
+                let c = Coord::new(row, col);
+                if !free[grid.index(c)] || !supports(c, class) {
+                    continue;
+                }
+                let mut arrival = 0u64;
+                for &(l_s, p) in &src_arrivals {
+                    let transfer = match p {
+                        Some(p) => model.transfer_latency(p, c),
+                        None => cfg.fallback_penalty,
+                    };
+                    arrival = arrival.max(l_s + transfer);
+                }
+                let exp = node.op_weight + arrival;
+                // Keep the minimum of (exp, −neighbors, row, col).
+                match best {
+                    Some((_, bl, _)) if exp > bl => {}
+                    Some((bc, bl, bn)) if exp == bl => {
+                        let nb = neighbors(c);
+                        if nb > bn || (nb == bn && c < bc) {
+                            best = Some((c, exp, nb));
                         }
                     }
-                }
-                _ => {
-                    best = Some((c, exp, free_neighbors(grid, &free, c)));
-                    // Source-less nodes score identically everywhere; with
-                    // the tie-break disabled the first candidate is final.
-                    if src_arrivals.is_empty() && !cfg.tie_break_neighbors {
-                        break;
+                    _ => {
+                        best = Some((c, exp, neighbors(c)));
+                        // Without a pivot every candidate scores the same;
+                        // with the tie-break off the first one is final.
+                        if floor.is_none() && !cfg.tie_break_neighbors {
+                            break 'rows;
+                        }
                     }
                 }
             }
@@ -275,22 +309,15 @@ fn anchor_for(
     (anchor, rect)
 }
 
-/// Builds the filtered candidate list `C_i ⊙ C_free ⊙ C_op` into `out`
-/// (cleared first; the buffer is reused across nodes).
-#[allow(clippy::too_many_arguments)]
-fn gather_candidates<S>(
+/// The candidate window `C_i` as row and column ranges, clipped to the
+/// grid.
+fn window(
     grid: GridDim,
     anchor: Coord,
     rect: Option<(Coord, Coord)>,
     cfg: &MapperConfig,
-    class: OpClass,
-    free: &[bool],
-    supports: &S,
-    out: &mut Vec<Coord>,
-) where
-    S: Fn(Coord, OpClass) -> bool,
-{
-    let (row_range, col_range) = match (cfg.window_mode, rect) {
+) -> (Range<usize>, Range<usize>) {
+    match (cfg.window_mode, rect) {
         (WindowMode::PredecessorRect, Some((a, b))) => {
             // The rectangle enclosed by the predecessors, padded by one so
             // that fully-occupied degenerate rectangles still offer room.
@@ -315,17 +342,21 @@ fn gather_candidates<S>(
             let c1 = (c0 + cfg.window_cols).min(grid.cols);
             (r0..r1, c0..c1)
         }
-    };
-
-    out.clear();
-    for row in row_range {
-        for col in col_range.clone() {
-            let c = Coord::new(row, col);
-            if free[grid.index(c)] && supports(c, class) {
-                out.push(c);
-            }
-        }
     }
+}
+
+/// The rows of `rows` in nondecreasing distance from `pivot`, which may
+/// lie outside the range.
+fn rows_outward(pivot: usize, rows: Range<usize>) -> impl Iterator<Item = usize> {
+    let split = pivot.clamp(rows.start, rows.end);
+    let mut below = (split..rows.end).peekable();
+    let mut above = (rows.start..split).rev().peekable();
+    std::iter::from_fn(move || match (below.peek(), above.peek()) {
+        // Both sides non-empty means `pivot == split`, inside the range.
+        (Some(&b), Some(&a)) if b - pivot > pivot - a => above.next(),
+        (Some(_), _) => below.next(),
+        (None, _) => above.next(),
+    })
 }
 
 /// Model latency for a node left on the fallback bus.

@@ -11,6 +11,7 @@
 //! uses this to compare a fresh run against the committed baseline).
 
 use mesa_accel::{AccelConfig, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
+use mesa_bench::serve::{bench_request, synthetic_kernel, KernelSpec, ServeEngine};
 use mesa_core::{
     analyze_memopts, build_accel_program, map_instructions, FabricManager, Ldfg, MapperConfig,
     OptFlags, SystemConfig, TenantProgress,
@@ -74,6 +75,31 @@ fn bench_mapper(suite: &mut BenchSuite) {
             &MapperConfig::default(),
         ))
     });
+
+    // The serve benches' 160-node chain on the exhaustive-window m512w
+    // grid: every free PE of the 64×8 grid is in every node's window, so
+    // this times Algorithm 1's row pruning rather than a small window.
+    let req = bench_request(0);
+    let KernelSpec::Synthetic { nodes, seed } = req.kernel else {
+        unreachable!("the serve bench request is a synthetic chain")
+    };
+    let (mut chain, _) = synthetic_kernel(nodes, seed);
+    let loop_end = chain.instrs.iter().position(|i| i.op.is_branch()).expect("loop branch");
+    chain.instrs.truncate(loop_end + 1);
+    let ldfg = Ldfg::build(&chain).expect("builds");
+    let system = req.grid.system();
+    let accel = system.accel;
+    let sa = SpatialAccelerator::new(accel);
+    let supports = |coord: Coord, class: OpClass| accel.supports(coord, class);
+    suite.run("mapper/algorithm1_chain_on_m512w", 200, || {
+        black_box(map_instructions(
+            &ldfg,
+            accel.grid(),
+            &supports,
+            sa.latency_model(),
+            &system.mapper,
+        ))
+    });
 }
 
 fn nn_engine_setup() -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel::AccelProgram) {
@@ -103,55 +129,55 @@ fn nn_engine_setup() -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel:
     (kernel, sa, prog)
 }
 
-fn bench_engine(suite: &mut BenchSuite) {
+/// The nn engine episode four ways, interleaved so the gated ratios
+/// between them see one host speed:
+/// - `engine/nn_512_iterations_on_m128`: the plain `execute` run.
+/// - `tracer/null_engine_nn_on_m128`: a solo session through
+///   [`SpatialAccelerator::run_session`] with a [`NullTracer`], gated
+///   against the plain run so the disabled-tracing fast path stays free.
+/// - `fabric/nn_single_tenant_session_on_m128`: a single tenant of a
+///   [`FabricManager`] (admission, band placement, session bookkeeping,
+///   completion tracking), gated within 10% of the plain run so
+///   virtualizing the fabric stays cheap for the solo case.
+/// - `fabric/nn_sliced_session_on_m128`: the same tenant advanced in
+///   fixed ~1,000-cycle quanta (about 24 slices), each resuming from and
+///   re-freezing a snapshot; its ratio to the single session is the
+///   per-slice overhead.
+///
+/// The gates live in `scripts/bench_gates.sh`.
+fn bench_engine_and_fabric(suite: &mut BenchSuite) {
     let (kernel, sa, prog) = nn_engine_setup();
-    suite.run_cycles("engine/nn_512_iterations_on_m128", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        black_box(
-            sa.execute(&prog, &kernel.entry, &mut mem, 0, 1_000_000)
-                .expect("runs"),
-        )
-        .cycles
-    });
-}
-
-/// The same engine workload as a solo session through
-/// [`SpatialAccelerator::run_session`] with a [`NullTracer`]:
-/// `scripts/ci.sh` gates this against the plain run above, so the
-/// disabled-tracing fast path stays free.
-fn bench_engine_null_tracer(suite: &mut BenchSuite) {
-    let (kernel, sa, prog) = nn_engine_setup();
+    let cfg = AccelConfig::m128();
     let faults = FaultPlan::none();
     let req = SessionRequest::solo(0, 1_000_000, &faults, sa.config().grid());
-    suite.run_cycles("tracer/null_engine_nn_on_m128", 20, || {
+    let fresh_mem = || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
+        mem
+    };
+    let admitted = || {
+        let mut manager = FabricManager::new(cfg);
+        let (id, _) = manager
+            .admit(prog.clone(), kernel.entry.clone(), FaultPlan::none(), 1_000_000)
+            .expect("admits");
+        (manager, id)
+    };
+    let mut plain = || {
+        let mut mem = fresh_mem();
+        black_box(sa.execute(&prog, &kernel.entry, &mut mem, 0, 1_000_000).expect("runs")).cycles
+    };
+    let mut null_traced = || {
+        let mut mem = fresh_mem();
         black_box(
             sa.run_session(&prog, &kernel.entry, &mut mem, &req, None, &mut NullTracer, 0)
                 .expect("runs")
                 .into_result(&prog),
         )
         .cycles
-    });
-}
-
-/// The same engine workload as a single tenant of a [`FabricManager`]:
-/// admission, band placement, session bookkeeping, and completion tracking
-/// on top of the raw engine run. `scripts/ci.sh` and `scripts/bench_diff.sh`
-/// gate this against `engine/nn_512_iterations_on_m128`, so virtualizing
-/// the fabric stays within 10% of the pre-fabric baseline for the solo
-/// case everyone else pays for.
-fn bench_fabric(suite: &mut BenchSuite) {
-    let (kernel, _sa, prog) = nn_engine_setup();
-    let cfg = AccelConfig::m128();
-    suite.run_cycles("fabric/nn_single_tenant_session_on_m128", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut manager = FabricManager::new(cfg);
-        let (id, _) = manager
-            .admit(prog.clone(), kernel.entry.clone(), FaultPlan::none(), 1_000_000)
-            .expect("admits");
+    };
+    let mut single_tenant = || {
+        let mut mem = fresh_mem();
+        let (mut manager, id) = admitted();
         match black_box(
             manager
                 .advance(id, &mut mem, 0, u64::MAX, &mut NullTracer, 0)
@@ -160,19 +186,10 @@ fn bench_fabric(suite: &mut BenchSuite) {
             TenantProgress::Paused(cycles) | TenantProgress::Completed(cycles) => cycles,
             TenantProgress::Queued => 0,
         }
-    });
-
-    // The same episode advanced in fixed ~1,000-cycle quanta (about 24
-    // slices): every slice resumes from and re-freezes a snapshot, so the
-    // ratio to the single-session run above is the per-slice overhead
-    // (gated by ci.sh).
-    suite.run_cycles("fabric/nn_sliced_session_on_m128", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut manager = FabricManager::new(cfg);
-        let (id, _) = manager
-            .admit(prog.clone(), kernel.entry.clone(), FaultPlan::none(), 1_000_000)
-            .expect("admits");
+    };
+    let mut sliced = || {
+        let mut mem = fresh_mem();
+        let (mut manager, id) = admitted();
         loop {
             match black_box(
                 manager
@@ -184,17 +201,24 @@ fn bench_fabric(suite: &mut BenchSuite) {
                 TenantProgress::Queued => break 0,
             }
         }
-    });
+    };
+    suite.run_group(
+        20,
+        true,
+        &mut [
+            ("engine/nn_512_iterations_on_m128", &mut plain),
+            ("tracer/null_engine_nn_on_m128", &mut null_traced),
+            ("fabric/nn_single_tenant_session_on_m128", &mut single_tenant),
+            ("fabric/nn_sliced_session_on_m128", &mut sliced),
+        ],
+    );
 
     // Checkpoint + restore round trip of a tenant frozen mid-episode: the
     // snapshot wire format (serialize, checksum, decode) plus the
     // compatibility re-validation against the tenant's binding.
     let mut mem = MemorySystem::new(MemConfig::default(), 1);
     kernel.populate(mem.data_mut());
-    let mut manager = FabricManager::new(cfg);
-    let (id, _) = manager
-        .admit(prog, kernel.entry.clone(), FaultPlan::none(), 1_000_000)
-        .expect("admits");
+    let (mut manager, id) = admitted();
     let progress = manager
         .advance(id, &mut mem, 0, 64, &mut NullTracer, 0)
         .expect("first slice");
@@ -207,111 +231,116 @@ fn bench_fabric(suite: &mut BenchSuite) {
 
 fn bench_ooo_core(suite: &mut BenchSuite) {
     let kernel = by_name("pathfinder", KernelSize::Tiny).expect("pathfinder");
+    let fresh = || {
+        let mut mem = MemorySystem::new(MemConfig::default(), 1);
+        kernel.populate(mem.data_mut());
+        (kernel.entry.clone(), mem)
+    };
     // Reference: the same run loop with fusion off, every micro-op through
     // `step` and the generic timing arm. The fused run is timing-identical,
     // so `pathfinder_fused / pathfinder_tiny_to_halt` measures the fast
     // paths' simulator speedup (gated ≤ 0.75 by ci.sh).
-    suite.run_cycles("ooo_core/pathfinder_tiny_to_halt", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut state = kernel.entry.clone();
+    let mut unfused = || {
+        let (mut state, mut mem) = fresh();
         let mut cpu = OoOCore::new(CoreConfig { fusion: false, ..CoreConfig::boom_baseline() });
-        black_box(cpu.run(
-            &kernel.program,
-            &mut state,
-            &mut mem,
-            0,
-            RunLimits::none(),
-            &mut NullMonitor,
-        ))
-        .cycles
-    });
-    suite.run_cycles("ooo_core/pathfinder_fused", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut state = kernel.entry.clone();
+        let limits = RunLimits::none();
+        black_box(cpu.run(&kernel.program, &mut state, &mut mem, 0, limits, &mut NullMonitor))
+            .cycles
+    };
+    let mut fused = || {
+        let (mut state, mut mem) = fresh();
         let mut cpu = OoOCore::new(CoreConfig::boom_baseline());
-        black_box(cpu.run(
-            &kernel.program,
-            &mut state,
-            &mut mem,
-            0,
-            RunLimits::none(),
-            &mut NullMonitor,
-        ))
-        .cycles
-    });
+        let limits = RunLimits::none();
+        black_box(cpu.run(&kernel.program, &mut state, &mut mem, 0, limits, &mut NullMonitor))
+            .cycles
+    };
     // Whole-program hybrid fast-forward: interpreter speed outside the
     // sampled hot-loop windows (gated ≤ 0.40 of the fusion-off run by ci.sh).
-    suite.run_cycles("cpu/pathfinder_full_fastfwd", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut state = kernel.entry.clone();
+    let mut fastfwd = || {
+        let (mut state, mut mem) = fresh();
         let mut cpu = HybridCpu::new(CoreConfig::boom_baseline());
-        black_box(cpu.run(
-            &kernel.program,
-            &mut state,
-            &mut mem,
-            0,
-            RunLimits::none(),
-            &mut NullMonitor,
-        ))
-        .cycles
-    });
+        let limits = RunLimits::none();
+        black_box(cpu.run(&kernel.program, &mut state, &mut mem, 0, limits, &mut NullMonitor))
+            .cycles
+    };
+    suite.run_group(
+        20,
+        true,
+        &mut [
+            ("ooo_core/pathfinder_tiny_to_halt", &mut unfused),
+            ("ooo_core/pathfinder_fused", &mut fused),
+            ("cpu/pathfinder_full_fastfwd", &mut fastfwd),
+        ],
+    );
 }
 
 /// The same full offload episode with the host span profiler off and
 /// then on (real clock, per-span allocation deltas included): the
 /// `host/*_profiled` vs `host/*_off` ratio is gated at ≤ 1.05 by
-/// `scripts/ci.sh` and `scripts/bench_diff.sh`. Measuring both sides in
-/// one process run cancels machine-speed noise out of the ratio.
+/// `scripts/ci.sh` and `scripts/bench_diff.sh`. One profiler stays
+/// installed for the pair and each side switches profiling on or off
+/// before its episode, so the two interleave.
 fn bench_host_profiler(suite: &mut BenchSuite) {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
     let system = SystemConfig::m128();
-    suite.run_cycles("host/offload_nn_on_m128_off", 20, || {
+    let episode = |profiled: bool| {
+        if profiled {
+            host::enable(host::ClockSpec::Real);
+        } else {
+            host::disable();
+        }
         mesa_bench::mesa_offload(&kernel, &system, mesa_bench::BASELINE_CORES).cycles
-    });
+    };
     host::enable(host::ClockSpec::Real);
     host::install();
-    suite.run_cycles("host/offload_nn_on_m128_profiled", 20, || {
-        mesa_bench::mesa_offload(&kernel, &system, mesa_bench::BASELINE_CORES).cycles
-    });
+    let (mut off, mut profiled) = (|| episode(false), || episode(true));
+    suite.run_group(
+        20,
+        true,
+        &mut [
+            ("host/offload_nn_on_m128_off", &mut off),
+            ("host/offload_nn_on_m128_profiled", &mut profiled),
+        ],
+    );
     let _ = host::take();
     host::disable();
 }
 
-/// Warm-vs-cold serving episodes over the shared artifact cache. The
-/// bench request is the map-heavy repeat kernel (`bench_request`): cold
-/// serves it from a fresh engine each rep (every detect → translate →
-/// map runs), warm serves it from one persistent engine (artifacts come
-/// from the cache, only the simulated phases run). `scripts/ci.sh`
-/// gates warm at ≤ 0.77× cold (≥ 1.3× episodes/sec).
+/// Warm-vs-cold serving episodes over the shared artifact cache,
+/// interleaved. The bench request is the repeat kernel (`bench_request`):
+/// cold serves it from a fresh engine each rep (every detect → translate
+/// → map runs), warm serves it from one persistent engine (artifacts come
+/// from the cache, only the simulated phases run). `scripts/ci.sh` gates
+/// warm against cold.
 fn bench_serve(suite: &mut BenchSuite) {
-    use mesa_bench::serve::{bench_request, ServeEngine};
     // The serving layer fast-forwards warmup by default in production
     // use; pin it on for the pair and restore so other benches keep
     // their configuration.
     let was_ff = mesa_core::fast_forward_enabled();
     mesa_core::set_fast_forward(true);
-    let mut i = 0u64;
-    suite.run("serve/repeat_kernel_cold", 48, || {
-        let engine = ServeEngine::new();
+    let serve = |engine: &ServeEngine, data_seed: u64| {
+        let r = engine.handle(&bench_request(data_seed));
+        assert!(r.ok, "bench kernel must offload: {}", r.render);
+        black_box(r);
+        0
+    };
+    let warm_engine = ServeEngine::new();
+    serve(&warm_engine, u64::MAX);
+    let (mut i, mut j) = (0u64, 0u64);
+    let mut cold = || {
         i += 1;
-        let r = engine.handle(&bench_request(i));
-        assert!(r.ok, "bench kernel must offload: {}", r.render);
-        black_box(r)
-    });
-    let engine = ServeEngine::new();
-    let prime = engine.handle(&bench_request(u64::MAX));
-    assert!(prime.ok, "bench kernel must offload: {}", prime.render);
-    let mut j = 0u64;
-    suite.run("serve/repeat_kernel_warm", 48, || {
+        serve(&ServeEngine::new(), i)
+    };
+    let mut warm = || {
         j += 1;
-        let r = engine.handle(&bench_request(j));
-        assert!(r.ok, "bench kernel must offload: {}", r.render);
-        black_box(r)
-    });
-    assert!(engine.stats().hits() > 0, "warm side must hit the shared cache");
+        serve(&warm_engine, j)
+    };
+    suite.run_group(
+        48,
+        false,
+        &mut [("serve/repeat_kernel_cold", &mut cold), ("serve/repeat_kernel_warm", &mut warm)],
+    );
+    assert!(warm_engine.stats().hits() > 0, "warm side must hit the shared cache");
     mesa_core::set_fast_forward(was_ff);
 }
 
@@ -321,9 +350,7 @@ fn main() {
     bench_codec(&mut suite);
     bench_ldfg_build(&mut suite);
     bench_mapper(&mut suite);
-    bench_engine(&mut suite);
-    bench_engine_null_tracer(&mut suite);
-    bench_fabric(&mut suite);
+    bench_engine_and_fabric(&mut suite);
     bench_ooo_core(&mut suite);
     bench_host_profiler(&mut suite);
     bench_serve(&mut suite);

@@ -144,7 +144,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
     Ok(opts)
 }
 
-/// Warm-vs-cold soak client: the same map-heavy repeat kernel served
+/// Warm-vs-cold soak client: the same repeat kernel served
 /// from fresh caches (cold) and from one persistent engine (warm).
 fn run_bench(opts: &mut Options) {
     let n = opts.requests.max(8) as u64;

@@ -69,10 +69,9 @@ pub enum GridSpec {
     M512,
     /// 512-PE fabric with an exhaustive full-grid mapper window: every
     /// free PE is a candidate for every node instead of the RTL's fixed
-    /// 4×8 window. Mapping quality (and cost) is maximal, which makes
-    /// the host-side map phase — exactly what the shared artifact cache
-    /// skips — the dominant per-request cost. The warm-vs-cold soak
-    /// bench serves this shape.
+    /// 4×8 window. Mapping quality is maximal; Algorithm 1's row
+    /// pruning keeps the map cost to the rows nearest each node's latest
+    /// source. The warm-vs-cold soak bench serves this shape.
     M512Wide,
 }
 
@@ -156,9 +155,9 @@ pub struct ServeResponse {
 
 /// Builds a deterministic synthetic serving kernel: `lw` feeding a
 /// dependent chain of `nodes` ALU ops, a store, and the induction +
-/// `bltu` closing pair, followed by an exit stub. Long chains make the
-/// Algorithm-1 mapper (not the engine) the dominant cost — the shape the
-/// warm-vs-cold benchmark leans on.
+/// `bltu` closing pair, followed by an exit stub. Mapping cost grows
+/// with the chain length — the shape the warm-vs-cold benchmark leans
+/// on.
 #[must_use]
 pub fn synthetic_kernel(nodes: u32, seed: u64) -> (Program, ArchState) {
     let mut rng = Rng::seed_from_u64(seed ^ 0x5EED_5EED);
@@ -383,10 +382,9 @@ pub fn loadgen(seed: u64, n: usize, pool: usize, grid: GridSpec) -> Vec<ServeReq
         .collect()
 }
 
-/// The repeat request the warm-vs-cold benchmark serves: a map-heavy
-/// synthetic chain (160 dependent ALU nodes) on the exhaustive-window
-/// 512-PE grid, where Algorithm-1 placement dominates the host cost a
-/// warm cache skips.
+/// The repeat request the warm-vs-cold benchmark serves: a synthetic
+/// chain (160 dependent ALU nodes) on the exhaustive-window 512-PE grid,
+/// whose detect, translate and map a warm cache hit skips.
 #[must_use]
 pub fn bench_request(data_seed: u64) -> ServeRequest {
     ServeRequest {

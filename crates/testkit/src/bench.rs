@@ -10,6 +10,9 @@
 //! workload reports simulated cycles can use [`BenchSuite::run_cycles`]
 //! to record sim-cycles/iteration and the derived simulation throughput
 //! (`sim_mcycles_per_sec`) alongside ns/iter in `BENCH_components.json`.
+//! Benches whose medians are compared against each other run as one
+//! [`BenchSuite::run_group`], which interleaves their iterations so a
+//! change of host speed hits every member alike.
 
 use mesa_trace::host::{HostClock, RealClock};
 use std::fmt::Write as _;
@@ -75,6 +78,83 @@ impl BenchResult {
 /// Number of timed batches per benchmark.
 const SAMPLES: usize = 7;
 
+/// A named workload of a bench group: each call runs one iteration and
+/// returns the simulated cycles it advanced (0 when it reports none).
+pub type GroupMember<'a> = (&'a str, &'a mut dyn FnMut() -> u64);
+
+/// Times every member of `group`: two untimed warmup rounds, then
+/// [`SAMPLES`] timed rounds of `iters` iterations per member. A lone bench
+/// times each round's batch whole. Group members are timed per iteration
+/// and take turns every iteration, in `a b b a a b ...` order, so members
+/// compared against each other sample the same moments of host speed and
+/// neither always runs first.
+fn bench_group(
+    group: &mut [GroupMember<'_>],
+    iters: u64,
+    clock: &mut dyn HostClock,
+    track_cycles: bool,
+) -> Vec<BenchResult> {
+    assert!(iters > 0, "bench needs at least one iteration");
+    let n = group.len();
+    let (turns, chunk) = if n == 1 { (1, iters) } else { (iters, 1) };
+    // One round: per member, the per-iteration time and the cycles its
+    // iterations reported.
+    let mut round = |clock: &mut dyn HostClock| {
+        let mut ns = vec![0u64; n];
+        let mut cycles = vec![0u64; n];
+        for turn in 0..turns {
+            for j in 0..n {
+                let k = if turn % 2 == 0 { j } else { n - 1 - j };
+                let f = &mut group[k].1;
+                let start = clock.now_ns();
+                for _ in 0..chunk {
+                    cycles[k] = cycles[k].saturating_add(std::hint::black_box(f()));
+                }
+                ns[k] += clock.now_ns().saturating_sub(start);
+            }
+        }
+        ns.into_iter()
+            .zip(cycles)
+            .map(|(t, c)| (t as f64 / iters as f64, c))
+            .collect::<Vec<_>>()
+    };
+
+    // Two untimed warmup rounds: the first touches caches and pages the
+    // code in; the second settles allocator free lists and branch history
+    // so the first *timed* sample is not an outlier (the fabric benches'
+    // max/median spread motivated the second pass).
+    round(clock);
+    round(clock);
+
+    let mut per_iter: Vec<Vec<f64>> = vec![Vec::with_capacity(SAMPLES); n];
+    let mut batch_cycles = vec![0u64; n];
+    for _ in 0..SAMPLES {
+        for (k, (ns, cycles)) in round(clock).into_iter().enumerate() {
+            per_iter[k].push(ns);
+            batch_cycles[k] = cycles;
+        }
+    }
+    group
+        .iter()
+        .zip(per_iter)
+        .zip(batch_cycles)
+        .map(|(((name, _), mut per_iter), batch_cycles)| {
+            per_iter.sort_by(|a, b| a.total_cmp(b));
+            BenchResult {
+                name: (*name).to_string(),
+                iters,
+                samples: SAMPLES,
+                median_ns: per_iter[SAMPLES / 2],
+                min_ns: per_iter[0],
+                max_ns: per_iter[SAMPLES - 1],
+                mean_ns: per_iter.iter().sum::<f64>() / SAMPLES as f64,
+                sim_cycles_per_iter: track_cycles.then(|| batch_cycles as f64 / iters as f64),
+            }
+        })
+        .collect()
+}
+
+/// [`bench_group`] of one workload.
 fn bench_inner(
     name: &str,
     iters: u64,
@@ -82,48 +162,11 @@ fn bench_inner(
     f: &mut dyn FnMut() -> u64,
     track_cycles: bool,
 ) -> BenchResult {
-    assert!(iters > 0, "bench needs at least one iteration");
-    let run_batch = |f: &mut dyn FnMut() -> u64, clock: &mut dyn HostClock| {
-        let start = clock.now_ns();
-        let mut cycles = 0u64;
-        for _ in 0..iters {
-            cycles = cycles.saturating_add(std::hint::black_box(f()));
-        }
-        let dt = clock.now_ns().saturating_sub(start);
-        (dt as f64 / iters as f64, cycles)
-    };
-
-    // Two untimed warmup batches: the first touches caches and pages the
-    // code in; the second settles allocator free lists and branch history
-    // so the first *timed* sample is not an outlier (the fabric benches'
-    // max/median spread motivated the second pass).
-    run_batch(f, clock);
-    run_batch(f, clock);
-
-    let mut per_iter: Vec<f64> = Vec::with_capacity(SAMPLES);
-    let mut batch_cycles = 0u64;
-    for _ in 0..SAMPLES {
-        let (ns, cycles) = run_batch(f, clock);
-        per_iter.push(ns);
-        batch_cycles = cycles;
-    }
-    per_iter.sort_by(|a, b| a.total_cmp(b));
-    let median_ns = per_iter[SAMPLES / 2];
-    let mean_ns = per_iter.iter().sum::<f64>() / SAMPLES as f64;
-    BenchResult {
-        name: name.to_string(),
-        iters,
-        samples: SAMPLES,
-        median_ns,
-        min_ns: per_iter[0],
-        max_ns: per_iter[SAMPLES - 1],
-        mean_ns,
-        sim_cycles_per_iter: track_cycles.then(|| batch_cycles as f64 / iters as f64),
-    }
+    bench_group(&mut [(name, f)], iters, clock, track_cycles).remove(0)
 }
 
 /// Times `f` over `iters` iterations per batch against the real wall
-/// clock: one untimed warmup batch, then [`SAMPLES`] timed batches,
+/// clock: two untimed warmup batches, then [`SAMPLES`] timed batches,
 /// reporting the median (robust against scheduler noise), min, max,
 /// and mean per-iteration time.
 ///
@@ -195,6 +238,26 @@ impl BenchSuite {
         println!("{}", r.json_line());
         self.results.push(r);
         self.results.last().expect("just pushed")
+    }
+
+    /// Runs a group of benchmarks whose timings are compared against
+    /// each other, with their iterations interleaved (see [`bench_group`])
+    /// so a change of host speed during the run hits every member alike.
+    /// Prints and records one result per member, in group order; with
+    /// `track_cycles` each records simulation throughput as in
+    /// [`BenchSuite::run_cycles`].
+    pub fn run_group(
+        &mut self,
+        iters: u64,
+        track_cycles: bool,
+        group: &mut [GroupMember<'_>],
+    ) -> &[BenchResult] {
+        let first = self.results.len();
+        for r in bench_group(group, iters, &mut RealClock::new(), track_cycles) {
+            println!("{}", r.json_line());
+            self.results.push(r);
+        }
+        &self.results[first..]
     }
 
     /// The recorded results, in run order.
@@ -293,6 +356,36 @@ mod tests {
         assert_eq!(json.matches("\"name\"").count(), 2);
         assert_eq!(json.matches("sim_cycles_per_iter").count(), 1);
         assert_eq!(suite.results().len(), 2);
+    }
+
+    #[test]
+    fn group_members_take_turns_every_iteration() {
+        // Every call of a member appends its name, so the log shows the
+        // call order: nine rounds (two warmup) of two iterations each.
+        let log = std::cell::RefCell::new(String::new());
+        let mut a = || {
+            log.borrow_mut().push('a');
+            1u64
+        };
+        let mut b = || {
+            log.borrow_mut().push('b');
+            2u64
+        };
+        let mut clock = MockClock::new(1_000);
+        let results = bench_group(&mut [("a", &mut a), ("b", &mut b)], 2, &mut clock, true);
+        assert_eq!(*log.borrow(), "abba".repeat(2 + SAMPLES));
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].name, "a");
+        assert_eq!(results[1].sim_cycles_per_iter, Some(2.0));
+        // Each timed call spans one mock-clock step.
+        assert!((results[0].median_ns - 1_000.0).abs() < f64::EPSILON);
+
+        let mut suite = BenchSuite::new();
+        let (mut x, mut y) = (|| 0u64, || 0u64);
+        let recorded = suite.run_group(10, false, &mut [("x", &mut x), ("y", &mut y)]);
+        assert_eq!(recorded.len(), 2);
+        assert_eq!(recorded[1].name, "y");
+        assert!(!suite.to_json().contains("sim_cycles_per_iter"));
     }
 
     #[test]

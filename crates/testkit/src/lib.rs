@@ -19,6 +19,6 @@ pub mod bench;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{bench_fn, bench_fn_cycles, bench_fn_with, BenchResult, BenchSuite};
+pub use bench::{bench_fn, bench_fn_cycles, bench_fn_with, BenchResult, BenchSuite, GroupMember};
 pub use prop::{Checker, Regressions, Report, Strategy, StrategyExt};
 pub use rng::{splitmix64, Rng};

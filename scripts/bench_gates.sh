@@ -1,7 +1,9 @@
 # Same-run bench gates, shared by ci.sh and bench_diff.sh: each entry is
 # "candidate baseline bound", and `tracecheck benchgate` fails when the
 # candidate's median exceeds bound x the baseline's median from the same
-# suite run (common-mode noise cancels, so each gate is single-shot).
+# suite run. Each gated pair runs as one interleaved bench group, its
+# members taking turns every iteration, so common-mode noise cancels and
+# each gate is single-shot.
 #
 # Usage: source this file, then `bench_gates <bench-suite.json>`.
 BENCH_GATES=(
@@ -24,9 +26,12 @@ BENCH_GATES=(
   "ooo_core/pathfinder_fused ooo_core/pathfinder_tiny_to_halt 0.75"
   "cpu/pathfinder_full_fastfwd ooo_core/pathfinder_tiny_to_halt 0.40"
   # (5) Serving gate, warm vs cold: a repeat kernel served from the warm
-  #     shared artifact cache must deliver >= 1.3x episodes/sec over the
-  #     cold path (ratio <= 0.77, measured ~0.61).
-  "serve/repeat_kernel_warm serve/repeat_kernel_cold 0.77"
+  #     shared artifact cache must still beat the cold path. A hit skips
+  #     the map span (Algorithm 1, memopt, program build), about 0.1 ms
+  #     of the ~0.8 ms episode now that Algorithm 1 prunes rows; both
+  #     sides still run warmup, execution and the F3 remap. Ratio <= 0.95,
+  #     measured 0.80-0.92 (median 0.865) over 14 interleaved runs.
+  "serve/repeat_kernel_warm serve/repeat_kernel_cold 0.95"
   # (6) Slicing gate: the nn episode advanced in ~24 fabric slices of
   #     ~1,000 cycles must stay within 2x of the same episode in one
   #     session (measured 1.33-1.65: the ~5 us per-slice cost is fixed
