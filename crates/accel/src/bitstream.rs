@@ -33,6 +33,10 @@ pub enum BitstreamError {
     /// An instruction could not be re-encoded to machine form while
     /// building the stream (a malformed configuration).
     Unencodable(u64),
+    /// The stream parsed, but is not the encoding of what it parsed to:
+    /// reserved bits set, trailing words, or a non-canonical instruction
+    /// word.
+    NonCanonical,
 }
 
 impl fmt::Display for BitstreamError {
@@ -48,6 +52,7 @@ impl fmt::Display for BitstreamError {
             BitstreamError::Unencodable(pc) => {
                 write!(f, "instruction at {pc:#x} cannot be re-encoded")
             }
+            BitstreamError::NonCanonical => write!(f, "bitstream is not in canonical form"),
         }
     }
 }
@@ -197,8 +202,8 @@ pub fn encode(prog: &AccelProgram) -> Result<Vec<u64>, BitstreamError> {
 /// Decodes a bitstream back into the configured region.
 ///
 /// # Errors
-/// Returns [`BitstreamError`] on malformed input. A successful decode
-/// round-trips [`encode`] exactly.
+/// Returns [`BitstreamError`] on malformed input, never panics. A
+/// successful decode round-trips [`encode`] exactly.
 pub fn decode(words: &[u64]) -> Result<AccelProgram, BitstreamError> {
     let mut r = Reader { words, at: 0 };
     let magic = r.next()?;
@@ -213,7 +218,8 @@ pub fn decode(words: &[u64]) -> Result<AccelProgram, BitstreamError> {
     let tiles = ((meta >> 32) & 0xFFFF) as usize;
     let pipelined = (meta >> 48) & 1 == 1;
 
-    let mut nodes = Vec::with_capacity(n);
+    // Counts come off the wire: reserve no more than the stream can hold.
+    let mut nodes = Vec::with_capacity(n.min(words.len()));
     for _ in 0..n {
         let pc = r.next()?;
         let instr_flags = r.next()?;
@@ -227,7 +233,7 @@ pub fn decode(words: &[u64]) -> Result<AccelProgram, BitstreamError> {
         let hidden = unpack_operand(r.next()?)?;
         let fw_vec = r.next()?;
         let guard_count = r.next()? as usize;
-        let mut guards = Vec::with_capacity(guard_count);
+        let mut guards = Vec::with_capacity(guard_count.min(words.len()));
         for _ in 0..guard_count {
             guards.push(r.next()? as u32);
         }
@@ -243,7 +249,7 @@ pub fn decode(words: &[u64]) -> Result<AccelProgram, BitstreamError> {
     }
 
     let live_count = r.next()? as usize;
-    let mut live_out = Vec::with_capacity(live_count);
+    let mut live_out = Vec::with_capacity(live_count.min(words.len()));
     for _ in 0..live_count {
         let w = r.next()?;
         let reg_idx = (w >> 32) as usize;
@@ -253,7 +259,11 @@ pub fn decode(words: &[u64]) -> Result<AccelProgram, BitstreamError> {
         live_out.push((Reg::from_flat_index(reg_idx), (w & 0xFFFF_FFFF) as u32));
     }
 
-    Ok(AccelProgram { start_pc, end_pc, nodes, loop_branch, live_out, tiles, pipelined })
+    let prog = AccelProgram { start_pc, end_pc, nodes, loop_branch, live_out, tiles, pipelined };
+    if encode(&prog)? != words {
+        return Err(BitstreamError::NonCanonical);
+    }
+    Ok(prog)
 }
 
 /// Size of the encoded bitstream in bits — what the config bus actually
@@ -269,6 +279,8 @@ mod tests {
     use super::*;
     use mesa_isa::{Instruction, Opcode};
     use mesa_isa::reg::abi::*;
+    use mesa_test::prop::words_near;
+    use mesa_test::{forall, prop_assert_eq, Checker};
 
     fn sample_program() -> AccelProgram {
         let mut load = NodeConfig::new(
@@ -376,5 +388,30 @@ mod tests {
         // 5 header + 4 nodes * (8 fixed + guards) + 1 + 2 live-outs.
         let bits = size_bits(&prog);
         assert_eq!(bits, (5 + (8 * 4 + 1) + 1 + 2) * 64);
+    }
+
+    #[test]
+    fn trailing_words_and_reserved_bits_are_not_canonical() {
+        let mut words = encode(&sample_program()).unwrap();
+        words.push(0);
+        assert_eq!(decode(&words), Err(BitstreamError::NonCanonical));
+        words.pop();
+        words[4] |= 1 << 60; // reserved bit of the header's meta word
+        assert_eq!(decode(&words), Err(BitstreamError::NonCanonical));
+    }
+
+    /// Any word stream decodes to a typed error or to a program whose
+    /// encoding is exactly that stream; none panics.
+    #[test]
+    fn decode_is_total_and_canonical() {
+        let valid = encode(&sample_program()).unwrap();
+        forall!(
+            Checker::new("bitstream::decode_is_total_and_canonical").cases(512),
+            |(words in words_near(valid.clone()))| {
+                if let Ok(prog) = decode(&words) {
+                    prop_assert_eq!(encode(&prog), Ok(words.clone()));
+                }
+            }
+        );
     }
 }

@@ -20,7 +20,7 @@ pub enum FpPattern {
 impl FpPattern {
     /// `true` when the PE at `c` has FP hardware.
     #[must_use]
-    pub fn has_fp(self, c: Coord) -> bool {
+    fn has_fp(self, c: Coord) -> bool {
         match self {
             FpPattern::None => false,
             FpPattern::All => true,

@@ -37,7 +37,7 @@ impl NodeCounter {
     /// latency plus both operand transfer latencies. This is the ranking
     /// key the profiler uses to name hot nodes.
     #[must_use]
-    pub fn stall_cycles(&self) -> u64 {
+    fn stall_cycles(&self) -> u64 {
         self.total_op_cycles + self.total_in_cycles[0] + self.total_in_cycles[1]
     }
 
@@ -101,7 +101,7 @@ impl PerfCounters {
     /// first; nodes that never accumulated cycles are skipped. Ties break
     /// toward the lower node index so the ranking is deterministic.
     #[must_use]
-    pub fn hottest_nodes(&self, k: usize) -> Vec<(usize, &NodeCounter)> {
+    fn hottest_nodes(&self, k: usize) -> Vec<(usize, &NodeCounter)> {
         let mut ranked: Vec<(usize, &NodeCounter)> = self
             .nodes
             .iter()
@@ -250,6 +250,40 @@ impl ActivityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_test::prop::words_near;
+    use mesa_test::{forall, prop_assert, prop_assert_eq, Checker};
+
+    /// Both counter decoders read a fixed-width prefix: any stream
+    /// decodes to `None` when short, and otherwise to a value that
+    /// re-encodes to exactly that prefix; none panics.
+    #[test]
+    fn from_words_is_total_and_reencodes_its_prefix() {
+        let mut valid = Vec::new();
+        NodeCounter { fires: 3, total_op_cycles: 9, total_in_cycles: [4, 5], in_samples: [2, 1] }
+            .write_words(&mut valid);
+        ActivityStats { int_ops: 7, prefetch_hits: 2, ..ActivityStats::default() }
+            .write_words(&mut valid);
+        forall!(
+            Checker::new("counters::from_words_is_total_and_reencodes_its_prefix").cases(512),
+            |(words in words_near(valid.clone()))| {
+                let mut out = Vec::new();
+                match NodeCounter::from_words(&words) {
+                    Some(c) => c.write_words(&mut out),
+                    None => {
+                        prop_assert!(words.len() < NodeCounter::SNAPSHOT_WORDS);
+                    }
+                }
+                let tail = words.get(NodeCounter::SNAPSHOT_WORDS..).unwrap_or_default();
+                match ActivityStats::from_words(tail) {
+                    Some(a) => a.write_words(&mut out),
+                    None => {
+                        prop_assert!(tail.len() < ActivityStats::SNAPSHOT_WORDS);
+                    }
+                }
+                prop_assert_eq!(&out[..], &words[..out.len()]);
+            }
+        );
+    }
 
     #[test]
     fn node_counter_averages() {

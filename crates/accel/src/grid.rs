@@ -34,7 +34,7 @@ impl Coord {
 
     /// `true` when `other` is an immediate 4-neighbor.
     #[must_use]
-    pub fn is_adjacent(self, other: Coord) -> bool {
+    fn is_adjacent(self, other: Coord) -> bool {
         self.manhattan(other) == 1
     }
 }

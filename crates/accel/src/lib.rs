@@ -38,5 +38,5 @@ pub use grid::{
     REGION_ROW_ALIGN,
 };
 pub use program::{AccelProgram, NodeConfig, Operand, ProgramError};
-pub use reference::{compare_runs, run_differential, Divergence};
+pub use reference::{run_differential, Divergence};
 pub use snapshot::{PlacementSnapshot, SnapshotError, SNAPSHOT_MAGIC};

@@ -33,14 +33,6 @@ pub enum Operand {
     InitReg(Reg),
 }
 
-impl Operand {
-    /// `true` when this operand names a producing node.
-    #[must_use]
-    pub fn is_node(&self) -> bool {
-        matches!(self, Operand::Node { .. })
-    }
-}
-
 /// One configured instruction slot.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct NodeConfig {

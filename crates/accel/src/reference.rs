@@ -135,7 +135,7 @@ impl SpatialAccelerator {
     /// # Errors
     /// Returns [`ProgramError`] if the program fails validation against
     /// this accelerator's grid.
-    pub fn execute_reference(
+    fn execute_reference(
         &self,
         prog: &AccelProgram,
         entry: &ArchState,
@@ -548,7 +548,7 @@ fn diff<T: PartialEq + fmt::Debug>(field: &str, fast: &T, reference: &T) -> Opti
 /// identical store sequences, which the counters/activity comparison
 /// pins down together with the identical functional store values.
 #[must_use]
-pub fn compare_runs(fast: &AccelRunResult, reference: &AccelRunResult) -> Option<Divergence> {
+fn compare_runs(fast: &AccelRunResult, reference: &AccelRunResult) -> Option<Divergence> {
     diff("iterations", &fast.iterations, &reference.iterations)
         .or_else(|| diff("completed", &fast.completed, &reference.completed))
         .or_else(|| diff("cycles", &fast.cycles, &reference.cycles))

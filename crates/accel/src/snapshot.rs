@@ -182,7 +182,7 @@ impl PlacementSnapshot {
 
     /// `true` while at least one tile's loop has not exited.
     #[must_use]
-    pub fn is_running(&self) -> bool {
+    fn is_running(&self) -> bool {
         self.tile_states.iter().any(|t| t.running)
     }
 
@@ -459,6 +459,8 @@ fn fnv_words(words: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_test::prop::words_near;
+    use mesa_test::{forall, prop_assert_eq, Checker};
 
     fn sample() -> PlacementSnapshot {
         PlacementSnapshot {
@@ -486,6 +488,28 @@ mod tests {
             counters: PerfCounters::new(2),
             activity: ActivityStats { int_ops: 10, ..ActivityStats::default() },
         }
+    }
+
+    /// Any word stream, with its checksum as sent or recomputed over the
+    /// (mutated) payload, decodes to a typed error or to a snapshot that
+    /// re-encodes to exactly that stream; none panics.
+    #[test]
+    fn from_words_is_total_and_canonical() {
+        let valid = sample().to_words();
+        forall!(
+            Checker::new("snapshot::from_words_is_total_and_canonical").cases(512),
+            |(words in words_near(valid.clone()))| {
+                let mut resealed = words.clone();
+                if let Some((last, payload)) = resealed.split_last_mut() {
+                    *last = fnv_words(payload);
+                }
+                for stream in [&words, &resealed] {
+                    if let Ok(snap) = PlacementSnapshot::from_words(stream) {
+                        prop_assert_eq!(&snap.to_words(), stream);
+                    }
+                }
+            }
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl OptFlags {
 /// when it already can, and `Some(Some(op))` when the branch must be
 /// rewritten to `op`.
 #[must_use]
-pub fn tiling_branch_rewrite(ldfg: &Ldfg) -> Option<Option<Opcode>> {
+fn tiling_branch_rewrite(ldfg: &Ldfg) -> Option<Option<Opcode>> {
     let branch = &ldfg.nodes[ldfg.loop_branch as usize];
     let induction = ldfg.induction_nodes();
     let step = match branch.src[0] {
@@ -99,7 +99,7 @@ pub fn tiling_branch_rewrite(ldfg: &Ldfg) -> Option<Option<Opcode>> {
 /// branch; the count is bounded by grid capacity, remaining iterations,
 /// and the configured cap.
 #[must_use]
-pub fn choose_tiles(
+fn choose_tiles(
     ldfg: &Ldfg,
     sdfg: &Sdfg,
     annotation: Option<ParallelKind>,

@@ -28,25 +28,6 @@ use mesa_mem::{AmatTable, MemConfig, MemTraffic, MemorySystem};
 use mesa_trace::host;
 use mesa_trace::{MetricsRegistry, NullTracer, Subsystem, Tracer};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-global default for [`SystemConfig::fast_forward`]: the switch
-/// the harness binaries flip (via `--fast-forward` / `MESA_FASTFWD=1`)
-/// before building their configs and spawning workers.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide fast-forward default picked up by every
-/// subsequently constructed [`SystemConfig`]. Existing configs are
-/// unaffected (the flag is copied at construction time).
-pub fn set_fast_forward(enabled: bool) {
-    FAST_FORWARD.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether functional fast-forward is currently the process-wide default.
-#[must_use]
-pub fn fast_forward_enabled() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
-}
 
 /// Everything needed to instantiate a MESA-enabled system.
 #[derive(Debug, Clone)]
@@ -73,8 +54,8 @@ pub struct SystemConfig {
     /// functional fast-forward interpreter (estimated cycles) instead of
     /// the full timing model. Detection behaves identically — the
     /// interpreter trains the same predictor and feeds the same monitor —
-    /// but warmup cycle counts become estimates. Defaults to the
-    /// process-wide [`fast_forward_enabled`] switch.
+    /// but warmup cycle counts become estimates. Off in every preset; the
+    /// harness binaries turn it on under `--fast-forward`.
     pub fast_forward: bool,
 }
 
@@ -90,7 +71,7 @@ impl SystemConfig {
             opts: OptFlags::default(),
             max_warmup_instrs: 2_000_000,
             max_accel_iterations: 100_000_000,
-            fast_forward: fast_forward_enabled(),
+            fast_forward: false,
         }
     }
 
@@ -415,6 +396,19 @@ impl RetireMonitor for WarmupMonitor {
     }
 }
 
+/// CPU work an episode has done so far: the warmup quanta, plus the
+/// configuration-overlap iterations once it reaches them.
+/// [`MesaController::run_program`] charges it to the whole-program totals
+/// when the episode declines.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CpuWork {
+    cycles: u64,
+    instrs: u64,
+    ff_instrs: u64,
+    /// The program reached its exit during warmup.
+    halted: bool,
+}
+
 /// Everything F1 + F2 produced for one episode, frozen at the instant
 /// control would transfer to the accelerator: the mapped configuration,
 /// the latency-weighted DFG it came from, the cycle clock, and the full
@@ -512,12 +506,6 @@ impl MesaController {
         &self.system
     }
 
-    /// The configuration cache (exposed for inspection/tests).
-    #[must_use]
-    pub fn config_cache(&self) -> &ConfigCache {
-        &self.cache
-    }
-
     /// Monitors `program` running on `cpu`, and on detecting a hot
     /// accelerable loop translates, configures, and offloads it.
     ///
@@ -544,14 +532,16 @@ impl MesaController {
         cpu: &mut OoOCore,
         tracer: &mut dyn Tracer,
     ) -> Result<OffloadReport, MesaError> {
-        let prepared = self.prepare_episode(program, state, mem, cpu, tracer)?;
+        let mut work = CpuWork::default();
+        let prepared = self.prepare_episode(program, state, mem, cpu, tracer, &mut work)?;
         self.finish_episode(prepared, state, mem, tracer)
     }
 
     /// F1 + F2: monitor until a hot loop emerges, translate and map it,
     /// pay the configuration latency while the CPU keeps running, and
     /// freeze the episode at the instant control would transfer to the
-    /// accelerator.
+    /// accelerator. `work` tracks the CPU work done so far, which a
+    /// declined episode has spent all the same.
     pub(crate) fn prepare_episode(
         &mut self,
         program: &Program,
@@ -559,6 +549,7 @@ impl MesaController {
         mem: &mut MemorySystem,
         cpu: &mut OoOCore,
         tracer: &mut dyn Tracer,
+        work: &mut CpuWork,
     ) -> Result<PreparedEpisode, MesaError> {
         if mem.requesters() < 2 {
             return Err(MesaError::NeedTwoRequesters);
@@ -580,6 +571,7 @@ impl MesaController {
         let mut warmup_cycles = 0u64;
         let mut warmup_instrs = 0u64;
         let mut ff_instrs = 0u64;
+        let mut halted = false;
         let mut cpu_pipeline = PipelineStats::default();
         // With fast-forward on, warmup quanta run through the functional
         // interpreter: it feeds the same monitor (so detection is
@@ -609,6 +601,12 @@ impl MesaController {
             cpu_pipeline.absorb(&r);
             warmup_cycles += r.cycles;
             warmup_instrs += r.retired;
+            if r.stop != StopReason::InstrLimit {
+                // The program exited or left its code: nothing is left to
+                // monitor, and running on would re-execute the exit.
+                halted = r.stop == StopReason::Halted;
+                break None;
+            }
             if let Some(hot) = monitor.lsd.hot_loop() {
                 if self.blacklist.contains(&(hot.start_pc, hot.end_pc)) {
                     // Already judged unaccelerable: keep executing on the
@@ -645,18 +643,18 @@ impl MesaController {
                     cpu_pipeline.absorb(&r);
                     warmup_cycles += r.cycles;
                     warmup_instrs += r.retired;
+                    halted = r.stop == StopReason::Halted;
                     match r.stop {
                         StopReason::StopPc => break Some(hot),
                         StopReason::InstrLimit => monitor.lsd.reset(),
                         _ => break None,
                     }
                 }
-            } else if !matches!(r.stop, StopReason::InstrLimit) {
-                break None;
             }
         };
         tracer.span_end(Subsystem::Cpu, "cpu.warmup", warmup_cycles);
         host::sim_cycles(warmup_cycles);
+        *work = CpuWork { cycles: warmup_cycles, instrs: warmup_instrs, ff_instrs, halted };
         let Some(hot) = hot else {
             if tracer.enabled() {
                 tracer.instant(
@@ -970,6 +968,8 @@ impl MesaController {
             cpu_pipeline.absorb(&r1);
             cpu_pipeline.absorb(&r2);
             config_phase_cpu_cycles += r1.cycles + r2.cycles;
+            work.cycles += r1.cycles + r2.cycles;
+            work.instrs += r1.retired + r2.retired;
             cpu_iterations_during_config += 1;
             if r2.stop != StopReason::StopPc {
                 let t = warmup_cycles + config_phase_cpu_cycles;
@@ -1270,8 +1270,9 @@ impl MesaController {
     /// regions are blacklisted and finish on the CPU; re-encountered
     /// accepted regions hit the configuration cache (paper §4.3).
     ///
-    /// Returns the episode reports plus total cycle accounting. The
-    /// program must terminate (via `ecall` exit / `ebreak`) or exhaust
+    /// Returns the episode reports plus total cycle accounting, which
+    /// includes the CPU work of declined episodes. The program must
+    /// terminate (via `ecall` exit / `ebreak`) or exhaust
     /// `max_cpu_instrs` of CPU execution.
     pub fn run_program(
         &mut self,
@@ -1283,26 +1284,32 @@ impl MesaController {
     ) -> ProgramRunReport {
         let mut report = ProgramRunReport::default();
         loop {
-            match self.offload(program, state, mem, cpu, &mut NullTracer) {
+            let mut work = CpuWork::default();
+            let episode = self
+                .prepare_episode(program, state, mem, cpu, &mut NullTracer, &mut work)
+                .and_then(|prepared| self.finish_episode(prepared, state, mem, &mut NullTracer));
+            match episode {
                 Ok(ep) => {
                     report.total_cycles += ep.total_cycles();
                     report.cpu_instrs += ep.warmup_instrs;
                     report.ff_instrs += ep.ff_instrs;
                     report.offloads.push(ep);
                 }
-                Err(MesaError::Rejected(reason)) => {
-                    // Blacklisted inside offload() on the *next* attempt;
-                    // record it here so monitoring can move on.
-                    report.rejections.push(reason);
-                    // The warmup already advanced the CPU; keep going.
+                Err(e) => {
+                    // The CPU ran the declined episode's warmup (and any
+                    // configuration overlap) all the same.
+                    report.total_cycles += work.cycles;
+                    report.cpu_instrs += work.instrs;
+                    report.ff_instrs += work.ff_instrs;
+                    report.halted = work.halted;
+                    match e {
+                        // Blacklisted, so monitoring moves on to other
+                        // regions; the loop finishes on the CPU.
+                        MesaError::Rejected(reason) => report.rejections.push(reason),
+                        MesaError::ConfigStream(_) => report.config_declines += 1,
+                        _ => break, // NoLoopDetected / halt / exhausted
+                    }
                 }
-                Err(MesaError::ConfigStream(_)) => {
-                    // The region was blacklisted when the corrupted stream
-                    // was rejected; the loop finishes on the CPU and
-                    // monitoring moves on to other regions.
-                    report.config_declines += 1;
-                }
-                Err(_) => break, // NoLoopDetected / halt / exhausted
             }
             if report.cpu_instrs >= max_cpu_instrs {
                 break;
@@ -1311,6 +1318,11 @@ impl MesaController {
             if program.fetch(state.pc).is_none() {
                 break;
             }
+        }
+        if report.halted {
+            // Warmup ran the program to its exit; re-running the exit
+            // instruction would count it twice.
+            return report;
         }
         // Finish whatever straight-line code remains — at interpreter
         // speed when fast-forward is on (nobody reads per-cycle timing of
@@ -1366,12 +1378,6 @@ impl ProgramRunReport {
     #[must_use]
     pub fn accel_iterations(&self) -> u64 {
         self.offloads.iter().map(|o| o.accel_iterations).sum()
-    }
-
-    /// Episodes served from the configuration cache.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.offloads.iter().filter(|o| o.from_cache).count()
     }
 }
 

@@ -129,7 +129,7 @@ fn instruction_supported(op: Opcode, accel_xlen: Xlen) -> Result<(), &'static st
 /// makes an estimate of the loop's expected iteration count based on the
 /// branch condition and PC trace").
 #[must_use]
-pub fn estimate_trip_count(ldfg: &Ldfg, state: &ArchState) -> Option<u64> {
+fn estimate_trip_count(ldfg: &Ldfg, state: &ArchState) -> Option<u64> {
     let branch = &ldfg.nodes[ldfg.loop_branch as usize];
     let induction = ldfg.induction_nodes();
 

@@ -234,7 +234,7 @@ impl Ldfg {
     /// Loop-carried and loop-invariant inputs are available at iteration
     /// start (cycle 0): the model computes the latency of *one* iteration.
     #[must_use]
-    pub fn iteration_latencies(&self) -> Vec<u64> {
+    fn iteration_latencies(&self) -> Vec<u64> {
         let mut latency = vec![0u64; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             let mut arrival = 0u64;

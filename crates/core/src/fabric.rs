@@ -21,7 +21,7 @@
 //! so a migrated tenant's timing is bit-identical to one that never moved.
 
 use crate::controller::{
-    apply_live_outs, MesaController, MesaError, OffloadReport, PreparedEpisode, RunOptions,
+    apply_live_outs, CpuWork, MesaController, MesaError, OffloadReport, PreparedEpisode, RunOptions,
     SystemConfig,
 };
 use mesa_accel::{
@@ -889,7 +889,7 @@ impl FabricManager {
     /// Lowest free aligned start row tenant `id` could migrate to, other
     /// than where it already is (`None` when the grid is too full).
     #[must_use]
-    pub fn migration_target(&self, id: TenantId) -> Option<usize> {
+    fn migration_target(&self, id: TenantId) -> Option<usize> {
         let t = self.tenants.get(id as usize)?;
         let region = t.region?;
         self.free_band(region.rows, Some(id), Some(region.first_row))
@@ -904,7 +904,7 @@ impl FabricManager {
 
     /// The band tenant `id` last ran in (survives completion).
     #[must_use]
-    pub fn last_region(&self, id: TenantId) -> Option<Region> {
+    fn last_region(&self, id: TenantId) -> Option<Region> {
         self.tenants.get(id as usize).and_then(|t| t.last_region)
     }
 
@@ -954,14 +954,14 @@ impl FabricManager {
 
     /// The always-on flight recorder (recent per-tenant event rings).
     #[must_use]
-    pub fn flight_recorder(&self) -> &FlightRecorder {
+    fn flight_recorder(&self) -> &FlightRecorder {
         &self.telemetry.recorder
     }
 
     /// Records an externally observed event into tenant `id`'s flight
     /// lane (the fleet scheduler uses this for decline/fault context the
     /// manager cannot see itself).
-    pub fn record_flight(&mut self, id: TenantId, kind: &'static str, detail: String) {
+    fn record_flight(&mut self, id: TenantId, kind: &'static str, detail: String) {
         self.telemetry.recorder.record(id, self.telemetry.elapsed, kind, detail);
     }
 
@@ -1143,8 +1143,15 @@ impl<'a> FleetDriver<'a> {
             };
             let mut ctl = MesaController::with_options(system.clone(), opts);
             let mut cpu = OoOCore::new(system.core);
-            match ctl.prepare_episode(&job.program, &mut job.state, &mut job.mem, &mut cpu, tracer)
-            {
+            let prepared = ctl.prepare_episode(
+                &job.program,
+                &mut job.state,
+                &mut job.mem,
+                &mut cpu,
+                tracer,
+                &mut CpuWork::default(),
+            );
+            match prepared {
                 Ok(ep) => {
                     match manager.admit(
                         ep.accel_prog.clone(),
@@ -1685,6 +1692,7 @@ mod tests {
                 &mut job.mem,
                 &mut cpu,
                 &mut NullTracer,
+                &mut CpuWork::default(),
             )
             .unwrap();
         let mut manager = FabricManager::new(system.accel);

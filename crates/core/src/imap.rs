@@ -54,14 +54,14 @@ impl ImapTiming {
     /// Reduction-tree depth for a `rows × cols` candidate matrix:
     /// `ceil(log2(rows*cols))` comparator levels.
     #[must_use]
-    pub fn reduce_cycles(&self, window_rows: usize, window_cols: usize) -> u64 {
+    fn reduce_cycles(&self, window_rows: usize, window_cols: usize) -> u64 {
         let cells = (window_rows * window_cols).max(2);
         u64::from(usize::BITS - (cells - 1).leading_zeros())
     }
 
     /// Cycles the `imap` FSM spends per instruction.
     #[must_use]
-    pub fn per_instr_cycles(&self, mapper: &MapperConfig) -> u64 {
+    fn per_instr_cycles(&self, mapper: &MapperConfig) -> u64 {
         self.fetch
             + self.gen_candidates
             + self.filter
@@ -168,127 +168,127 @@ pub fn reconfig_latency(
     ConfigLatency { ldfg_cycles: 0, transfer_cycles: 0, ..full }
 }
 
-/// One state of the `imap` state machine (paper Fig. 8). Each state
-/// corresponds to specific lines of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImapState {
-    /// Idle / waiting for the next instruction (between instructions).
-    Idle,
-    /// Read the instruction and its sources from the LDFG (Alg. 1 l.2-3).
-    Fetch,
-    /// Generate the candidate matrix `C_i` (l.4).
-    GenCandidates,
-    /// Apply `F_free ⊙ F_op` (l.5).
-    Filter,
-    /// Evaluate the latency matrix (l.8-12, parallel in hardware).
-    LatencyEval,
-    /// Reduce to the arg-min position (l.13-16), one tree level per cycle.
-    Reduce {
-        /// Remaining comparator levels.
-        levels_left: u64,
-    },
-    /// Commit the position to the SDFG and update `F_free` (l.19).
-    Writeback,
-}
-
-/// A cycle-steppable model of the `imap` FSM, used to validate that the
-/// closed-form [`ImapTiming::per_instr_cycles`] matches the state machine
-/// the paper's timing diagram describes.
-#[derive(Debug, Clone)]
-pub struct ImapFsm {
-    timing: ImapTiming,
-    reduce_levels: u64,
-    state: ImapState,
-    /// Cycles spent in the current state.
-    dwell: u64,
-    /// Total cycles consumed since reset.
-    pub cycles: u64,
-    /// Instructions mapped since reset.
-    pub mapped: u64,
-}
-
-impl ImapFsm {
-    /// Builds the FSM for a given candidate window.
-    #[must_use]
-    pub fn new(timing: ImapTiming, mapper: &MapperConfig) -> Self {
-        let reduce_levels = timing.reduce_cycles(mapper.window_rows, mapper.window_cols);
-        ImapFsm { timing, reduce_levels, state: ImapState::Idle, dwell: 0, cycles: 0, mapped: 0 }
-    }
-
-    /// Current state.
-    #[must_use]
-    pub fn state(&self) -> ImapState {
-        self.state
-    }
-
-    /// Begins mapping the next instruction.
-    ///
-    /// # Panics
-    /// Panics if the FSM is mid-instruction (not `Idle`).
-    pub fn start_instruction(&mut self) {
-        assert_eq!(self.state, ImapState::Idle, "imap busy");
-        self.state = ImapState::Fetch;
-        self.dwell = 0;
-    }
-
-    /// Advances one cycle; returns `true` when an instruction finished
-    /// this cycle.
-    pub fn step(&mut self) -> bool {
-        use ImapState::*;
-        if self.state == Idle {
-            return false;
-        }
-        self.cycles += 1;
-        self.dwell += 1;
-        let (dwell_needed, next) = match self.state {
-            // Guarded above; kept as a no-progress arm rather than a panic
-            // so a corrupted state machine degrades instead of aborting.
-            Idle => return false,
-            Fetch => (self.timing.fetch, GenCandidates),
-            GenCandidates => (self.timing.gen_candidates, Filter),
-            Filter => (self.timing.filter, LatencyEval),
-            LatencyEval => (
-                self.timing.latency_eval,
-                Reduce { levels_left: self.reduce_levels },
-            ),
-            Reduce { levels_left } => {
-                // One comparator level per cycle.
-                if levels_left > 1 {
-                    self.state = Reduce { levels_left: levels_left - 1 };
-                } else {
-                    self.state = Writeback;
-                }
-                self.dwell = 0;
-                return false;
-            }
-            Writeback => (self.timing.writeback, Idle),
-        };
-        if self.dwell >= dwell_needed {
-            self.state = next;
-            self.dwell = 0;
-            if self.state == Idle {
-                self.mapped += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Runs the FSM to completion over `n` instructions and returns the
-    /// total cycles.
-    pub fn map_instructions(&mut self, n: u64) -> u64 {
-        let start = self.cycles;
-        for _ in 0..n {
-            self.start_instruction();
-            while !self.step() {}
-        }
-        self.cycles - start
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One state of the `imap` state machine (paper Fig. 8). Each state
+    /// corresponds to specific lines of Algorithm 1.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum ImapState {
+        /// Idle / waiting for the next instruction (between instructions).
+        Idle,
+        /// Read the instruction and its sources from the LDFG (Alg. 1 l.2-3).
+        Fetch,
+        /// Generate the candidate matrix `C_i` (l.4).
+        GenCandidates,
+        /// Apply `F_free ⊙ F_op` (l.5).
+        Filter,
+        /// Evaluate the latency matrix (l.8-12, parallel in hardware).
+        LatencyEval,
+        /// Reduce to the arg-min position (l.13-16), one tree level per cycle.
+        Reduce {
+            /// Remaining comparator levels.
+            levels_left: u64,
+        },
+        /// Commit the position to the SDFG and update `F_free` (l.19).
+        Writeback,
+    }
+
+    /// A cycle-steppable model of the `imap` FSM: the test oracle that the
+    /// closed-form [`ImapTiming::per_instr_cycles`] matches the state machine
+    /// the paper's timing diagram describes.
+    #[derive(Debug, Clone)]
+    struct ImapFsm {
+        timing: ImapTiming,
+        reduce_levels: u64,
+        state: ImapState,
+        /// Cycles spent in the current state.
+        dwell: u64,
+        /// Total cycles consumed since reset.
+        cycles: u64,
+        /// Instructions mapped since reset.
+        mapped: u64,
+    }
+
+    impl ImapFsm {
+        /// Builds the FSM for a given candidate window.
+        #[must_use]
+        fn new(timing: ImapTiming, mapper: &MapperConfig) -> Self {
+            let reduce_levels = timing.reduce_cycles(mapper.window_rows, mapper.window_cols);
+            ImapFsm { timing, reduce_levels, state: ImapState::Idle, dwell: 0, cycles: 0, mapped: 0 }
+        }
+
+        /// Current state.
+        #[must_use]
+        fn state(&self) -> ImapState {
+            self.state
+        }
+
+        /// Begins mapping the next instruction.
+        ///
+        /// # Panics
+        /// Panics if the FSM is mid-instruction (not `Idle`).
+        fn start_instruction(&mut self) {
+            assert_eq!(self.state, ImapState::Idle, "imap busy");
+            self.state = ImapState::Fetch;
+            self.dwell = 0;
+        }
+
+        /// Advances one cycle; returns `true` when an instruction finished
+        /// this cycle.
+        fn step(&mut self) -> bool {
+            use ImapState::*;
+            if self.state == Idle {
+                return false;
+            }
+            self.cycles += 1;
+            self.dwell += 1;
+            let (dwell_needed, next) = match self.state {
+                // Guarded above; kept as a no-progress arm rather than a panic
+                // so a corrupted state machine degrades instead of aborting.
+                Idle => return false,
+                Fetch => (self.timing.fetch, GenCandidates),
+                GenCandidates => (self.timing.gen_candidates, Filter),
+                Filter => (self.timing.filter, LatencyEval),
+                LatencyEval => (
+                    self.timing.latency_eval,
+                    Reduce { levels_left: self.reduce_levels },
+                ),
+                Reduce { levels_left } => {
+                    // One comparator level per cycle.
+                    if levels_left > 1 {
+                        self.state = Reduce { levels_left: levels_left - 1 };
+                    } else {
+                        self.state = Writeback;
+                    }
+                    self.dwell = 0;
+                    return false;
+                }
+                Writeback => (self.timing.writeback, Idle),
+            };
+            if self.dwell >= dwell_needed {
+                self.state = next;
+                self.dwell = 0;
+                if self.state == Idle {
+                    self.mapped += 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        /// Runs the FSM to completion over `n` instructions and returns the
+        /// total cycles.
+        fn map_instructions(&mut self, n: u64) -> u64 {
+            let start = self.cycles;
+            for _ in 0..n {
+                self.start_instruction();
+                while !self.step() {}
+            }
+            self.cycles - start
+        }
+    }
 
     #[test]
     fn fsm_matches_closed_form() {

@@ -65,12 +65,12 @@ pub mod memopt;
 pub mod optimizer;
 
 pub use artifact_cache::{ArtifactCacheStats, SharedArtifactCache};
-pub use configure::{build_accel_program, choose_tiles, ConfigCache, OptFlags};
+pub use configure::{build_accel_program, ConfigCache, OptFlags};
 pub use controller::{
-    fast_forward_enabled, run_offload, run_offload_with, set_fast_forward, MesaController,
-    MesaError, OffloadReport, ProgramRunReport, RunOptions, SystemConfig,
+    run_offload, run_offload_with, MesaController, MesaError, OffloadReport, ProgramRunReport,
+    RunOptions, SystemConfig,
 };
-pub use detect::{check_region, estimate_trip_count, DetectConfig, DetectedRegion, RejectReason};
+pub use detect::{check_region, DetectConfig, DetectedRegion, RejectReason};
 pub use fabric::{
     run_tenants_fleet, run_tenants_fleet_shared, Admission, FabricError, FabricManager,
     FleetDriver, FleetRun, FleetStats, HostStats, TenantId, TenantJob, TenantProgress,

@@ -102,7 +102,7 @@ impl Sdfg {
 
     /// The node placed at `c`, if any.
     #[must_use]
-    pub fn node_at(&self, c: Coord) -> Option<u32> {
+    fn node_at(&self, c: Coord) -> Option<u32> {
         self.placement
             .iter()
             .position(|&p| p == Some(c))

@@ -56,7 +56,7 @@ pub struct CpiModel {
 impl CpiModel {
     /// Derives the estimate model from the timed core's configuration.
     #[must_use]
-    pub fn from_config(cfg: &CoreConfig) -> Self {
+    fn from_config(cfg: &CoreConfig) -> Self {
         CpiModel {
             issue_width: u64::from(cfg.issue_width).max(1),
             mispredict_penalty: cfg.mispredict_penalty,

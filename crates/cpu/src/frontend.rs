@@ -239,7 +239,8 @@ impl TraceCache {
 
     /// Fraction of the region captured so far.
     #[must_use]
-    pub fn fill_ratio(&self) -> f64 {
+    #[cfg(test)]
+    fn fill_ratio(&self) -> f64 {
         if self.fresh.is_empty() {
             return 0.0;
         }

@@ -26,18 +26,6 @@ pub struct MulticoreResult {
     pub retired: u64,
 }
 
-impl MulticoreResult {
-    /// Aggregate throughput in instructions per cycle.
-    #[must_use]
-    pub fn aggregate_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.retired as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// A pool of identical out-of-order cores over one shared [`MemorySystem`].
 #[derive(Debug)]
 pub struct Multicore {
@@ -54,12 +42,6 @@ impl Multicore {
             cores: (0..n).map(|_| OoOCore::new(core_cfg)).collect(),
             mem: MemorySystem::new(mem_cfg, n),
         }
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// The shared memory system (for workload data setup).
@@ -117,7 +99,8 @@ impl Multicore {
 
     /// Runs `program` on core 0 only (serial region / non-parallel
     /// benchmark), leaving the other cores idle.
-    pub fn run_serial(
+    #[cfg(test)]
+    fn run_serial(
         &mut self,
         program: &Program,
         state: &mut ArchState,

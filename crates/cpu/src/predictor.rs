@@ -11,8 +11,6 @@ pub struct BranchPredictor {
     history_bits: u32,
     counters: Vec<u8>,
     btb: Vec<Option<(u64, u64)>>, // (tag pc, target)
-    hits: u64,
-    misses: u64,
 }
 
 impl Default for BranchPredictor {
@@ -36,8 +34,6 @@ impl BranchPredictor {
             history_bits,
             counters: vec![2; 1 << history_bits], // weakly taken
             btb: vec![None; btb_entries],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -48,13 +44,13 @@ impl BranchPredictor {
 
     /// Predicts the direction of the branch at `pc`.
     #[must_use]
-    pub fn predict_taken(&self, pc: u64) -> bool {
+    fn predict_taken(&self, pc: u64) -> bool {
         self.counters[self.index(pc)] >= 2
     }
 
     /// Predicted target from the BTB, if one is cached for `pc`.
     #[must_use]
-    pub fn predict_target(&self, pc: u64) -> Option<u64> {
+    fn predict_target(&self, pc: u64) -> Option<u64> {
         let slot = (pc >> 2) as usize % self.btb.len();
         self.btb[slot].and_then(|(tag, tgt)| (tag == pc).then_some(tgt))
     }
@@ -81,19 +77,7 @@ impl BranchPredictor {
             let slot = (pc >> 2) as usize % self.btb.len();
             self.btb[slot] = Some((pc, target));
         }
-
-        if correct {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
         correct
-    }
-
-    /// `(correct, incorrect)` prediction counts.
-    #[must_use]
-    pub fn accuracy_counts(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -132,10 +116,7 @@ mod tests {
     fn mispredict_counted() {
         let mut p = BranchPredictor::default();
         // Fresh counters are weakly-taken; a not-taken branch mispredicts.
-        let correct = p.update(0x3000, false, 0);
-        assert!(!correct);
-        let (_, wrong) = p.accuracy_counts();
-        assert_eq!(wrong, 1);
+        assert!(!p.update(0x3000, false, 0));
     }
 
     #[test]

@@ -363,59 +363,6 @@ impl Asm {
         })
     }
 
-    /// Emits `fcvt.s.w rd, rs1` (int → float).
-    pub fn fcvt_s_w(&mut self, rd: Reg, rs1: Reg) -> &mut Self {
-        self.raw(Instruction {
-            op: Opcode::FcvtSW,
-            rd: Some(rd),
-            rs1: Some(rs1),
-            rs2: None,
-            rs3: None,
-            imm: 0,
-        })
-    }
-
-    /// Emits `fcvt.w.s rd, rs1` (float → int, toward zero in this model).
-    pub fn fcvt_w_s(&mut self, rd: Reg, rs1: Reg) -> &mut Self {
-        self.raw(Instruction {
-            op: Opcode::FcvtWS,
-            rd: Some(rd),
-            rs1: Some(rs1),
-            rs2: None,
-            rs3: None,
-            imm: 0,
-        })
-    }
-
-    /// Emits `fmv.w.x rd, rs1`.
-    pub fn fmv_w_x(&mut self, rd: Reg, rs1: Reg) -> &mut Self {
-        self.raw(Instruction {
-            op: Opcode::FmvWX,
-            rd: Some(rd),
-            rs1: Some(rs1),
-            rs2: None,
-            rs3: None,
-            imm: 0,
-        })
-    }
-
-    /// Emits `fmv.x.w rd, rs1`.
-    pub fn fmv_x_w(&mut self, rd: Reg, rs1: Reg) -> &mut Self {
-        self.raw(Instruction {
-            op: Opcode::FmvXW,
-            rd: Some(rd),
-            rs1: Some(rs1),
-            rs2: None,
-            rs3: None,
-            imm: 0,
-        })
-    }
-
-    /// Emits `fmadd.s rd, rs1, rs2, rs3`.
-    pub fn fmadd_s(&mut self, rd: Reg, rs1: Reg, rs2: Reg, rs3: Reg) -> &mut Self {
-        self.raw(Instruction::reg4(Opcode::FmaddS, rd, rs1, rs2, rs3))
-    }
-
     /// Emits `lui rd, imm` (`imm` is the full value, low 12 bits zero).
     pub fn lui(&mut self, rd: Reg, imm: i64) -> &mut Self {
         self.raw(Instruction::upper(Opcode::Lui, rd, imm))

@@ -82,7 +82,8 @@ impl ArchState {
 
     /// Reads an FP register as an `f32`.
     #[must_use]
-    pub fn read_f32(&self, n: u8) -> f32 {
+    #[cfg(test)]
+    fn read_f32(&self, n: u8) -> f32 {
         f32::from_bits(self.f[n as usize])
     }
 
@@ -170,6 +171,7 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
         }
     };
     let wf = |v: f32| u64::from(v.to_bits());
+    let branch = |taken: bool| Outcome::Branch { taken, target: pc.wrapping_add(imm as u64) };
 
     match instr.op {
         Lui => write_rd(state, imm as u64),
@@ -183,20 +185,12 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
             write_rd(state, pc.wrapping_add(4));
             outcome = Outcome::Jump { target };
         }
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            let (s1, s2) = (rs1v as i64, rs2v as i64);
-            let (u1, u2) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            let taken = match instr.op {
-                Beq => rs1v == rs2v,
-                Bne => rs1v != rs2v,
-                Blt => s1 < s2,
-                Bge => s1 >= s2,
-                Bltu => u1 < u2,
-                Bgeu => u1 >= u2,
-                _ => unreachable!(),
-            };
-            outcome = Outcome::Branch { taken, target: pc.wrapping_add(imm as u64) };
-        }
+        Beq => outcome = branch(rs1v == rs2v),
+        Bne => outcome = branch(rs1v != rs2v),
+        Blt => outcome = branch((rs1v as i64) < rs2v as i64),
+        Bge => outcome = branch(rs1v as i64 >= rs2v as i64),
+        Bltu => outcome = branch(state.unsigned(rs1v) < state.unsigned(rs2v)),
+        Bgeu => outcome = branch(state.unsigned(rs1v) >= state.unsigned(rs2v)),
         Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw => {
             let addr = rs1v.wrapping_add(imm as u64);
             let width = instr.op.mem_width().expect("load width");

@@ -50,7 +50,6 @@ pub mod codec;
 pub mod exec;
 pub mod instr;
 pub mod opcode;
-pub mod parse;
 pub mod reg;
 
 pub use asm::{Annotation, Asm, AsmError, ParallelKind, Program};
@@ -61,5 +60,4 @@ pub use exec::{
 };
 pub use instr::Instruction;
 pub use opcode::{OpClass, Opcode};
-pub use parse::{parse_program, ParseError};
 pub use reg::Reg;

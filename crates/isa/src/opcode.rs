@@ -190,12 +190,6 @@ impl Opcode {
         self.class() == OpClass::Jump
     }
 
-    /// `true` for any control-transfer instruction.
-    #[must_use]
-    pub fn is_control(self) -> bool {
-        self.is_branch() || self.is_jump()
-    }
-
     /// `true` for system instructions that disqualify a loop from
     /// acceleration (paper §4.1, condition C2).
     #[must_use]
@@ -247,7 +241,7 @@ impl Opcode {
 
     /// The assembler mnemonic for this opcode.
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    fn mnemonic(self) -> &'static str {
         use Opcode::*;
         match self {
             Lui => "lui", Auipc => "auipc", Jal => "jal", Jalr => "jalr",

@@ -37,7 +37,7 @@ impl CacheConfig {
     /// Panics if the geometry is degenerate (zero sets or non-power-of-two
     /// line size).
     #[must_use]
-    pub fn num_sets(&self) -> usize {
+    fn num_sets(&self) -> usize {
         assert!(self.line.is_power_of_two(), "line size must be a power of two");
         let sets = self.size / (self.ways * self.line);
         assert!(sets > 0, "cache must have at least one set");
@@ -59,7 +59,8 @@ pub struct CacheStats {
 impl CacheStats {
     /// Miss rate in `[0, 1]`; zero when no accesses occurred.
     #[must_use]
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

@@ -86,7 +86,8 @@ impl SparseMemory {
 
     /// Number of pages touched so far (footprint / 4 KiB).
     #[must_use]
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
         self.direct.iter().filter(|p| p.is_some()).count() + self.pages.len()
     }
 

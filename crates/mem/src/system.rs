@@ -306,7 +306,8 @@ impl MemorySystem {
 
     /// Invalidates all cache state (e.g. between benchmark runs) while
     /// keeping the functional data.
-    pub fn flush_caches(&mut self) {
+    #[cfg(test)]
+    fn flush_caches(&mut self) {
         for l1 in &mut self.l1s {
             l1.flush();
         }

@@ -71,13 +71,14 @@ pub fn accel_area_mm2(pes: usize) -> f64 {
 /// estimates the 16-core baseline at "at least >27.5 mm²" — i.e. ≥1.72
 /// mm²/core.
 #[must_use]
-pub fn cpu_core_area_mm2() -> f64 {
+fn cpu_core_area_mm2() -> f64 {
     1.72
 }
 
 /// Multicore baseline area in mm².
 #[must_use]
-pub fn multicore_area_mm2(cores: usize) -> f64 {
+#[cfg(test)]
+fn multicore_area_mm2(cores: usize) -> f64 {
     cpu_core_area_mm2() * cores as f64
 }
 

@@ -17,8 +17,8 @@ pub mod area;
 pub mod energy;
 
 pub use area::{
-    accel_area_mm2, core_additions_mm2, cpu_core_area_mm2, mesa_area_mm2, multicore_area_mm2,
-    per_core_overhead_fraction, table1_rows, Table1Row,
+    accel_area_mm2, core_additions_mm2, mesa_area_mm2, per_core_overhead_fraction, table1_rows,
+    Table1Row,
 };
 pub use energy::{
     accel_energy, amortization_series, break_even_iterations, config_energy, cpu_energy,

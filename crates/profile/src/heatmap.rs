@@ -113,7 +113,7 @@ impl SpatialProfile {
 
     /// PEs with at least one fire.
     #[must_use]
-    pub fn occupied_pes(&self) -> usize {
+    fn occupied_pes(&self) -> usize {
         self.cells.iter().filter(|c| c.fires > 0).count()
     }
 

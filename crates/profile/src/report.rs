@@ -190,7 +190,7 @@ impl ProfileReport {
     /// Fraction of CPU-retired instructions covered by fused pairs (two
     /// constituents per pair); `0.0` when nothing retired.
     #[must_use]
-    pub fn fusion_hit_rate(&self) -> f64 {
+    fn fusion_hit_rate(&self) -> f64 {
         if self.cpu_retired == 0 {
             0.0
         } else {

@@ -313,23 +313,20 @@ fn bench_host_profiler(suite: &mut BenchSuite) {
 /// from the cache, only the simulated phases run). `scripts/ci.sh` gates
 /// warm against cold.
 fn bench_serve(suite: &mut BenchSuite) {
-    // The serving layer fast-forwards warmup by default in production
-    // use; pin it on for the pair and restore so other benches keep
-    // their configuration.
-    let was_ff = mesa_core::fast_forward_enabled();
-    mesa_core::set_fast_forward(true);
+    // Both sides fast-forward warmup, as `mesa-serve --fast-forward`
+    // does.
     let serve = |engine: &ServeEngine, data_seed: u64| {
         let r = engine.handle(&bench_request(data_seed));
         assert!(r.ok, "bench kernel must offload: {}", r.render);
         black_box(r);
         0
     };
-    let warm_engine = ServeEngine::new();
+    let warm_engine = ServeEngine::with_fast_forward(true);
     serve(&warm_engine, u64::MAX);
     let (mut i, mut j) = (0u64, 0u64);
     let mut cold = || {
         i += 1;
-        serve(&ServeEngine::new(), i)
+        serve(&ServeEngine::with_fast_forward(true), i)
     };
     let mut warm = || {
         j += 1;
@@ -341,7 +338,6 @@ fn bench_serve(suite: &mut BenchSuite) {
         &mut [("serve/repeat_kernel_cold", &mut cold), ("serve/repeat_kernel_warm", &mut warm)],
     );
     assert!(warm_engine.stats().hits() > 0, "warm side must hit the shared cache");
-    mesa_core::set_fast_forward(was_ff);
 }
 
 fn main() {

@@ -9,6 +9,10 @@
 //! simulations out over N worker threads; output is byte-identical for
 //! every worker count (defaults to the machine's available parallelism).
 //!
+//! `--fast-forward` runs every episode's CPU warmup through the
+//! functional fast-forward interpreter (estimated warmup cycles), for
+//! quick large-size runs.
+//!
 //! Passing `--trace <path>` (or setting `MESA_TRACE=<path>`) captures a
 //! cycle-timestamped trace of one full `nn` offload episode: a Chrome
 //! trace-event file at `<path>` (load in Perfetto or `chrome://tracing`),
@@ -51,7 +55,8 @@ fn main() {
     let mut host_path = std::env::var("MESA_HOST_PROFILE").ok().filter(|p| !p.is_empty());
     let mut host_clock = std::env::var("MESA_HOST_CLOCK").ok().filter(|c| !c.is_empty());
     let mut rest: Vec<String> = Vec::new();
-    let mut args = bench::cli::fast_forward_args().into_iter();
+    let (ff, args) = bench::cli::fast_forward_args();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--trace" {
             trace_path = args.next();
@@ -99,11 +104,11 @@ fn main() {
     // `all` does not silently write capture files.
     if what == "trace" || trace_path.is_some() {
         let _s = host::span("figures.trace");
-        capture_trace(trace_path.as_deref().unwrap_or("mesa_trace.json"), size);
+        capture_trace(trace_path.as_deref().unwrap_or("mesa_trace.json"), size, ff);
     }
     if what == "profile" || profile_path.is_some() {
         let _s = host::span("figures.profile");
-        capture_profile(profile_path.as_deref().unwrap_or("mesa_profile.json"), size);
+        capture_profile(profile_path.as_deref().unwrap_or("mesa_profile.json"), size, ff);
     }
     if run("table1") {
         let _s = host::span("figures.table1");
@@ -111,27 +116,27 @@ fn main() {
     }
     if run("fig11") {
         let _s = host::span("figures.fig11");
-        print_fig11(size);
+        print_fig11(size, ff);
     }
     if run("fig12") {
         let _s = host::span("figures.fig12");
-        print_fig12(size);
+        print_fig12(size, ff);
     }
     if run("fig13") {
         let _s = host::span("figures.fig13");
-        print_fig13(size);
+        print_fig13(size, ff);
     }
     if run("fig14") {
         let _s = host::span("figures.fig14");
-        print_fig14(size);
+        print_fig14(size, ff);
     }
     if run("fig15") {
         let _s = host::span("figures.fig15");
-        print_fig15(size);
+        print_fig15(size, ff);
     }
     if run("fig16") {
         let _s = host::span("figures.fig16");
-        print_fig16(size);
+        print_fig16(size, ff);
     }
     if run("table2") {
         let _s = host::span("figures.table2");
@@ -139,7 +144,7 @@ fn main() {
     }
     if run("crossover") {
         let _s = host::span("figures.crossover");
-        print_crossover(size);
+        print_crossover(size, ff);
     }
 
     if let Some(path) = host_path.as_deref() {
@@ -212,12 +217,12 @@ fn set_jobs_arg(value: Option<&str>) {
     }
 }
 
-fn capture_trace(path: &str, size: KernelSize) {
+fn capture_trace(path: &str, size: KernelSize, ff: bool) {
     let kernel = by_name("nn", size).expect("nn is registered");
     let mut tracer = RingTracer::new(1 << 16);
     let run = bench::mesa_offload_with(
         &kernel,
-        &SystemConfig::m128(),
+        &SystemConfig { fast_forward: ff, ..SystemConfig::m128() },
         bench::BASELINE_CORES,
         &RunOptions::default(),
         &mut tracer,
@@ -241,18 +246,18 @@ fn capture_trace(path: &str, size: KernelSize) {
     );
 }
 
-fn capture_profile(path: &str, size: KernelSize) {
+fn capture_profile(path: &str, size: KernelSize, ff: bool) {
     let kernel = by_name("nn", size).expect("nn is registered");
-    let (_, profile) =
-        bench::mesa_profile(&kernel, &SystemConfig::m128(), bench::BASELINE_CORES);
+    let system = SystemConfig { fast_forward: ff, ..SystemConfig::m128() };
+    let (_, profile) = bench::mesa_profile(&kernel, &system, bench::BASELINE_CORES);
     std::fs::write(path, profile.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("== Profile: one nn offload episode on M-128 ==");
     println!("{}", profile.render());
     println!("wrote profile report to {path}\n");
 }
 
-fn print_crossover(size: KernelSize) {
-    let (rows, [mesa_wins, dora_wins]) = bench::crossover(size);
+fn print_crossover(size: KernelSize, ff: bool) {
+    let (rows, [mesa_wins, dora_wins]) = bench::crossover(size, ff);
     println!("== Extra: config-time vs optimization trade-off (nn, total cycles) ==");
     println!("{:>10} {:>14} {:>14} {:>14}", "iters", "DynaSpAM", "MESA", "DORA");
     for r in rows {
@@ -281,13 +286,13 @@ fn print_table1() {
     );
 }
 
-fn print_fig11(size: KernelSize) {
+fn print_fig11(size: KernelSize, ff: bool) {
     println!("== Fig. 11: performance & energy efficiency vs 16-core baseline ==");
     println!(
         "{:<14} {:>9} {:>9} {:>11} {:>11} {:>7}",
         "benchmark", "perf M128", "perf M512", "energy M128", "energy M512", "reject"
     );
-    let (rows, means) = bench::fig11(size);
+    let (rows, means) = bench::fig11(size, ff);
     for r in &rows {
         println!(
             "{:<14} {:>8.2}x {:>8.2}x {:>10.2}x {:>10.2}x {:>7}",
@@ -311,13 +316,13 @@ fn print_fig11(size: KernelSize) {
     println!();
 }
 
-fn print_fig12(size: KernelSize) {
+fn print_fig12(size: KernelSize, ff: bool) {
     println!("== Fig. 12: per-iteration IPC vs OpenCGRA (M-128-class fabric) ==");
     println!(
         "{:<14} {:>7} {:>12} {:>12} {:>12}",
         "benchmark", "instrs", "MESA no-opt", "OpenCGRA", "MESA +opt"
     );
-    for r in bench::fig12(size) {
+    for r in bench::fig12(size, ff) {
         println!(
             "{:<14} {:>7} {:>12.2} {:>12.2} {:>12.2}",
             r.name, r.loop_instrs, r.mesa_noopt_ipc, r.opencgra_ipc, r.mesa_opt_ipc
@@ -326,8 +331,8 @@ fn print_fig12(size: KernelSize) {
     println!("(paper: scheduling-only MESA falls slightly behind; MESA with optimizations wins)\n");
 }
 
-fn print_fig13(size: KernelSize) {
-    let rep = bench::fig13(size);
+fn print_fig13(size: KernelSize, ff: bool) {
+    let rep = bench::fig13(size, ff);
     println!("== Fig. 13: component breakdown (avg of {:?}) ==", rep.kernels);
     println!("area (mm^2):");
     for (name, mm2) in &rep.area {
@@ -347,13 +352,13 @@ fn print_fig13(size: KernelSize) {
     );
 }
 
-fn print_fig14(size: KernelSize) {
+fn print_fig14(size: KernelSize, ff: bool) {
     println!("== Fig. 14: M-64 vs single core vs DynaSpAM ==");
     println!(
         "{:<14} {:>10} {:>10} {:>14} {:>10}",
         "benchmark", "DynaSpAM", "M-64", "M-64+reconfig", "qualified"
     );
-    let (rows, means) = bench::fig14(size);
+    let (rows, means) = bench::fig14(size, ff);
     for r in &rows {
         println!(
             "{:<14} {:>9.2}x {:>9.2}x {:>13.2}x {:>10}",
@@ -370,10 +375,10 @@ fn print_fig14(size: KernelSize) {
     );
 }
 
-fn print_fig15(size: KernelSize) {
+fn print_fig15(size: KernelSize, ff: bool) {
     println!("== Fig. 15: PE scaling on nn (speedup over 16 PEs) ==");
     println!("{:>5} {:>10} {:>12} {:>8}", "PEs", "default", "ideal mem", "ideal");
-    for r in bench::fig15(size) {
+    for r in bench::fig15(size, ff) {
         println!(
             "{:>5} {:>9.2}x {:>11.2}x {:>7.2}x",
             r.pes, r.speedup, r.speedup_ideal_mem, r.ideal
@@ -382,8 +387,8 @@ fn print_fig15(size: KernelSize) {
     println!("(paper: near-perfect scaling until memory bottlenecks beyond 128 PEs)\n");
 }
 
-fn print_fig16(size: KernelSize) {
-    let (series, break_even) = bench::fig16(size);
+fn print_fig16(size: KernelSize, ff: bool) {
+    let (series, break_even) = bench::fig16(size, ff);
     println!("== Fig. 16: energy per iteration (nJ) vs iterations elapsed (nn) ==");
     println!("{:>10} {:>14}", "iters", "nJ/iteration");
     for (k, nj) in &series {

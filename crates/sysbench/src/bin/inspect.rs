@@ -29,7 +29,8 @@ fn main() {
     let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
     let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
     let mut rest: Vec<String> = Vec::new();
-    let mut args = mesa_bench::cli::fast_forward_args().into_iter();
+    let (fast_forward, args) = mesa_bench::cli::fast_forward_args();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--trace" {
             trace_path = args.next();
@@ -54,7 +55,7 @@ fn main() {
     // Full controller episode first: this is what the system would really
     // do, and it surfaces the rejection diagnostics for kernels that fail
     // C1–C3 (or never form a stable loop).
-    let system = mesa_core::SystemConfig::m128();
+    let system = mesa_core::SystemConfig { fast_forward, ..mesa_core::SystemConfig::m128() };
     let mut tracer = RingTracer::new(1 << 16);
     let mut sys_mem = MemorySystem::new(system.mem, 2);
     kernel.populate(sys_mem.data_mut());

@@ -17,7 +17,8 @@ use mesa_workloads::{by_name, KernelSize};
 fn main() {
     let mut out = String::from("mesa_profile.json");
     let mut rest: Vec<String> = Vec::new();
-    let mut args = bench::cli::fast_forward_args().into_iter();
+    let (fast_forward, args) = bench::cli::fast_forward_args();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--out" {
             out = args.next().expect("--out needs a path");
@@ -36,7 +37,8 @@ fn main() {
     let kernel = by_name(name, size)
         .unwrap_or_else(|| panic!("unknown kernel {name}; see `figures` for the suite"));
 
-    let (_, profile) = bench::mesa_profile(&kernel, &SystemConfig::m128(), bench::BASELINE_CORES);
+    let system = SystemConfig { fast_forward, ..SystemConfig::m128() };
+    let (_, profile) = bench::mesa_profile(&kernel, &system, bench::BASELINE_CORES);
 
     // The report's invariants are cheap to check and catastrophic to
     // ship broken — fail loudly here rather than in a consumer.

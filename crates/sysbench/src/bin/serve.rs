@@ -22,7 +22,7 @@
 //!              [--host-clock real|mock[:STEP_NS]] [--fast-forward]
 
 use mesa_bench::cli::{self, CliError};
-use mesa_bench::serve::{bench_request, loadgen, one_shot, GridSpec, ServeEngine};
+use mesa_bench::serve::{bench_request, loadgen, GridSpec, ServeEngine};
 use mesa_bench::{pool, SERVE_KERNELS};
 use mesa_trace::host::{self, HostClock, MockClock, RealClock};
 use std::process::ExitCode;
@@ -52,10 +52,11 @@ struct Options {
     tenants: usize,
     migrate_every: u64,
     bench: bool,
+    fast_forward: bool,
     clock: Box<dyn HostClock>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, CliError> {
+fn parse_args(fast_forward: bool, args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         requests: 32,
         kernels: 4,
@@ -67,6 +68,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         tenants: 0,
         migrate_every: 3,
         bench: false,
+        fast_forward,
         clock: Box::new(RealClock::new()),
     };
     let mut i = 0;
@@ -151,13 +153,13 @@ fn run_bench(opts: &mut Options) {
 
     let t0 = opts.clock.now_ns();
     for i in 0..n {
-        let engine = ServeEngine::new();
+        let engine = ServeEngine::with_fast_forward(opts.fast_forward);
         let r = engine.handle(&bench_request(i));
         assert!(r.ok, "bench kernel must offload: {}", r.render);
     }
     let cold_ns = opts.clock.now_ns().saturating_sub(t0);
 
-    let engine = ServeEngine::new();
+    let engine = ServeEngine::with_fast_forward(opts.fast_forward);
     let _ = engine.handle(&bench_request(u64::MAX)); // prime
     let t1 = opts.clock.now_ns();
     for i in 0..n {
@@ -181,8 +183,8 @@ fn run_bench(opts: &mut Options) {
 
 fn main() -> ExitCode {
     mesa_trace::alloc::set_counting(true);
-    let args = cli::fast_forward_args();
-    let mut opts = match parse_args(&args) {
+    let (fast_forward, args) = cli::fast_forward_args();
+    let mut opts = match parse_args(fast_forward, &args) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("mesa-serve: {e}");
@@ -195,7 +197,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let engine = ServeEngine::new();
+    let engine = ServeEngine::with_fast_forward(opts.fast_forward);
     let mut failures = 0usize;
 
     // Phase 1: the solo request stream through the worker pool.
@@ -219,7 +221,7 @@ fn main() -> ExitCode {
 
     if opts.selfcheck {
         for (i, (req, resp)) in reqs.iter().zip(&responses).enumerate() {
-            let reference = one_shot(req);
+            let reference = engine.reference(req);
             if reference != *resp {
                 eprintln!(
                     "mesa-serve: SELFCHECK FAILURE at request {i}: cached response \

@@ -139,6 +139,7 @@ fn episode(
     tenants: usize,
     migrate_every: u64,
     force_fault: bool,
+    fast_forward: bool,
     agg: &mut FleetAggregate,
 ) -> bool {
     let mut ok = true;
@@ -161,14 +162,14 @@ fn episode(
     // Controller survival is sampled: it runs a full offload episode, so
     // exercise it on every 4th seed to keep the smoke loop fast.
     if seed.is_multiple_of(4) {
-        if let Err(msg) = controller_episode(seed) {
+        if let Err(msg) = controller_episode(seed, fast_forward) {
             eprintln!("seed {seed:#018x}: CONTROLLER FAULT-EPISODE FAILURE\n{msg}");
             eprintln!("replay with: soak --replay {seed:#x}");
             ok = false;
         }
     }
     if tenants > 0 {
-        match tenants_episode_fleet(seed, tenants, migrate_every, force_fault) {
+        match tenants_episode_fleet(seed, tenants, migrate_every, force_fault, fast_forward) {
             Ok((stats, fleet, post_mortem)) => {
                 println!(
                     "seed {seed:#018x}: tenants ok — {} tenant(s), {} migration(s), {} decline(s), {} fleet cycles",
@@ -195,7 +196,7 @@ fn episode(
 fn main() -> ExitCode {
     let mut wall = host::RealClock::new();
     mesa_trace::alloc::set_counting(true);
-    let args = cli::fast_forward_args();
+    let (fast_forward, args) = cli::fast_forward_args();
     let Options {
         iters,
         base_seed,
@@ -219,7 +220,7 @@ fn main() -> ExitCode {
     let episodes;
     if let Some(seed) = replay {
         episodes = 1;
-        if !episode(seed, tenants, migrate_every, force_fault, &mut agg) {
+        if !episode(seed, tenants, migrate_every, force_fault, fast_forward, &mut agg) {
             failures += 1;
         }
     } else {
@@ -227,7 +228,7 @@ fn main() -> ExitCode {
         let mut state = base_seed;
         for _ in 0..iters {
             let seed = splitmix64(&mut state);
-            if !episode(seed, tenants, migrate_every, force_fault, &mut agg) {
+            if !episode(seed, tenants, migrate_every, force_fault, fast_forward, &mut agg) {
                 failures += 1;
             }
         }

@@ -39,7 +39,7 @@
 //!   `MEAN` speedup/energy rows of two captured `figures` fig11 outputs
 //!   column by column and fails when any column's relative difference
 //!   exceeds `max_rel_err` (`b` is the reference). Used by `scripts/ci.sh`
-//!   to check that a `MESA_FASTFWD=1` figures run reproduces the default
+//!   to check that a `figures --fast-forward` run reproduces the default
 //!   run's speedup table within the fast-forward model's error bound.
 //! * `tracecheck fleetstats <stats.json>` — validates a
 //!   `"schema":"mesa.fleetstats/v1"` export (from `soak --fleetstats` or

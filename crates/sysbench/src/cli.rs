@@ -44,20 +44,16 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// The process's command-line arguments (program name skipped) with the
-/// shared `--fast-forward` switch taken out. That flag, or
-/// `MESA_FASTFWD=1` in the environment, turns process-wide functional
-/// fast-forward on ([`mesa_core::set_fast_forward`]); nothing turns it
-/// off. Call it first in `main`: `SystemConfig` copies the switch at
-/// construction, so it must be set before any worker thread builds one.
+/// shared `--fast-forward` switch taken out, plus whether it was given.
+/// The flag is the only way to turn functional fast-forward on: the
+/// binary sets [`mesa_core::SystemConfig::fast_forward`] on every config
+/// it builds, or passes the flag to the library helper that builds them.
 #[must_use]
-pub fn fast_forward_args() -> Vec<String> {
+pub fn fast_forward_args() -> (bool, Vec<String>) {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let given = args.len();
     args.retain(|a| a != "--fast-forward");
-    if args.len() != given || std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
-    args
+    (args.len() != given, args)
 }
 
 /// Takes the value following `flag` at `args[*i + 1]`, advancing `*i`.

@@ -1,6 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6), each
 //! returning structured rows that the `figures` binary prints and
-//! `EXPERIMENTS.md` records.
+//! `EXPERIMENTS.md` records. Every function that runs offload episodes
+//! takes `fast_forward`, which it sets as [`SystemConfig::fast_forward`]
+//! on each system it builds (`figures --fast-forward`).
 
 use crate::harness::{
     cpu_multicore, cpu_single, geomean, mesa_offload, region_ldfg, BaselineRun, MesaRun,
@@ -15,7 +17,7 @@ use mesa_power::{
     EnergyParams, Table1Row,
 };
 use mesa_workloads::{
-    all, by_name, Kernel, KernelSize, DYNASPAM_SHARED, OPENCGRA_COMPATIBLE, POWER_BREAKDOWN_SET,
+    all, by_name, KernelSize, DYNASPAM_SHARED, OPENCGRA_COMPATIBLE, POWER_BREAKDOWN_SET,
 };
 
 /// Cores in the multicore baseline (§6: "16-core quad-issue out-of-order
@@ -31,6 +33,12 @@ fn ratio(num: f64, den: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// The M-128 system, with CPU warmup fast-forwarded when `fast_forward`
+/// is set.
+fn m128(fast_forward: bool) -> SystemConfig {
+    SystemConfig { fast_forward, ..SystemConfig::m128() }
 }
 
 fn mesa_energy(run: &MesaRun, p: &EnergyParams) -> EnergyBreakdown {
@@ -96,7 +104,7 @@ pub fn reject_tag(reject: Option<&str>) -> &'static str {
 /// across the Rodinia kernels. Returns per-kernel rows plus the geometric
 /// means `(perf128, perf512, energy128, energy512)`.
 #[must_use]
-pub fn fig11(size: KernelSize) -> (Vec<Fig11Row>, [f64; 4]) {
+pub fn fig11(size: KernelSize, fast_forward: bool) -> (Vec<Fig11Row>, [f64; 4]) {
     let p = EnergyParams::default();
     let rows = par_map(all(size), |kernel| {
         let base = cpu_multicore(&kernel, BASELINE_CORES);
@@ -111,8 +119,8 @@ pub fn fig11(size: KernelSize) -> (Vec<Fig11Row>, [f64; 4]) {
             };
             (speedup, energy, run.declined.map(|e| e.to_string()))
         };
-        let (s128, e128, reject) = per_cfg(&SystemConfig::m128());
-        let (s512, e512, _) = per_cfg(&SystemConfig::m512());
+        let (s128, e128, reject) = per_cfg(&m128(fast_forward));
+        let (s512, e512, _) = per_cfg(&SystemConfig { fast_forward, ..SystemConfig::m512() });
         Fig11Row {
             name: kernel.name,
             speedup_m128: s128,
@@ -154,7 +162,7 @@ pub struct Fig12Row {
 /// Fig. 12: simulated per-iteration IPC against a similarly configured
 /// OpenCGRA, with and without MESA's optimizations.
 #[must_use]
-pub fn fig12(size: KernelSize) -> Vec<Fig12Row> {
+pub fn fig12(size: KernelSize, fast_forward: bool) -> Vec<Fig12Row> {
     let rows = par_map(OPENCGRA_COMPATIBLE.to_vec(), |name| {
         let kernel = by_name(name, size).expect("compatible kernel");
         let ldfg = region_ldfg(&kernel).expect("compatible region");
@@ -169,7 +177,7 @@ pub fn fig12(size: KernelSize) -> Vec<Fig12Row> {
         // overlap is inherent to the dataflow fabric, as software
         // pipelining is inherent to OpenCGRA's modulo schedule; "no
         // optimizations" disables tiling, memory opts, and reconfiguration.
-        let mut sys_noopt = SystemConfig::m128();
+        let mut sys_noopt = m128(fast_forward);
         sys_noopt.opts = OptFlags::none();
         sys_noopt.opts.pipelining = true;
         let noopt = mesa_offload(&kernel, &sys_noopt, BASELINE_CORES);
@@ -179,7 +187,7 @@ pub fn fig12(size: KernelSize) -> Vec<Fig12Row> {
             .map_or(0.0, |r| ratio(instrs as f64, r.cycles_per_iteration()));
 
         // MESA with its common optimizations (tiling, pipelining, etc.).
-        let opt = mesa_offload(&kernel, &SystemConfig::m128(), BASELINE_CORES);
+        let opt = mesa_offload(&kernel, &m128(fast_forward), BASELINE_CORES);
         let mesa_opt_ipc = opt
             .report
             .as_ref()
@@ -210,11 +218,11 @@ pub struct Fig13Report {
 
 /// Fig. 13: component breakdown averaged over nn/kmeans/hotspot/cfd.
 #[must_use]
-pub fn fig13(size: KernelSize) -> Fig13Report {
+pub fn fig13(size: KernelSize, fast_forward: bool) -> Fig13Report {
     let p = EnergyParams::default();
     let parts = par_map(POWER_BREAKDOWN_SET.to_vec(), |name| {
         let kernel = by_name(name, size).expect("registered");
-        let run = mesa_offload(&kernel, &SystemConfig::m128(), BASELINE_CORES);
+        let run = mesa_offload(&kernel, &m128(fast_forward), BASELINE_CORES);
         assert!(run.report.is_some(), "{name} must accelerate");
         mesa_energy(&run, &p)
     });
@@ -254,7 +262,7 @@ pub struct Fig14Row {
 /// kernels. Returns rows plus geomean speedups `(dynaspam, mesa64,
 /// mesa64+reconfig)` over the kernels where each qualifies.
 #[must_use]
-pub fn fig14(size: KernelSize) -> (Vec<Fig14Row>, [f64; 3]) {
+pub fn fig14(size: KernelSize, fast_forward: bool) -> (Vec<Fig14Row>, [f64; 3]) {
     let core = CoreConfig::dynaspam_host();
     let rows = par_map(DYNASPAM_SHARED.to_vec(), |name| {
         let kernel = by_name(name, size).expect("registered");
@@ -266,7 +274,7 @@ pub fn fig14(size: KernelSize) -> (Vec<Fig14Row>, [f64; 3]) {
             .map_or(1.0, |m| ratio(single.cycles as f64, m.cycles_for(kernel.iterations) as f64));
 
         // M-64 without iterative reconfiguration.
-        let mut sys = SystemConfig::m64();
+        let mut sys = SystemConfig { fast_forward, ..SystemConfig::m64() };
         sys.core = core;
         sys.opts.iterative = false;
         let run = mesa_offload(&kernel, &sys, 1);
@@ -274,7 +282,7 @@ pub fn fig14(size: KernelSize) -> (Vec<Fig14Row>, [f64; 3]) {
         let mesa64 = ratio(single.cycles as f64, run.cycles as f64);
 
         // M-64 with iterative reconfiguration.
-        let mut sys_it = SystemConfig::m64();
+        let mut sys_it = SystemConfig { fast_forward, ..SystemConfig::m64() };
         sys_it.core = core;
         sys_it.opts.iterative = true;
         let run_it = mesa_offload(&kernel, &sys_it, 1);
@@ -306,10 +314,10 @@ pub struct Fig15Row {
 
 /// Fig. 15: MESA performance scaling with PE count for `nn`.
 #[must_use]
-pub fn fig15(size: KernelSize) -> Vec<Fig15Row> {
+pub fn fig15(size: KernelSize, fast_forward: bool) -> Vec<Fig15Row> {
     let kernel = by_name("nn", size).expect("nn");
     let accel_cycles = |accel: AccelConfig| -> u64 {
-        let mut sys = SystemConfig::m128();
+        let mut sys = m128(fast_forward);
         sys.accel = accel;
         let run = mesa_offload(&kernel, &sys, 1);
         run.report.expect("nn accelerates").accel_cycles
@@ -333,10 +341,10 @@ pub fn fig15(size: KernelSize) -> Vec<Fig15Row> {
 /// `nn`, showing configuration-cost amortization. Returns `(points,
 /// break_even_iterations)`.
 #[must_use]
-pub fn fig16(size: KernelSize) -> (Vec<(u64, f64)>, u64) {
+pub fn fig16(size: KernelSize, fast_forward: bool) -> (Vec<(u64, f64)>, u64) {
     let p = EnergyParams::default();
     let kernel = by_name("nn", size).expect("nn");
-    let run = mesa_offload(&kernel, &SystemConfig::m128(), 1);
+    let run = mesa_offload(&kernel, &m128(fast_forward), 1);
     let report = run.report.expect("nn accelerates");
 
     // Sunk cost: MESA's configuration activity plus the CPU cycles burned
@@ -461,12 +469,12 @@ pub struct CrossoverRow {
 /// dora_beats_mesa_at)` crossover trip counts (`u64::MAX` = never within
 /// the sweep).
 #[must_use]
-pub fn crossover(size: KernelSize) -> (Vec<CrossoverRow>, [u64; 2]) {
+pub fn crossover(size: KernelSize, fast_forward: bool) -> (Vec<CrossoverRow>, [u64; 2]) {
     let kernel = by_name("nn", size).expect("nn");
     let ldfg = region_ldfg(&kernel).expect("nn region");
 
     // Measured MESA behaviour: config latency + steady per-iteration rate.
-    let run = mesa_offload(&kernel, &SystemConfig::m128(), 1);
+    let run = mesa_offload(&kernel, &m128(fast_forward), 1);
     let report = run.report.expect("nn accelerates");
     let mesa_config = report.config.total() + report.reconfig_cycles;
     let mesa_rate = report.cycles_per_iteration();
@@ -494,12 +502,6 @@ pub fn crossover(size: KernelSize) -> (Vec<CrossoverRow>, [u64; 2]) {
         first(&|r: &CrossoverRow| r.dora < r.mesa),
     ];
     (rows, crossings)
-}
-
-/// Convenience bundle for printing: which kernel set a figure uses.
-#[must_use]
-pub fn kernels_for_display(size: KernelSize) -> Vec<Kernel> {
-    all(size)
 }
 
 #[cfg(test)]

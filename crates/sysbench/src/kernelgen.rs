@@ -122,7 +122,7 @@ pub fn golden(program: &Program, seed: u64) -> (ArchState, MemorySystem) {
 /// one accelerator configuration. Returns `None` when the region is not
 /// translatable or the result fails validation (the episode is skipped).
 #[must_use]
-pub fn build_for(
+fn build_for(
     program: &Program,
     cfg: &AccelConfig,
     opts: &OptFlags,
@@ -264,17 +264,18 @@ pub fn differential_episode(seed: u64) -> Result<EpisodeStats, String> {
 }
 
 /// One controller-survival episode: a real workload offloaded under the
-/// full fault taxonomy. The episode must produce a report or a typed
+/// full fault taxonomy, with CPU warmup fast-forwarded when
+/// `fast_forward` is set. The episode must produce a report or a typed
 /// decline; a panic escapes to the soak harness and fails the run.
 ///
 /// # Errors
 /// Returns a description when the episode ends in an inconsistent state
 /// (neither report nor decline, or a zero-cycle measurement).
-pub fn controller_episode(seed: u64) -> Result<(), String> {
+pub fn controller_episode(seed: u64, fast_forward: bool) -> Result<(), String> {
     let mut s = seed ^ 0xC0FF_EE00;
     let kernels = mesa_workloads::all(KernelSize::Tiny);
     let kernel = &kernels[(splitmix64(&mut s) as usize) % kernels.len()];
-    let system = SystemConfig::m128();
+    let system = SystemConfig { fast_forward, ..SystemConfig::m128() };
     let grid = system.accel.grid();
     let plan = FaultPlan::from_seed(splitmix64(&mut s), grid.rows, grid.cols);
     let opts = RunOptions { faults: Some(plan), cache: None };
@@ -354,20 +355,10 @@ pub fn tenant_jobs(seed: u64, tenants: usize) -> (u64, Vec<(&'static str, Tenant
 /// bands are *not* pinned: concurrent admission may shrink a tiling, which
 /// legitimately changes timing but never results.)
 ///
-/// # Errors
-/// Returns a human-readable description of the first tenant whose shared
-/// run diverged from its solo run.
-pub fn tenants_episode(
-    seed: u64,
-    tenants: usize,
-    migrate_every: u64,
-) -> Result<TenantsStats, String> {
-    tenants_episode_fleet(seed, tenants, migrate_every, false).map(|(stats, _, _)| stats)
-}
-
-/// [`tenants_episode`] returning the fleet telemetry as well: the
-/// differential stats, the shared run's [`FleetStats`], and the flight
-/// recorder's post-mortem if the run declined a job or survived a fault.
+/// Returns the differential stats, the shared run's [`mesa_core::FleetStats`], and
+/// the flight recorder's post-mortem if the run declined a job or
+/// survived a fault. `fast_forward` fast-forwards every tenant's CPU
+/// warmup, in the solo baselines and the shared run alike.
 ///
 /// `force_fault` arms a config-stream truncation on tenant 0 — in *both*
 /// the solo baseline and the shared run, so the resulting declines still
@@ -378,14 +369,17 @@ pub fn tenants_episode(
 /// carries the shared run's flight post-mortem inline.
 ///
 /// # Errors
-/// As [`tenants_episode`]; the message embeds the post-mortem JSON.
+/// Returns a human-readable description of the first tenant whose shared
+/// run diverged from its solo run; the message embeds the post-mortem
+/// JSON.
 pub fn tenants_episode_fleet(
     seed: u64,
     tenants: usize,
     migrate_every: u64,
     force_fault: bool,
+    fast_forward: bool,
 ) -> Result<(TenantsStats, mesa_core::FleetStats, Option<String>), String> {
-    let system = SystemConfig::m128();
+    let system = SystemConfig { fast_forward, ..SystemConfig::m128() };
     let (quantum, named) = tenant_jobs(seed, tenants);
     let names: Vec<&'static str> = named.iter().map(|(n, _)| *n).collect();
     let arm = |jobs: &mut Vec<TenantJob>| {
@@ -500,15 +494,16 @@ mod tests {
     #[test]
     fn controller_episode_survives_fault_taxonomy() {
         for seed in 0..3 {
-            controller_episode(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            controller_episode(seed, false).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
     #[test]
     fn tenants_episode_is_invisible_and_deterministic() {
+        let episode = |seed| tenants_episode_fleet(seed, 2, 3, false, false).map(|(s, _, _)| s);
         for seed in 0..2 {
-            let a = tenants_episode(seed, 2, 3).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let b = tenants_episode(seed, 2, 3).unwrap();
+            let a = episode(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let b = episode(seed).unwrap();
             assert_eq!(a.migrations, b.migrations, "seed {seed}");
             assert_eq!(a.declined, b.declined, "seed {seed}");
             assert_eq!(a.tenants, 2);
@@ -518,7 +513,7 @@ mod tests {
     #[test]
     fn fleet_episode_exports_telemetry_and_forced_fault_dumps() {
         let (stats, fleet, pm) =
-            tenants_episode_fleet(2, 2, 3, false).unwrap_or_else(|e| panic!("{e}"));
+            tenants_episode_fleet(2, 2, 3, false, false).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(stats.tenants, 2);
         assert_eq!(fleet.runs, 1);
         let busy: u64 = fleet.band_busy.iter().sum();
@@ -530,7 +525,7 @@ mod tests {
         // the solo baseline and the shared run, so the declines compare
         // equal — and the decline auto-dumps a flight post-mortem.
         let (stats, _, pm) =
-            tenants_episode_fleet(2, 2, 3, true).unwrap_or_else(|e| panic!("{e}"));
+            tenants_episode_fleet(2, 2, 3, true, false).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(stats.declined, 1);
         let dump = pm.expect("decline must produce a post-mortem");
         assert!(dump.starts_with("{\"schema\":\"mesa.flight/v1\""));

@@ -25,8 +25,8 @@ pub use harness::{
     region_ldfg, BaselineRun, MesaRun,
 };
 pub use kernelgen::{
-    controller_episode, differential_episode, tenant_jobs, tenants_episode,
-    tenants_episode_fleet, EpisodeStats, TenantsStats,
+    controller_episode, differential_episode, tenant_jobs, tenants_episode_fleet, EpisodeStats,
+    TenantsStats,
 };
 pub use cli::CliError;
 pub use pool::{jobs, par_map, set_jobs};

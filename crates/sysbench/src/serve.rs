@@ -225,9 +225,14 @@ fn materialize(
     }
 }
 
-/// Runs one request, through the shared cache when one is given.
-fn run_request(req: &ServeRequest, cache: Option<&Arc<SharedArtifactCache>>) -> ServeResponse {
-    let system = req.grid.system();
+/// Runs one request, through the shared cache when one is given, with
+/// CPU warmup fast-forwarded when `fast_forward` is set.
+fn run_request(
+    req: &ServeRequest,
+    cache: Option<&Arc<SharedArtifactCache>>,
+    fast_forward: bool,
+) -> ServeResponse {
+    let system = SystemConfig { fast_forward, ..req.grid.system() };
     let (label, program, mut state, mut mem) = match materialize(req, &system) {
         Ok(parts) => parts,
         Err(msg) => {
@@ -292,10 +297,11 @@ fn run_request(req: &ServeRequest, cache: Option<&Arc<SharedArtifactCache>>) -> 
 
 /// The reference path: the same request served with **no** shared cache,
 /// exactly like the one-shot `inspect`/`run_offload` flow. Any
-/// [`ServeEngine`] response must be byte-identical to this.
+/// [`ServeEngine::new`] response must be byte-identical to this
+/// ([`ServeEngine::reference`] is the same path for any engine).
 #[must_use]
 pub fn one_shot(req: &ServeRequest) -> ServeResponse {
-    run_request(req, None)
+    run_request(req, None, false)
 }
 
 /// The long-running service: an in-process request queue front-end over
@@ -304,6 +310,9 @@ pub fn one_shot(req: &ServeRequest) -> ServeResponse {
 #[derive(Debug, Default)]
 pub struct ServeEngine {
     cache: Arc<SharedArtifactCache>,
+    /// Every request fast-forwards its CPU warmup
+    /// (`mesa-serve --fast-forward`).
+    fast_forward: bool,
 }
 
 impl ServeEngine {
@@ -311,6 +320,14 @@ impl ServeEngine {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A fresh engine whose requests and fleets run their CPU warmup
+    /// through the functional fast-forward interpreter when
+    /// `fast_forward` is set.
+    #[must_use]
+    pub fn with_fast_forward(fast_forward: bool) -> Self {
+        ServeEngine { fast_forward, ..Self::default() }
     }
 
     /// The engine's shared cache (e.g. to hand to fleet mode, so banded
@@ -329,7 +346,15 @@ impl ServeEngine {
     /// Serves one request.
     #[must_use]
     pub fn handle(&self, req: &ServeRequest) -> ServeResponse {
-        run_request(req, Some(&self.cache))
+        run_request(req, Some(&self.cache), self.fast_forward)
+    }
+
+    /// The uncached reference for this engine's responses: `req` served
+    /// with no shared cache, under the engine's fast-forward setting.
+    /// [`ServeEngine::handle`] must be byte-identical to it.
+    #[must_use]
+    pub fn reference(&self, req: &ServeRequest) -> ServeResponse {
+        run_request(req, None, self.fast_forward)
     }
 
     /// Serves a batch over the worker pool ([`crate::pool::par_map`]),
@@ -349,7 +374,7 @@ impl ServeEngine {
     /// `stats.artifacts` carries the cache counters.
     #[must_use]
     pub fn serve_fleet(&self, seed: u64, tenants: usize, migrate_every: u64) -> FleetRun {
-        let system = SystemConfig::m128();
+        let system = SystemConfig { fast_forward: self.fast_forward, ..SystemConfig::m128() };
         let (quantum, named) = tenant_jobs(seed, tenants);
         let mut jobs: Vec<TenantJob> = named.into_iter().map(|(_, j)| j).collect();
         let cache = Some(self.cache.clone());

@@ -3,16 +3,18 @@
 //! to track the simulator's own performance trajectory across PRs
 //! without any external dependency.
 //!
-//! Timing goes through `mesa-trace`'s [`HostClock`] abstraction (the
-//! workspace's single sanctioned wall-clock seam): [`bench_fn`] uses the
-//! real clock, while [`bench_fn_with`] accepts any clock — the unit
-//! tests drive a deterministic [`mesa_trace::MockClock`]. Benches whose
-//! workload reports simulated cycles can use [`BenchSuite::run_cycles`]
-//! to record sim-cycles/iteration and the derived simulation throughput
+//! A bench binary drives one [`BenchSuite`]: [`BenchSuite::run`] times a
+//! lone workload, and [`BenchSuite::run_group`] times workloads whose
+//! medians are compared against each other, interleaving their
+//! iterations so a change of host speed hits every member alike. Group
+//! members may report the simulated cycles each iteration advanced, to
+//! record sim-cycles/iteration and the derived simulation throughput
 //! (`sim_mcycles_per_sec`) alongside ns/iter in `BENCH_components.json`.
-//! Benches whose medians are compared against each other run as one
-//! [`BenchSuite::run_group`], which interleaves their iterations so a
-//! change of host speed hits every member alike.
+//!
+//! Timing goes through `mesa-trace`'s [`HostClock`] abstraction (the
+//! workspace's single sanctioned wall-clock seam): the suite uses the
+//! real clock, and the unit tests drive the same timer against a
+//! deterministic [`mesa_trace::MockClock`].
 
 use mesa_trace::host::{HostClock, RealClock};
 use std::fmt::Write as _;
@@ -35,7 +37,7 @@ pub struct BenchResult {
     /// Mean per-iteration time over the batches, in nanoseconds.
     pub mean_ns: f64,
     /// Simulated cycles advanced per iteration, when the workload
-    /// reports them (see [`BenchSuite::run_cycles`]).
+    /// reports them (see [`BenchSuite::run_group`]).
     pub sim_cycles_per_iter: Option<f64>,
 }
 
@@ -58,8 +60,7 @@ impl BenchResult {
     /// Renders the result as one JSON object on a single line. The sim
     /// throughput fields only appear for cycle-reporting benches, so
     /// existing consumers that scan `median_ns` are unaffected.
-    #[must_use]
-    pub fn json_line(&self) -> String {
+    fn json_line(&self) -> String {
         let mut out = format!(
             "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"median_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"mean_ns\":{:.1}",
             self.name, self.iters, self.samples, self.median_ns, self.min_ns, self.max_ns, self.mean_ns
@@ -154,59 +155,6 @@ fn bench_group(
         .collect()
 }
 
-/// [`bench_group`] of one workload.
-fn bench_inner(
-    name: &str,
-    iters: u64,
-    clock: &mut dyn HostClock,
-    f: &mut dyn FnMut() -> u64,
-    track_cycles: bool,
-) -> BenchResult {
-    bench_group(&mut [(name, f)], iters, clock, track_cycles).remove(0)
-}
-
-/// Times `f` over `iters` iterations per batch against the real wall
-/// clock: two untimed warmup batches, then [`SAMPLES`] timed batches,
-/// reporting the median (robust against scheduler noise), min, max,
-/// and mean per-iteration time.
-///
-/// The closure's return value is passed through [`std::hint::black_box`]
-/// so the work is not optimized away.
-///
-/// # Panics
-/// Panics if `iters` is zero.
-pub fn bench_fn<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) -> BenchResult {
-    bench_fn_with(name, iters, &mut RealClock::new(), &mut f)
-}
-
-/// [`bench_fn`] against an injected [`HostClock`] — the seam that lets
-/// tests time against a deterministic mock.
-///
-/// # Panics
-/// Panics if `iters` is zero.
-pub fn bench_fn_with<T>(
-    name: &str,
-    iters: u64,
-    clock: &mut dyn HostClock,
-    f: &mut impl FnMut() -> T,
-) -> BenchResult {
-    let mut wrapped = || {
-        std::hint::black_box(f());
-        0u64
-    };
-    bench_inner(name, iters, clock, &mut wrapped, false)
-}
-
-/// Times a workload that reports its simulated cycles: `f` returns the
-/// cycles one iteration advanced, and the result additionally carries
-/// `sim_cycles_per_iter` + derived `sim_mcycles_per_sec`.
-///
-/// # Panics
-/// Panics if `iters` is zero.
-pub fn bench_fn_cycles(name: &str, iters: u64, mut f: impl FnMut() -> u64) -> BenchResult {
-    bench_inner(name, iters, &mut RealClock::new(), &mut f, true)
-}
-
 /// Collects [`BenchResult`]s across a bench binary and serializes them
 /// as a JSON array (one file per suite, e.g. `BENCH_components.json`).
 #[derive(Debug, Default)]
@@ -221,31 +169,32 @@ impl BenchSuite {
         BenchSuite::default()
     }
 
-    /// Runs one benchmark, prints its JSON line to stdout, and records
-    /// the result.
-    pub fn run<T>(&mut self, name: &str, iters: u64, f: impl FnMut() -> T) -> &BenchResult {
-        let r = bench_fn(name, iters, f);
-        println!("{}", r.json_line());
-        self.results.push(r);
-        self.results.last().expect("just pushed")
-    }
-
-    /// Like [`BenchSuite::run`], for workloads that report simulated
-    /// cycles per iteration: records simulation throughput alongside
-    /// the timing.
-    pub fn run_cycles(&mut self, name: &str, iters: u64, f: impl FnMut() -> u64) -> &BenchResult {
-        let r = bench_fn_cycles(name, iters, f);
-        println!("{}", r.json_line());
-        self.results.push(r);
-        self.results.last().expect("just pushed")
+    /// Times `f` over `iters` iterations per batch: two untimed warmup
+    /// batches, then [`SAMPLES`] timed batches, reporting the median
+    /// (robust against scheduler noise), min, max, and mean
+    /// per-iteration time. Prints the result's JSON line to stdout and
+    /// records it. The closure's return value is passed through
+    /// [`std::hint::black_box`] so the work is not optimized away.
+    ///
+    /// # Panics
+    /// Panics if `iters` is zero.
+    pub fn run<T>(&mut self, name: &str, iters: u64, mut f: impl FnMut() -> T) -> &BenchResult {
+        let mut timed = || {
+            std::hint::black_box(f());
+            0
+        };
+        &self.run_group(iters, false, &mut [(name, &mut timed)])[0]
     }
 
     /// Runs a group of benchmarks whose timings are compared against
     /// each other, with their iterations interleaved (see [`bench_group`])
     /// so a change of host speed during the run hits every member alike.
     /// Prints and records one result per member, in group order; with
-    /// `track_cycles` each records simulation throughput as in
-    /// [`BenchSuite::run_cycles`].
+    /// `track_cycles` each records the simulated cycles its iterations
+    /// returned and the derived simulation throughput.
+    ///
+    /// # Panics
+    /// Panics if `iters` is zero.
     pub fn run_group(
         &mut self,
         iters: u64,
@@ -296,9 +245,16 @@ mod tests {
     use super::*;
     use mesa_trace::MockClock;
 
+    /// One workload timed by [`bench_group`] against a mock clock that
+    /// steps 1 µs per read.
+    fn mock_bench(name: &str, iters: u64, track_cycles: bool, f: &mut dyn FnMut() -> u64) -> BenchResult {
+        bench_group(&mut [(name, f)], iters, &mut MockClock::new(1_000), track_cycles).remove(0)
+    }
+
     #[test]
-    fn bench_fn_measures_and_orders_stats() {
-        let r = bench_fn("noop", 1000, || 1 + 1);
+    fn run_measures_and_orders_stats() {
+        let mut suite = BenchSuite::new();
+        let r = suite.run("noop", 1000, || 1 + 1);
         assert_eq!(r.iters, 1000);
         assert_eq!(r.samples, SAMPLES);
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
@@ -308,7 +264,7 @@ mod tests {
 
     #[test]
     fn json_line_is_wellformed() {
-        let r = bench_fn("codec/decode", 100, || 42u64);
+        let r = mock_bench("codec/decode", 100, false, &mut || 42);
         let line = r.json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"name\":\"codec/decode\""));
@@ -321,12 +277,8 @@ mod tests {
     fn mock_clock_timing_is_deterministic() {
         // Each batch reads the clock twice, so per-iteration time is
         // exactly step_ns / iters regardless of the actual work.
-        let run = || {
-            let mut clock = MockClock::new(1_000);
-            bench_fn_with("mock", 10, &mut clock, &mut || 7u64)
-        };
-        let a = run();
-        let b = run();
+        let a = mock_bench("mock", 10, false, &mut || 7);
+        let b = mock_bench("mock", 10, false, &mut || 7);
         assert_eq!(a, b);
         assert!((a.median_ns - 100.0).abs() < f64::EPSILON);
         assert_eq!(a.min_ns, a.max_ns, "mock batches are identical");
@@ -335,22 +287,20 @@ mod tests {
 
     #[test]
     fn cycle_reporting_benches_record_throughput() {
-        let r = bench_fn_cycles("engine/fake", 8, || 1_000u64);
+        let r = mock_bench("engine/fake", 8, true, &mut || 1_000);
         assert_eq!(r.sim_cycles_per_iter, Some(1_000.0));
+        // 1 000 cycles per 125 ns iteration.
+        assert_eq!(r.sim_mcycles_per_sec(), Some(8_000.0));
         let line = r.json_line();
         assert!(line.contains("\"sim_cycles_per_iter\":1000.0"));
-        if r.median_ns > 0.0 {
-            let rate = r.sim_mcycles_per_sec().expect("cycles and time present");
-            assert!(rate.is_finite() && rate > 0.0);
-            assert!(line.contains("\"sim_mcycles_per_sec\":"));
-        }
+        assert!(line.contains("\"sim_mcycles_per_sec\":8000.000"));
     }
 
     #[test]
     fn suite_collects_and_serializes() {
         let mut suite = BenchSuite::new();
         suite.run("a", 10, || 1);
-        suite.run_cycles("b", 10, || 2u64);
+        suite.run_group(10, true, &mut [("b", &mut || 2)]);
         let json = suite.to_json();
         assert!(json.starts_with("[\n") && json.trim_end().ends_with(']'));
         assert_eq!(json.matches("\"name\"").count(), 2);
@@ -400,13 +350,12 @@ mod tests {
                 acc
             }
         };
-        let short = bench_fn("spin1k", 50, spin(1_000));
-        let long = bench_fn("spin100k", 50, spin(100_000));
+        let mut suite = BenchSuite::new();
+        let short = suite.run("spin1k", 50, spin(1_000)).median_ns;
+        let long = suite.run("spin100k", 50, spin(100_000)).median_ns;
         assert!(
-            long.median_ns > short.median_ns * 5.0,
-            "100x the work should be at least 5x slower ({} vs {})",
-            long.median_ns,
-            short.median_ns
+            long > short * 5.0,
+            "100x the work should be at least 5x slower ({long} vs {short})"
         );
     }
 }

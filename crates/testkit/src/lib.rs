@@ -8,7 +8,7 @@
 //! - [`prop`]: a property-testing harness — [`Strategy`] generators,
 //!   N-case runs via [`Checker`] / [`forall!`], greedy shrinking,
 //!   `MESA_TEST_SEED` replay, and proptest-regressions seed files.
-//! - [`bench`]: a microbench timer (`bench_fn`) with warmup,
+//! - [`bench`]: a microbench timer ([`BenchSuite`]) with warmup,
 //!   median-of-k, and JSON line output, replacing `criterion`.
 //!
 //! Determinism contract: every generated value is a pure function of a
@@ -19,6 +19,6 @@ pub mod bench;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{bench_fn, bench_fn_cycles, bench_fn_with, BenchResult, BenchSuite, GroupMember};
+pub use bench::{BenchResult, BenchSuite, GroupMember};
 pub use prop::{Checker, Regressions, Report, Strategy, StrategyExt};
 pub use rng::{splitmix64, Rng};

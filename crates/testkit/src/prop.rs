@@ -302,6 +302,70 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     }
 }
 
+/// Word streams near a valid encoding, for fuzzing a decoder: a quarter
+/// are pure noise, the rest are `valid` with one to four words replaced
+/// (by noise, a small value, or `valid`'s word with one bit flipped),
+/// sometimes cut short or extended by noise. Mixing small values and
+/// near-valid words in keeps most cases past the decoder's first checks.
+#[derive(Debug, Clone)]
+pub struct WordsNear {
+    valid: Vec<u64>,
+}
+
+/// Word-stream fuzzing strategy around `valid` (see [`WordsNear`]).
+/// Shrinks by dropping the last word and by reverting single words to
+/// `valid`.
+#[must_use]
+pub fn words_near(valid: Vec<u64>) -> WordsNear {
+    WordsNear { valid }
+}
+
+impl Strategy for WordsNear {
+    type Value = Vec<u64>;
+
+    fn generate(&self, rng: &mut Rng) -> Vec<u64> {
+        let noise = |rng: &mut Rng| match rng.gen_range(0..3) {
+            0 => rng.next_u64(),
+            1 => rng.gen_range(0..64),
+            _ => 1 << rng.gen_range(0..64),
+        };
+        if self.valid.is_empty() || rng.gen_bool(0.25) {
+            let n = rng.gen_range(0..2 * self.valid.len() + 2);
+            return (0..n).map(|_| noise(rng)).collect();
+        }
+        let mut words = self.valid.clone();
+        for _ in 0..rng.gen_range(1..5) {
+            let i = rng.gen_range(0..words.len());
+            words[i] = match rng.gen_range(0..3) {
+                0 => noise(rng),
+                1 => words[i] ^ 1 << rng.gen_range(0..64),
+                _ => rng.gen_range(0..64),
+            };
+        }
+        match rng.gen_range(0..4) {
+            0 => words.truncate(rng.gen_range(0..words.len())),
+            1 => (0..rng.gen_range(1..5)).for_each(|_| words.push(noise(rng))),
+            _ => {}
+        }
+        words
+    }
+
+    fn shrink(&self, value: &Vec<u64>) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        if !value.is_empty() {
+            out.push(value[..value.len() - 1].to_vec());
+        }
+        for (i, (&w, &v)) in value.iter().zip(&self.valid).enumerate() {
+            if w != v {
+                let mut reverted = value.clone();
+                reverted[i] = v;
+                out.push(reverted);
+            }
+        }
+        out
+    }
+}
+
 macro_rules! impl_tuple_strategy {
     ($(($($S:ident . $idx:tt),+))*) => {$(
         impl<$($S: Strategy),+> Strategy for ($($S,)+) {

@@ -64,7 +64,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples in O(1).
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

@@ -189,7 +189,7 @@ impl HostSpan {
 
     /// Sum of the children's conserved totals.
     #[must_use]
-    pub fn children_ns(&self) -> u64 {
+    fn children_ns(&self) -> u64 {
         self.children.iter().fold(0u64, |acc, c| acc.saturating_add(c.total_ns()))
     }
 
@@ -209,7 +209,7 @@ impl HostSpan {
 
     /// Simulated cycles in this subtree (self + descendants).
     #[must_use]
-    pub fn sim_cycles_deep(&self) -> u64 {
+    fn sim_cycles_deep(&self) -> u64 {
         self.children
             .iter()
             .fold(self.sim_cycles, |acc, c| acc.saturating_add(c.sim_cycles_deep()))

@@ -91,5 +91,5 @@ pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use host::{
     ClockSpec, HostClock, HostProfile, HostProfiler, HostSpan, MockClock, RealClock, SpanGuard,
 };
-pub use metrics::{labeled_key, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use tracer::{Event, EventKind, NullTracer, RingTracer, Subsystem, Tracer};

@@ -34,7 +34,7 @@ pub struct MetricsSnapshot {
 /// labels sorted by key, so the same label set always maps to the same
 /// `BTreeMap` entry regardless of call-site ordering.
 #[must_use]
-pub fn labeled_key(name: &str, labels: &[(&str, &str)]) -> String {
+fn labeled_key(name: &str, labels: &[(&str, &str)]) -> String {
     let mut sorted: Vec<(&str, &str)> = labels.to_vec();
     sorted.sort_unstable();
     let mut key = String::from(name);

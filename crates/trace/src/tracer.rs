@@ -260,7 +260,8 @@ impl RingTracer {
 
     /// Deepest span nesting observed so far (across all subsystems).
     #[must_use]
-    pub fn max_depth(&self) -> usize {
+    #[cfg(test)]
+    fn max_depth(&self) -> usize {
         self.max_depth
     }
 

@@ -128,7 +128,7 @@ impl Kernel {
 
     /// PC of the first instruction after the hot loop (the exit stub).
     #[must_use]
-    pub fn loop_end_pc(&self) -> u64 {
+    fn loop_end_pc(&self) -> u64 {
         // The hot loop is the region ending at the first backward branch.
         for (i, instr) in self.program.instrs.iter().enumerate() {
             if instr.is_backward_branch() {

@@ -8,37 +8,62 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Panic-free gate: the controller and accelerator must stay free of
-# `unwrap()`/`panic!`/`unreachable!` in non-test code — every recoverable
-# failure goes through typed errors and the CPU fallback instead. Each
-# file is truncated at its first `#[cfg(test)]` so test modules (where
-# unwrap is idiomatic) stay exempt.
-panic_free_violations=0
-for f in crates/core/src/*.rs crates/accel/src/*.rs; do
-  hits="$(awk '/#\[cfg\(test\)\]/{exit} {print FNR": "$0}' "$f" \
-    | grep -vE '^[0-9]+: *//' \
-    | grep -E '\.unwrap\(\)|unreachable!|panic!' || true)"
-  if [[ -n "$hits" ]]; then
-    echo "ci: forbidden panic site in non-test code of $f:" >&2
-    echo "$hits" >&2
-    panic_free_violations=1
-  fi
-done
-if [[ "$panic_free_violations" != 0 ]]; then
+# Non-test library sources: every crate's `src/` (the facade's included),
+# binaries excluded.
+library_sources() {
+  { ls src/*.rs; find crates/*/src -name '*.rs' -not -path '*/bin/*'; } | sort
+}
+
+# Prints `FILE:LINE: text` for each line of FILE up to its test module (a
+# `#[cfg(test)]` followed by `mod`), where unwrap and test-only helpers
+# are idiomatic. A `#[cfg(test)]` item outside that module (a test-only
+# helper) is still printed and scanned.
+nontest_lines() {
+  awk -v f="$1" '
+    held != "" { if ($0 ~ /^[[:space:]]*mod /) exit; print held; held = "" }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { held = f":"FNR": "$0; next }
+    { print f":"FNR": "$0 }
+  ' "$1"
+}
+
+# Panic-free gate: non-test library code must stay free of
+# `unwrap()`/`panic!`/`unreachable!` — every recoverable failure goes
+# through typed errors and the CPU fallback instead. Exempt, each for a
+# reason:
+#   - crates/testkit: test support; a failing property or bench must panic.
+#   - workloads::common::run_functional: the golden-model runner, whose
+#     infallible signature bench/ pins; a kernel that leaves its program
+#     or never halts is a broken benchmark definition.
+panic_exempt_crates='^crates/testkit/'
+panic_exempt_fns='crates/workloads/src/common.rs:run_functional'
+panic_hits="$(library_sources | grep -vE "$panic_exempt_crates" | while read -r f; do
+  exempt_fn=""
+  for e in $panic_exempt_fns; do
+    if [[ "${e%%:*}" == "$f" ]]; then exempt_fn="${e#*:}"; fi
+  done
+  # Drop the exempt function's body: its `fn` line through the closing
+  # brace at column 0.
+  nontest_lines "$f" | awk -v fn="$exempt_fn" '
+    fn != "" && $0 ~ ("fn " fn "[(<]") { skip = 1 }
+    skip { if ($0 ~ /^[^:]*:[0-9]+: \}/) skip = 0; next }
+    { print }
+  '
+done | grep -vE '^[^:]*:[0-9]+: *//' | grep -E '\.unwrap\(\)|unreachable!|panic!' || true)"
+if [[ -n "$panic_hits" ]]; then
+  echo "ci: forbidden panic site in non-test library code:" >&2
+  echo "$panic_hits" >&2
   echo "ci: use typed errors + CPU fallback instead (see README Robustness)" >&2
   exit 1
 fi
-echo "panic-free gate: no unwrap/panic/unreachable in non-test core/accel sources"
+echo "panic-free gate: no unwrap/panic/unreachable in non-test library sources"
 
 # Run-API gate: each layer has one plain call and one options call
 # (`RunOptions`/`SessionRequest` plus an explicit `&mut dyn Tracer`), so
 # non-test library code must not regrow `pub fn …_traced/_faulted/_shared`
-# variants. Test modules are cut off at `#[cfg(test)]` as above. The one
-# allowed name is `run_tenants_fleet_shared`: the end-to-end benchmark
-# in bench/ pins it.
-run_api_hits="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' | sort | while read -r f; do
-  awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f":"FNR": "$0}' "$f"
-done | grep -E 'pub fn [A-Za-z0-9_]*_(traced|faulted|shared)[(<]' \
+# variants. The one allowed name is `run_tenants_fleet_shared`: the
+# end-to-end benchmark in bench/ pins it.
+run_api_hits="$(library_sources | while read -r f; do nontest_lines "$f"; done \
+  | grep -E 'pub fn [A-Za-z0-9_]*_(traced|faulted|shared)[(<]' \
   | grep -v 'pub fn run_tenants_fleet_shared(' || true)"
 if [[ -n "$run_api_hits" ]]; then
   echo "ci: per-variant run entry point in library code:" >&2
@@ -48,14 +73,49 @@ if [[ -n "$run_api_hits" ]]; then
 fi
 echo "run-API gate: no _traced/_faulted/_shared public run variants"
 
+# Surface gate: a non-test library `pub fn` must have a caller. Its name
+# has to appear in some tracked `.rs` file other than its own file and its
+# crate's `lib.rs` (bench/, tests and binaries count). Make a function
+# used only in its own file private, one used only in its crate
+# `pub(crate)`, one used only by tests `#[cfg(test)]`, and delete one
+# nothing uses. Each allow-list entry is `name:reason`; an entry whose
+# function is gone fails the gate too, so the list cannot go stale.
+surface_allow=(
+  "run_tenants_fleet_shared:only bench/ calls it, and bench/ changes only with the benchmark; delete it then (ROADMAP item 2)"
+)
+surface_defs="$(library_sources | while read -r f; do nontest_lines "$f"; done \
+  | sed -nE 's/^([^:]*):[0-9]+: *pub fn ([A-Za-z0-9_]+).*/\1 \2/p' | sort -u)"
+surface_hits=""
+while read -r f name; do
+  lib="$(sed -E 's#^((crates/[^/]+/)?src)/.*#\1/lib.rs#' <<< "$f")"
+  if [[ -n "$(git grep -lw -e "$name" -- '*.rs' | grep -vxF -e "$f" -e "$lib")" ]]; then
+    continue
+  fi
+  allowed=0
+  for entry in "${surface_allow[@]}"; do
+    [[ "${entry%%:*}" == "$name" ]] && allowed=1
+  done
+  [[ "$allowed" == 0 ]] && surface_hits+="$f: pub fn $name"$'\n'
+done <<< "$surface_defs"
+for entry in "${surface_allow[@]}"; do
+  if ! grep -q " ${entry%%:*}\$" <<< "$surface_defs"; then
+    surface_hits+="stale allow-list entry: ${entry%%:*}"$'\n'
+  fi
+done
+if [[ -n "$surface_hits" ]]; then
+  echo "ci: public library functions without a caller outside their file:" >&2
+  printf '%s' "$surface_hits" >&2
+  echo "ci: make them private, pub(crate) or #[cfg(test)], or delete them" >&2
+  exit 1
+fi
+echo "surface gate: every public library function has a caller"
+
 # Digest gate: fingerprints hash a value's structure (derived `Hash` into
 # `mesa_trace::Fnv64`), never its Debug rendering. Hashing
 # `format!("{x:?}")` bytes formats and allocates on every call; it cost
 # fleet slices half their host time when the program fingerprint did it.
-# Test modules are cut off at `#[cfg(test)]` as above.
-debug_hash_hits="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' | sort | while read -r f; do
-  awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f":"FNR": "$0}' "$f"
-done | grep -E 'format!\("[^"]*:#?\?\}[^"]*"[^;]*\)\.(as_)?bytes\(\)' || true)"
+debug_hash_hits="$(library_sources | while read -r f; do nontest_lines "$f"; done \
+  | grep -E 'format!\("[^"]*:#?\?\}[^"]*"[^;]*\)\.(as_)?bytes\(\)' || true)"
 if [[ -n "$debug_hash_hits" ]]; then
   echo "ci: Debug rendering hashed as bytes in library code:" >&2
   echo "$debug_hash_hits" >&2
@@ -180,19 +240,19 @@ cargo run --release --offline -q -p mesa-bench --bin figures -- --jobs 2 all tin
 cmp "$fig_j1" "$fig_j2"
 echo "figures --jobs 1 and --jobs 2 outputs are byte-identical"
 
-# Fast-forward smoke: the full figure run under MESA_FASTFWD=1 (CPU
-# warmup phases run functionally with calibrated cycle estimates instead
-# of cycle-accurate simulation) must reproduce the fig11 speedup table's
+# Fast-forward smoke: the fig11 run under --fast-forward (CPU warmup
+# phases run functionally with calibrated cycle estimates instead of
+# cycle-accurate simulation) must reproduce the fig11 speedup table's
 # MEAN row within the fast-forward model's error bound. The warmup quanta
 # are short, so the CPI-model estimate is coarser here than the sampled
 # hybrid's sub-4% kernel-level error — 0.35 covers the observed worst
 # column (~0.19) with margin while still catching an estimator that
 # drifts into a different regime.
-MESA_FASTFWD=1 cargo run --release --offline -q -p mesa-bench --bin figures -- \
-  --jobs 2 fig11 tiny > "$fig_ff"
+cargo run --release --offline -q -p mesa-bench --bin figures -- \
+  --fast-forward --jobs 2 fig11 tiny > "$fig_ff"
 cargo run --release --offline -q -p mesa-bench --bin tracecheck -- figdiff \
   "$fig_ff" "$fig_j1" 0.35
-echo "fast-forward smoke: MESA_FASTFWD=1 fig11 MEAN row within tolerance"
+echo "fast-forward smoke: --fast-forward fig11 MEAN row within tolerance"
 
 # Host-profile smoke: a figures subset under the deterministic mock
 # clock must emit a valid mesa.hostprofile/v1 export (exact span-tree

@@ -41,7 +41,7 @@ fn fig11_shape_m512_not_slower_than_m128() {
 
 #[test]
 fn fig12_shape_scheduling_only_trails_opencgra_and_opts_flip_it() {
-    let rows = fig12(KernelSize::Small);
+    let rows = fig12(KernelSize::Small, false);
     assert_eq!(rows.len(), 8);
     // "MESA falls slightly behind in most benchmarks" without opts.
     let trailing = rows.iter().filter(|r| r.mesa_noopt_ipc <= r.opencgra_ipc).count();
@@ -64,7 +64,7 @@ fn fig12_shape_scheduling_only_trails_opencgra_and_opts_flip_it() {
 
 #[test]
 fn fig13_shape_memory_and_compute_dominate() {
-    let rep = fig13(KernelSize::Small);
+    let rep = fig13(KernelSize::Small, false);
     let [compute, memory, _interconnect, control] = rep.energy_fractions;
     // Paper: "almost 87% of total energy is spent on either memory or
     // computation ... with a small fraction on the control subsystem."
@@ -78,7 +78,7 @@ fn fig13_shape_memory_and_compute_dominate() {
 
 #[test]
 fn fig15_shape_scaling_knees_at_memory_ports() {
-    let rows = fig15(KernelSize::Small);
+    let rows = fig15(KernelSize::Small, false);
     let at = |pes: usize| rows.iter().find(|r| r.pes == pes).expect("row");
     // Scaling is real through the middle of the range…
     assert!(at(64).speedup > 1.8, "64 PEs: {:.2}", at(64).speedup);
@@ -100,7 +100,7 @@ fn fig15_shape_scaling_knees_at_memory_ports() {
 
 #[test]
 fn fig16_shape_amortization_curve() {
-    let (series, break_even) = fig16(KernelSize::Small);
+    let (series, break_even) = fig16(KernelSize::Small, false);
     // Strictly decreasing energy per iteration.
     for w in series.windows(2) {
         assert!(w[1].1 < w[0].1, "series must decrease: {w:?}");

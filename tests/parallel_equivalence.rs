@@ -20,11 +20,11 @@ use mesa_workloads::KernelSize;
 /// digits' worth of precision, so any cross-thread reassociation of sums
 /// would show up here.
 fn all_parallel_figures(size: KernelSize) -> String {
-    let (fig11_rows, fig11_means) = bench::fig11(size);
-    let fig12_rows = bench::fig12(size);
-    let fig13 = bench::fig13(size);
-    let (fig14_rows, fig14_means) = bench::fig14(size);
-    let fig15_rows = bench::fig15(size);
+    let (fig11_rows, fig11_means) = bench::fig11(size, false);
+    let fig12_rows = bench::fig12(size, false);
+    let fig13 = bench::fig13(size, false);
+    let (fig14_rows, fig14_means) = bench::fig14(size, false);
+    let fig15_rows = bench::fig15(size, false);
     format!(
         "{fig11_rows:?}\n{fig11_means:?}\n{fig12_rows:?}\n{fig13:?}\n{fig14_rows:?}\n{fig14_means:?}\n{fig15_rows:?}"
     )

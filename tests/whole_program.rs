@@ -3,11 +3,12 @@
 //! reject and leave on the CPU — driven end-to-end through
 //! `MesaController::run_program`.
 
-use mesa::core::{MesaController, SystemConfig};
-use mesa::cpu::{CoreConfig, OoOCore};
+use mesa::core::{MesaController, ProgramRunReport, SystemConfig};
+use mesa::cpu::{CoreConfig, NullMonitor, OoOCore, RunLimits, StopReason};
 use mesa::isa::reg::abi::*;
 use mesa::isa::{ArchState, Asm, Program, Xlen};
 use mesa::mem::{MemConfig, MemorySystem};
+use mesa::workloads::{by_name, Kernel, KernelSize};
 
 const A: u64 = 0x10_0000;
 const B: u64 = 0x20_0000;
@@ -157,5 +158,59 @@ fn rejected_inner_loop_is_blacklisted_and_program_completes() {
             (i % 9 + 1) as u32,
             "copy result {i}"
         );
+    }
+}
+
+/// The instruction budget `run_program` gets for a workloads kernel: the
+/// one the end-to-end benchmark's program-large workload grants.
+fn budget(kernel: &Kernel) -> u64 {
+    kernel.iterations * 1000 + 1_000_000
+}
+
+fn run_whole(kernel: &Kernel) -> (ProgramRunReport, MemorySystem) {
+    let system = SystemConfig::m128();
+    let mut mem = MemorySystem::new(system.mem, 2);
+    kernel.populate(mem.data_mut());
+    let mut state = kernel.entry.clone();
+    let mut controller = MesaController::new(system.clone());
+    let mut cpu = OoOCore::new(system.core);
+    let report =
+        controller.run_program(&kernel.program, &mut state, &mut mem, &mut cpu, budget(kernel));
+    (report, mem)
+}
+
+#[test]
+fn rejected_program_counts_every_cpu_instruction() {
+    // btree's only region is rejected, so the whole program runs on the
+    // CPU: its instruction count is that of one plain run to the exit,
+    // declined warmup included and the exit counted once.
+    let kernel = by_name("btree", KernelSize::Large).expect("btree is registered");
+    let (report, _) = run_whole(&kernel);
+    assert!(report.halted, "{report:?}");
+    assert!(report.offloads.is_empty() && !report.rejections.is_empty(), "{report:?}");
+
+    let system = SystemConfig::m128();
+    let mut mem = MemorySystem::new(system.mem, 1);
+    kernel.populate(mem.data_mut());
+    let mut state = kernel.entry.clone();
+    let plain = OoOCore::new(system.core).run(
+        &kernel.program,
+        &mut state,
+        &mut mem,
+        0,
+        RunLimits::none(),
+        &mut NullMonitor,
+    );
+    assert_eq!(plain.stop, StopReason::Halted);
+    assert_eq!(report.cpu_instrs, plain.retired, "{report:?}");
+    assert!(report.total_cycles >= report.cpu_instrs / 4, "{report:?}");
+}
+
+#[test]
+fn every_large_kernel_halts_within_the_benchmark_budget() {
+    for kernel in mesa::workloads::all(KernelSize::Large) {
+        let (report, _) = run_whole(&kernel);
+        assert!(report.halted, "{} did not reach its exit: {report:?}", kernel.name);
+        assert!(report.cpu_instrs < budget(&kernel), "{}: {report:?}", kernel.name);
     }
 }
