@@ -38,7 +38,7 @@
 use crate::{Ldfg, MapperConfig, OptFlags};
 use mesa_accel::{AccelConfig, AccelProgram};
 use mesa_isa::{ParallelKind, Program};
-use mesa_trace::{Fnv64, MetricsRegistry};
+use mesa_trace::{Fnv64, Json, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
@@ -149,19 +149,17 @@ impl ArtifactCacheStats {
         }
     }
 
-    /// Compact JSON object (all fields numeric, fixed order — schema
-    /// stability matters to the fleetstats validator).
+    /// JSON object (all fields numeric, in a fixed order).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"program_hits\":{},\"program_misses\":{},\"artifact_hits\":{},\"artifact_misses\":{},\"inserts\":{},\"evictions\":{}}}",
-            self.program_hits,
-            self.program_misses,
-            self.artifact_hits,
-            self.artifact_misses,
-            self.inserts,
-            self.evictions,
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("program_hits", self.program_hits.into()),
+            ("program_misses", self.program_misses.into()),
+            ("artifact_hits", self.artifact_hits.into()),
+            ("artifact_misses", self.artifact_misses.into()),
+            ("inserts", self.inserts.into()),
+            ("evictions", self.evictions.into()),
+        ])
     }
 
     /// One-line human rendering for dashboards and serve summaries.
@@ -422,6 +420,8 @@ mod tests {
         // No lookups yet: the rate is undefined and renders as `-`.
         assert_eq!(ArtifactCacheStats::default().hit_rate(), None);
         assert!(ArtifactCacheStats::default().render().contains("hit_rate=-"));
-        mesa_trace::validate_json(&a.to_json()).expect("stats JSON parses");
+        let json = a.to_json().to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json));
+        assert_eq!(a.to_json().get("artifact_misses"), Some(&2u64.into()));
     }
 }

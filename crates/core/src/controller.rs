@@ -1288,19 +1288,17 @@ impl MesaController {
             let episode = self
                 .prepare_episode(program, state, mem, cpu, &mut NullTracer, &mut work)
                 .and_then(|prepared| self.finish_episode(prepared, state, mem, &mut NullTracer));
+            // Accepted or declined, the CPU ran the episode's warmup and
+            // configuration overlap.
+            report.cpu_instrs += work.instrs;
+            report.ff_instrs += work.ff_instrs;
             match episode {
                 Ok(ep) => {
                     report.total_cycles += ep.total_cycles();
-                    report.cpu_instrs += ep.warmup_instrs;
-                    report.ff_instrs += ep.ff_instrs;
                     report.offloads.push(ep);
                 }
                 Err(e) => {
-                    // The CPU ran the declined episode's warmup (and any
-                    // configuration overlap) all the same.
                     report.total_cycles += work.cycles;
-                    report.cpu_instrs += work.instrs;
-                    report.ff_instrs += work.ff_instrs;
                     report.halted = work.halted;
                     match e {
                         // Blacklisted, so monitoring moves on to other

@@ -33,7 +33,7 @@ use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
 use mesa_mem::MemorySystem;
 use mesa_trace::host::{self, HostClock};
-use mesa_trace::{FlightRecorder, Histogram, MetricsRegistry, Subsystem, Tracer};
+use mesa_trace::{FlightRecorder, Histogram, Json, MetricsRegistry, Subsystem, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -240,16 +240,16 @@ impl HostStats {
         (self.elapsed_ns > 0).then(|| self.sim_cycles as f64 * 1e3 / self.elapsed_ns as f64)
     }
 
-    fn to_json(self) -> String {
-        format!(
-            "{{\"elapsed_ns\":{},\"steps\":{},\"episodes\":{},\"sim_cycles\":{},\"episodes_per_sec\":{},\"sim_mcycles_per_sec\":{}}}",
-            self.elapsed_ns,
-            self.steps,
-            self.episodes,
-            self.sim_cycles,
-            host::fmt_gauge(self.episodes_per_sec().unwrap_or(f64::NAN)),
-            host::fmt_gauge(self.sim_mcycles_per_sec().unwrap_or(f64::NAN)),
-        )
+    fn to_json(self) -> Json {
+        let rate = |r: Option<f64>| Json::fixed(r.unwrap_or(f64::NAN), 3);
+        Json::obj([
+            ("elapsed_ns", self.elapsed_ns.into()),
+            ("steps", self.steps.into()),
+            ("episodes", self.episodes.into()),
+            ("sim_cycles", self.sim_cycles.into()),
+            ("episodes_per_sec", rate(self.episodes_per_sec())),
+            ("sim_mcycles_per_sec", rate(self.sim_mcycles_per_sec())),
+        ])
     }
 }
 
@@ -352,66 +352,53 @@ impl FleetStats {
         };
     }
 
-    /// Renders the stable JSON export. Field order is part of the schema;
+    /// The stable JSON export. Field order is part of the schema;
     /// output is byte-deterministic for a deterministic run.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"mesa.fleetstats/v1\"");
-        let _ = write!(
-            out,
-            ",\"runs\":{},\"elapsed_cycles\":{},\"bands\":{}",
-            self.runs, self.elapsed_cycles, self.bands
-        );
-        let join = |vals: &[u64]| {
-            vals.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+    pub fn to_json(&self) -> Json {
+        let tenant = |t: &TenantStats| {
+            let (first_row, rows) = t.band.unzip();
+            Json::obj([
+                ("tenant", t.tenant.into()),
+                ("state", t.state.into()),
+                ("first_row", first_row.into()),
+                ("rows", rows.into()),
+                ("cycles", t.cycles.into()),
+                ("iterations", t.iterations.into()),
+                ("slices", t.slices.into()),
+                ("migrations", t.migrations.into()),
+                ("queue_wait_cycles", t.queue_wait_cycles.into()),
+                ("checkpoint_cycles", t.checkpoint_cycles.into()),
+            ])
         };
-        let _ = write!(out, ",\"band_busy\":[{}]", join(&self.band_busy));
-        let _ = write!(out, ",\"band_idle\":[{}]", join(&self.band_idle));
-        let _ = write!(
-            out,
-            ",\"admissions\":{{\"full_band\":{},\"shrunk\":{},\"queued\":{},\"declined\":{}}}",
-            self.admitted_full, self.admitted_shrunk, self.queued, self.declined
-        );
-        let _ = write!(out, ",\"migrations\":{}", self.migrations);
-        let _ = write!(
-            out,
-            ",\"histograms\":{{\"queue_wait_cycles\":{},\"slice_cycles\":{},\"migration_cycles\":{}}}",
-            self.queue_wait.to_json(),
-            self.slice_cycles.to_json(),
-            self.migration_cycles.to_json()
-        );
-        out.push_str(",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"tenant\":{},\"state\":\"{}\"", t.tenant, t.state);
-            match t.band {
-                Some((first_row, rows)) => {
-                    let _ = write!(out, ",\"first_row\":{first_row},\"rows\":{rows}");
-                }
-                None => out.push_str(",\"first_row\":null,\"rows\":null"),
-            }
-            let _ = write!(
-                out,
-                ",\"cycles\":{},\"iterations\":{},\"slices\":{},\"migrations\":{},\"queue_wait_cycles\":{},\"checkpoint_cycles\":{}}}",
-                t.cycles,
-                t.iterations,
-                t.slices,
-                t.migrations,
-                t.queue_wait_cycles,
-                t.checkpoint_cycles
-            );
-        }
-        out.push(']');
-        if let Some(h) = self.host {
-            let _ = write!(out, ",\"host\":{}", h.to_json());
-        }
-        if let Some(a) = self.artifacts {
-            let _ = write!(out, ",\"artifact_cache\":{}", a.to_json());
-        }
-        out.push('}');
-        out
+        let admissions = Json::obj([
+            ("full_band", self.admitted_full.into()),
+            ("shrunk", self.admitted_shrunk.into()),
+            ("queued", self.queued.into()),
+            ("declined", self.declined.into()),
+        ]);
+        let histograms = Json::obj([
+            ("queue_wait_cycles", self.queue_wait.to_json()),
+            ("slice_cycles", self.slice_cycles.to_json()),
+            ("migration_cycles", self.migration_cycles.to_json()),
+        ]);
+        let mut fields = vec![
+            ("schema", Json::from("mesa.fleetstats/v1")),
+            ("runs", self.runs.into()),
+            ("elapsed_cycles", self.elapsed_cycles.into()),
+            ("bands", self.bands.into()),
+            ("band_busy", Json::arr(self.band_busy.iter().copied())),
+            ("band_idle", Json::arr(self.band_idle.iter().copied())),
+            ("admissions", admissions),
+            ("migrations", self.migrations.into()),
+            ("histograms", histograms),
+            ("tenants", Json::arr(self.tenants.iter().map(tenant))),
+        ];
+        // Absent sections keep exports byte-identical with runs that had
+        // no host clock or no shared cache.
+        fields.extend(self.host.map(|h| ("host", h.to_json())));
+        fields.extend(self.artifacts.map(|a| ("artifact_cache", a.to_json())));
+        Json::obj(fields)
     }
 }
 
@@ -1637,9 +1624,10 @@ mod tests {
         );
         assert!(r0.migrations == 0 || r0.checkpoint_cycles > 0);
         // The JSON export is well-formed and monotone in its quantiles.
-        let json = s.to_json();
+        let json = s.to_json().to_string();
         assert!(json.starts_with("{\"schema\":\"mesa.fleetstats/v1\""));
-        mesa_trace::validate_json(&json).expect("fleetstats JSON parses");
+        let doc = mesa_trace::json::parse(&json).expect("fleetstats JSON parses");
+        assert_eq!(doc.to_string(), json, "re-renders to the same bytes");
         // No faults, no declines: no post-mortem.
         assert!(run.post_mortem.is_none());
         assert!(!run.flight.is_empty(), "flight recorder is always on");
@@ -1661,7 +1649,8 @@ mod tests {
         assert_eq!(busy + idle, merged.elapsed_cycles * merged.bands as u64);
         assert_eq!(merged.tenants.len(), 3);
         assert_eq!(merged.slice_cycles.count(), a.slice_cycles.count() + b.slice_cycles.count());
-        mesa_trace::validate_json(&merged.to_json()).expect("merged fleetstats JSON parses");
+        let json = merged.to_json().to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json));
     }
 
     #[test]

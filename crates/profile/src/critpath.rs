@@ -10,7 +10,7 @@
 
 use mesa_accel::PerfCounters;
 use mesa_core::{apply_counters, Ldfg, ReoptRound};
-use mesa_trace::json_string;
+use mesa_trace::Json;
 
 /// The critical path of a region under static vs measured weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,17 +56,14 @@ impl CriticalPathReport {
 
     /// The machine-readable object.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let path: Vec<String> = self.path.iter().map(u32::to_string).collect();
-        let nodes: Vec<String> = self.nodes.iter().map(|s| json_string(s)).collect();
-        format!(
-            "{{\"static_latency\":{},\"measured_latency\":{},\"delta\":{},\"path\":[{}],\"nodes\":[{}]}}",
-            self.static_latency,
-            self.measured_latency,
-            self.delta(),
-            path.join(","),
-            nodes.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("static_latency", self.static_latency.into()),
+            ("measured_latency", self.measured_latency.into()),
+            ("delta", self.delta().into()),
+            ("path", Json::arr(self.path.iter().copied())),
+            ("nodes", Json::arr(self.nodes.iter().map(String::as_str))),
+        ])
     }
 
     /// Text rendering: the headline latencies plus one line per path node.
@@ -115,24 +112,20 @@ pub fn render_round(r: &ReoptRound) -> String {
 
 /// The machine-readable object for one [`ReoptRound`].
 #[must_use]
-pub fn round_to_json(r: &ReoptRound) -> String {
-    format!(
-        "{{\"round\":{},\"iterations_before\":{},\"measured_cycles_per_iter\":{},\
-         \"new_estimate\":{},\"critical_path_before\":{},\"critical_path_after\":{},\
-         \"critical_path_delta\":{},\"placement_moves\":{},\"reconfigured\":{},\
-         \"tiles_after\":{},\"reconfig_cycles\":{}}}",
-        r.round,
-        r.iterations_before,
-        r.measured_cycles_per_iter,
-        r.new_estimate,
-        r.critical_path_before,
-        r.critical_path_after,
-        r.critical_path_delta(),
-        r.placement_moves,
-        r.reconfigured,
-        r.tiles_after,
-        r.reconfig_cycles
-    )
+pub fn round_to_json(r: &ReoptRound) -> Json {
+    Json::obj([
+        ("round", r.round.into()),
+        ("iterations_before", r.iterations_before.into()),
+        ("measured_cycles_per_iter", r.measured_cycles_per_iter.into()),
+        ("new_estimate", r.new_estimate.into()),
+        ("critical_path_before", r.critical_path_before.into()),
+        ("critical_path_after", r.critical_path_after.into()),
+        ("critical_path_delta", r.critical_path_delta().into()),
+        ("placement_moves", r.placement_moves.into()),
+        ("reconfigured", r.reconfigured.into()),
+        ("tiles_after", r.tiles_after.into()),
+        ("reconfig_cycles", r.reconfig_cycles.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -166,7 +159,8 @@ mod tests {
         // The input LDFG was not mutated: recomputing gives the same answer.
         let again = CriticalPathReport::from_measurements(&ldfg, &counters);
         assert_eq!(cp, again);
-        mesa_trace::validate_json(&cp.to_json()).unwrap();
+        let json = cp.to_json().to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json));
         assert!(cp.render().contains("critical path (measured)"));
     }
 
@@ -188,7 +182,8 @@ mod tests {
         let line = render_round(&r);
         assert!(line.contains("12 -> 45 (+33)"));
         assert!(line.contains("7 node(s) moved"));
-        mesa_trace::validate_json(&round_to_json(&r)).unwrap();
-        assert!(round_to_json(&r).contains("\"critical_path_delta\":33"));
+        let json = round_to_json(&r).to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json));
+        assert_eq!(round_to_json(&r).get("critical_path_delta"), Some(&33i64.into()));
     }
 }

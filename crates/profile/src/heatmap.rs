@@ -9,6 +9,7 @@
 //! fire total equals the engine's [`ActivityStats`] operation total.
 
 use mesa_accel::{ActivityStats, Coord, GridDim, NodeCounter, PerfCounters};
+use mesa_trace::Json;
 
 /// Accumulated counters of one grid cell (or the fallback bus).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,30 +194,26 @@ impl SpatialProfile {
     /// The machine-readable matrix:
     /// `{"rows":R,"cols":C,"fires":[[...]],"op_cycles":[[...]],"in_cycles":[[...]],"bus":{...}}`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let matrix = |field: fn(&PeCell) -> u64| -> String {
-            let rows: Vec<String> = (0..self.rows)
-                .map(|r| {
-                    let cols: Vec<String> =
-                        (0..self.cols).map(|c| field(self.cell(r, c)).to_string()).collect();
-                    format!("[{}]", cols.join(","))
-                })
-                .collect();
-            format!("[{}]", rows.join(","))
+    pub fn to_json(&self) -> Json {
+        let matrix = |field: fn(&PeCell) -> u64| {
+            let row = |r| Json::arr((0..self.cols).map(|c| field(self.cell(r, c))));
+            Json::arr((0..self.rows).map(row))
         };
-        format!(
-            "{{\"rows\":{},\"cols\":{},\"fires\":{},\"op_cycles\":{},\"in_cycles\":{},\
-             \"bus\":{{\"fires\":{},\"op_cycles\":{},\"in_cycles\":{}}},\"total_fires\":{}}}",
-            self.rows,
-            self.cols,
-            matrix(|c| c.fires),
-            matrix(|c| c.op_cycles),
-            matrix(|c| c.in_cycles),
-            self.bus.fires,
-            self.bus.op_cycles,
-            self.bus.in_cycles,
-            self.total_fires()
-        )
+        let bus = &self.bus;
+        let bus = Json::obj([
+            ("fires", bus.fires.into()),
+            ("op_cycles", bus.op_cycles.into()),
+            ("in_cycles", bus.in_cycles.into()),
+        ]);
+        Json::obj([
+            ("rows", self.rows.into()),
+            ("cols", self.cols.into()),
+            ("fires", matrix(|c| c.fires)),
+            ("op_cycles", matrix(|c| c.op_cycles)),
+            ("in_cycles", matrix(|c| c.in_cycles)),
+            ("bus", bus),
+            ("total_fires", self.total_fires().into()),
+        ])
     }
 }
 
@@ -298,8 +295,8 @@ mod tests {
     fn json_matrix_is_valid_and_exact() {
         let (placement, counters) = bank();
         let p = SpatialProfile::new(GridDim::new(2, 4), &placement, &counters);
-        let json = p.to_json();
-        mesa_trace::validate_json(&json).unwrap();
+        let json = p.to_json().to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json.clone()));
         assert!(json.contains("\"total_fires\":30"));
         assert!(json.contains("\"rows\":2"));
     }

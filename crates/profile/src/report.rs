@@ -5,7 +5,7 @@
 use crate::{render_round, round_to_json, CriticalPathReport, SpatialProfile, TopDown};
 use mesa_core::{Ldfg, OffloadReport, ReoptRound, SystemConfig};
 use mesa_mem::MemTraffic;
-use mesa_trace::json_string;
+use mesa_trace::Json;
 
 /// Cycle totals of each episode phase. The phases are the interval
 /// snapshots the controller already keeps; `total` is the episode
@@ -30,27 +30,27 @@ pub struct PhaseCycles {
 }
 
 impl PhaseCycles {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"warmup\":{},\"config\":{},\"config_overlap_cpu\":{},\"reconfig\":{},\
-             \"accel\":{},\"return_transfer\":{},\"total\":{}}}",
-            self.warmup,
-            self.config,
-            self.config_overlap_cpu,
-            self.reconfig,
-            self.accel,
-            self.return_transfer,
-            self.total
-        )
+    fn to_json(self) -> Json {
+        Json::obj([
+            ("warmup", self.warmup.into()),
+            ("config", self.config.into()),
+            ("config_overlap_cpu", self.config_overlap_cpu.into()),
+            ("reconfig", self.reconfig.into()),
+            ("accel", self.accel.into()),
+            ("return_transfer", self.return_transfer.into()),
+            ("total", self.total.into()),
+        ])
     }
 }
 
-fn traffic_json(t: &MemTraffic) -> String {
-    format!(
-        "{{\"l1_accesses\":{},\"l1_misses\":{},\"l2_accesses\":{},\"l2_misses\":{},\
-         \"dram_accesses\":{}}}",
-        t.l1_accesses, t.l1_misses, t.l2_accesses, t.l2_misses, t.dram_accesses
-    )
+fn traffic_json(t: &MemTraffic) -> Json {
+    Json::obj([
+        ("l1_accesses", t.l1_accesses.into()),
+        ("l1_misses", t.l1_misses.into()),
+        ("l2_accesses", t.l2_accesses.into()),
+        ("l2_misses", t.l2_misses.into()),
+        ("dram_accesses", t.dram_accesses.into()),
+    ])
 }
 
 /// The complete bottleneck-attribution report for one kernel episode.
@@ -205,69 +205,47 @@ impl ProfileReport {
         self.spatial.as_ref().is_none_or(|s| s.total_fires() == self.activity_ops_total)
     }
 
-    /// The unified machine-readable report. Deterministic: field order is
-    /// fixed and every number derives from simulated cycles, so the same
-    /// kernel at the same seed serializes byte-identically.
+    /// The unified machine-readable report; writers lay it out one
+    /// section per line ([`Json::to_lines`]). Deterministic: field order
+    /// is fixed and every number derives from simulated cycles, so the
+    /// same kernel at the same seed serializes byte-identically.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("\"kernel\":{},\n", json_string(&self.kernel)));
-        out.push_str(&format!(
-            "\"grid\":{{\"rows\":{},\"cols\":{}}},\n",
-            self.grid_rows, self.grid_cols
-        ));
-        out.push_str(&format!(
-            "\"reject\":{},\n",
-            self.reject.as_deref().map_or("null".to_string(), json_string)
-        ));
-        out.push_str(&format!("\"phases\":{},\n", self.phases.to_json()));
-        out.push_str(&format!("\"topdown\":{},\n", self.topdown.to_json()));
-        out.push_str(&format!(
-            "\"cpu_phase_traffic\":{},\n",
-            traffic_json(&self.cpu_phase_traffic)
-        ));
-        out.push_str(&format!(
-            "\"accel_phase_traffic\":{},\n",
-            self.accel_phase_traffic.as_ref().map_or("null".to_string(), traffic_json)
-        ));
-        out.push_str(&format!(
-            "\"spatial\":{},\n",
-            self.spatial.as_ref().map_or("null".to_string(), SpatialProfile::to_json)
-        ));
-        out.push_str(&format!(
-            "\"critical_path\":{},\n",
-            self.critical_path.as_ref().map_or("null".to_string(), CriticalPathReport::to_json)
-        ));
-        let rounds: Vec<String> = self.rounds.iter().map(round_to_json).collect();
-        out.push_str(&format!("\"reopt_rounds\":[{}],\n", rounds.join(",")));
-        out.push_str(&format!(
-            "\"fusion\":{{\"fused_pairs\":{},\"cmp_branch\":{},\"addr_load\":{},\
-             \"addr_store\":{},\"alu_alu\":{},\"retired\":{},\"hit_rate\":{:.4}}},\n",
-            self.fused_pairs.iter().sum::<u64>(),
-            self.fused_pairs[0],
-            self.fused_pairs[1],
-            self.fused_pairs[2],
-            self.fused_pairs[3],
-            self.cpu_retired,
-            self.fusion_hit_rate(),
-        ));
-        out.push_str(&format!(
-            "\"fastfwd\":{{\"ff_instrs\":{},\"simulated_instrs\":{}}},\n",
-            self.ff_instrs,
-            self.cpu_retired.saturating_sub(self.ff_instrs),
-        ));
-        out.push_str(&format!(
-            "\"summary\":{{\"accel_iterations\":{},\"tiles\":{},\"pipelined\":{},\
-             \"activity_ops_total\":{},\"fires_total\":{}}}\n",
-            self.accel_iterations,
-            self.tiles,
-            self.pipelined,
-            self.activity_ops_total,
-            self.spatial.as_ref().map_or(0, SpatialProfile::total_fires)
-        ));
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        let [cmp_branch, addr_load, addr_store, alu_alu] = self.fused_pairs;
+        let fusion = Json::obj([
+            ("fused_pairs", self.fused_pairs.iter().sum::<u64>().into()),
+            ("cmp_branch", cmp_branch.into()),
+            ("addr_load", addr_load.into()),
+            ("addr_store", addr_store.into()),
+            ("alu_alu", alu_alu.into()),
+            ("retired", self.cpu_retired.into()),
+            ("hit_rate", Json::fixed(self.fusion_hit_rate(), 4)),
+        ]);
+        let simulated = self.cpu_retired.saturating_sub(self.ff_instrs).into();
+        let fastfwd =
+            Json::obj([("ff_instrs", self.ff_instrs.into()), ("simulated_instrs", simulated)]);
+        let summary = Json::obj([
+            ("accel_iterations", self.accel_iterations.into()),
+            ("tiles", self.tiles.into()),
+            ("pipelined", self.pipelined.into()),
+            ("activity_ops_total", self.activity_ops_total.into()),
+            ("fires_total", self.spatial.as_ref().map_or(0, SpatialProfile::total_fires).into()),
+        ]);
+        Json::obj([
+            ("kernel", self.kernel.as_str().into()),
+            ("grid", Json::obj([("rows", self.grid_rows.into()), ("cols", self.grid_cols.into())])),
+            ("reject", self.reject.as_deref().into()),
+            ("phases", self.phases.to_json()),
+            ("topdown", self.topdown.to_json()),
+            ("cpu_phase_traffic", traffic_json(&self.cpu_phase_traffic)),
+            ("accel_phase_traffic", self.accel_phase_traffic.as_ref().map(traffic_json).into()),
+            ("spatial", self.spatial.as_ref().map(SpatialProfile::to_json).into()),
+            ("critical_path", self.critical_path.as_ref().map(CriticalPathReport::to_json).into()),
+            ("reopt_rounds", Json::arr(self.rounds.iter().map(round_to_json))),
+            ("fusion", fusion),
+            ("fastfwd", fastfwd),
+            ("summary", summary),
+        ])
     }
 
     /// The human text summary: phases, top-down buckets, heatmap, hottest
@@ -347,8 +325,9 @@ mod tests {
         let p = ProfileReport::declined("btree", &system, "C2: jump inside loop body");
         assert!(p.spatial_matches_activity());
         assert!(p.topdown.sums_to_total());
-        mesa_trace::validate_json(&p.to_json()).unwrap();
-        assert!(p.to_json().contains("\"reject\":\"C2: jump inside loop body\""));
+        let text = p.to_json().to_lines();
+        assert_eq!(mesa_trace::json::parse(&text).map(|j| j.to_lines()), Ok(text));
+        assert_eq!(p.to_json().get("reject"), Some(&"C2: jump inside loop body".into()));
         assert!(p.render().contains("offload declined"));
     }
 }

@@ -16,6 +16,7 @@
 
 use mesa_cpu::{CoreConfig, PipelineStats};
 use mesa_mem::{MemConfig, MemTraffic};
+use mesa_trace::Json;
 
 /// Top-down classification of one execution window's cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,16 +94,14 @@ impl TopDown {
     /// The machine-readable object, e.g.
     /// `{"total_cycles":10,"retiring":4,...}`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"total_cycles\":{},\"retiring\":{},\"frontend_bound\":{},\
-             \"backend_core_bound\":{},\"memory_bound\":{}}}",
-            self.total_cycles,
-            self.retiring,
-            self.frontend_bound,
-            self.backend_core_bound,
-            self.memory_bound
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("total_cycles", self.total_cycles.into()),
+            ("retiring", self.retiring.into()),
+            ("frontend_bound", self.frontend_bound.into()),
+            ("backend_core_bound", self.backend_core_bound.into()),
+            ("memory_bound", self.memory_bound.into()),
+        ])
     }
 
     /// A small text bar chart of the four buckets.
@@ -225,7 +224,8 @@ mod tests {
         };
         assert!(td.sums_to_total());
         assert!(td.render().contains("memory-bound"));
-        mesa_trace::validate_json(&td.to_json()).unwrap();
-        assert!(td.to_json().contains("\"retiring\":4"));
+        let json = td.to_json().to_string();
+        assert_eq!(mesa_trace::json::parse(&json).map(|j| j.to_string()), Ok(json));
+        assert_eq!(td.to_json().get("retiring"), Some(&4u64.into()));
     }
 }

@@ -201,7 +201,8 @@ fn write_host_profile(path: &str) {
         .gauges
         .insert("sim_to_host_ratio".to_string(), sim_cycles as f64 / wall);
     let folded_path = format!("{path}.folded");
-    std::fs::write(path, profile.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, profile.to_json().to_string())
+        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     std::fs::write(&folded_path, profile.to_folded())
         .unwrap_or_else(|e| panic!("writing {folded_path}: {e}"));
     eprintln!("host: wrote host profile to {path} and folded stacks to {folded_path}");
@@ -250,7 +251,8 @@ fn capture_profile(path: &str, size: KernelSize, ff: bool) {
     let kernel = by_name("nn", size).expect("nn is registered");
     let system = SystemConfig { fast_forward: ff, ..SystemConfig::m128() };
     let (_, profile) = bench::mesa_profile(&kernel, &system, bench::BASELINE_CORES);
-    std::fs::write(path, profile.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, profile.to_json().to_lines())
+        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("== Profile: one nn offload episode on M-128 ==");
     println!("{}", profile.render());
     println!("wrote profile report to {path}\n");

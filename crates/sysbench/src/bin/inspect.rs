@@ -81,7 +81,8 @@ fn main() {
             // pipeline, and how much of warmup ran at interpreter speed.
             let fusion = &report.cpu_pipeline.fusion;
             println!(
-                "  cpu: {} warmup instrs ({} fast-forwarded, {} simulated);                  {} fused pairs ({:.1}% of retired; cmp+br {}, addr+ld {}, addr+st {}, alu+alu {})",
+                "  cpu: {} warmup instrs ({} fast-forwarded, {} simulated); \
+                 {} fused pairs ({:.1}% of retired; cmp+br {}, addr+ld {}, addr+st {}, alu+alu {})",
                 report.warmup_instrs,
                 report.ff_instrs,
                 report.warmup_instrs - report.ff_instrs,
@@ -125,7 +126,7 @@ fn main() {
             ),
             Err(e) => ProfileReport::declined(kernel.name, &system, &e.to_string()),
         };
-        std::fs::write(path, profile.to_json())
+        std::fs::write(path, profile.to_json().to_lines())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("\n{}", profile.render());
         println!("wrote profile report to {path}");

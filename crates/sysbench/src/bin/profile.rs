@@ -45,7 +45,8 @@ fn main() {
     assert!(profile.topdown.sums_to_total(), "top-down buckets must sum to total cycles");
     assert!(profile.spatial_matches_activity(), "heatmap totals must match ActivityStats");
 
-    std::fs::write(&out, profile.to_json()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    std::fs::write(&out, profile.to_json().to_lines())
+        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("{}", profile.render());
     println!("wrote profile report to {out}");
 }

@@ -236,7 +236,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = fleetstats_path {
-        let json = agg.stats.to_json();
+        let json = agg.stats.to_json().to_string();
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("soak: failed to write fleetstats to {path}: {e}");
             return ExitCode::FAILURE;

@@ -1,22 +1,23 @@
 //! CI-facing trace and benchmark validators.
 //!
-//! Two subcommands, both exiting non-zero with a diagnostic on failure:
+//! Every JSON input is parsed whole with `mesa_trace::json`, and fields
+//! are read by their path through the tree, so neither field order nor
+//! whitespace matters. The parser rejects a non-finite numeric value
+//! (`NaN`/`inf`) and names it, so a missed ratio guard can never leak into
+//! a committed artifact. Each subcommand exits non-zero with a diagnostic
+//! on failure:
 //!
-//! * `tracecheck chrome <path>` — parses `<path>` as a Chrome trace-event
-//!   file (full JSON syntax check, no external parser), requires it to be
-//!   non-empty with balanced span begin/end events, and requires the
-//!   controller-phase spans `detect`, `translate`, `map`, `configure`, and
-//!   `offload` to be present. Both `chrome` and `profile` also reject any
-//!   non-finite numeric value (`NaN`/`inf`) so a missed ratio guard can
-//!   never leak into a committed artifact. Used by `scripts/ci.sh` as the
-//!   trace smoke test.
+//! * `tracecheck chrome <path>` — validates a Chrome trace-event file:
+//!   non-empty `traceEvents` with balanced span begin/end events, and the
+//!   controller-phase spans `detect`, `translate`, `map`, `configure` and
+//!   `offload` present. Used by `scripts/ci.sh` as the trace smoke test.
 //! * `tracecheck benchgate <bench.json> <name_a> <name_b> <max_ratio>` —
-//!   reads the JSON-lines microbench report written by the `components`
-//!   bench and asserts `median_ns(name_a) <= median_ns(name_b) *
-//!   max_ratio`. Used to gate the `NullTracer` overhead against the
-//!   untraced engine path.
+//!   reads the bench-suite report written by the `components` bench (a
+//!   JSON array of results) and asserts that `name_a`'s `median_ns` is at
+//!   most `max_ratio` × `name_b`'s. Used by `scripts/bench_gates.sh` for
+//!   the same-run gates.
 //! * `tracecheck benchdiff <new.json> <baseline.json> <max_ratio>
-//!   [name...]` — compares a freshly produced microbench report against a
+//!   [name...]` — compares a freshly produced bench-suite report against a
 //!   committed baseline and fails when any compared benchmark's median
 //!   regressed by more than `max_ratio` (e.g. `1.15` = 15% slower).
 //!   Benchmarks to compare may be listed explicitly; with none listed,
@@ -24,17 +25,15 @@
 //!   missing from the new report is a failure; extra new benchmarks are
 //!   ignored so adding benches never breaks old baselines). Used by
 //!   `scripts/bench_diff.sh` as the perf-regression gate.
-//! * `tracecheck profile <report.json>` — parses `<path>` as the unified
-//!   profile report the `profile` binary writes (full JSON syntax check),
-//!   requires the top-down buckets to sum exactly to the total CPU-phase
-//!   cycles, and, for an accepted offload (`"reject": null`), requires a
-//!   non-empty heatmap (`fires_total > 0`). The CPU-speed sections are
-//!   validated too: the four per-idiom fusion counters must sum to
-//!   `fused_pairs`, every fused pair must account for two retired
-//!   instructions (`2 × fused_pairs ≤ retired`), and the fast-forward
-//!   split must tile the retired count exactly
-//!   (`ff_instrs + simulated_instrs == retired`). Used by `scripts/ci.sh`
-//!   as the profile smoke test.
+//! * `tracecheck profile <report.json>` — validates the unified profile
+//!   report the `profile` binary writes: the `topdown` buckets sum exactly
+//!   to its `total_cycles`, and an accepted offload (`"reject": null`)
+//!   leaves a non-empty heatmap (`summary.fires_total > 0`). The CPU-speed
+//!   sections are checked too: the four per-idiom `fusion` counters sum to
+//!   `fused_pairs`, every fused pair accounts for two retired instructions
+//!   (`2 × fused_pairs ≤ retired`), and the `fastfwd` split tiles the
+//!   retired count exactly (`ff_instrs + simulated_instrs == retired`).
+//!   Used by `scripts/ci.sh` as the profile smoke test.
 //! * `tracecheck figdiff <a.txt> <b.txt> <max_rel_err>` — compares the
 //!   `MEAN` speedup/energy rows of two captured `figures` fig11 outputs
 //!   column by column and fails when any column's relative difference
@@ -43,37 +42,39 @@
 //!   run's speedup table within the fast-forward model's error bound.
 //! * `tracecheck fleetstats <stats.json>` — validates a
 //!   `"schema":"mesa.fleetstats/v1"` export (from `soak --fleetstats` or
-//!   `FleetStats::to_json`): full JSON syntax check, exact occupancy
-//!   conservation (`Σ band_busy + Σ band_idle == elapsed_cycles × bands`),
-//!   quantile monotonicity (`min ≤ p50 ≤ p90 ≤ p99 ≤ max`) for every
-//!   latency histogram, and `migrations == migration_cycles.count`.
+//!   `FleetStats::to_json`): exact occupancy conservation (`Σ band_busy +
+//!   Σ band_idle == elapsed_cycles × bands`), quantile monotonicity (`min ≤
+//!   p50 ≤ p90 ≤ p99 ≤ max`) for every latency histogram, and `migrations
+//!   == histograms.migration_cycles.count`.
 //! * `tracecheck postmortem <dump.json>` — validates a flight-recorder
-//!   post-mortem (`"schema":"mesa.flight/v1"`): full JSON syntax check, a
-//!   non-empty reason, and at least one recorded event.
+//!   post-mortem (`"schema":"mesa.flight/v1"`): a non-empty reason, and at
+//!   least one recorded event, each with a cycle.
 //! * `tracecheck hostprofile <host.json> [stacks.folded]` — validates a
 //!   `"schema":"mesa.hostprofile/v1"` export (from `figures
-//!   --host-profile`): full JSON syntax + finiteness check, **exact**
-//!   wall-time conservation at every level of the span tree
-//!   (`self_ns + Σ children.total_ns == total_ns`, roots sum to the
-//!   profile total), `dur.count == calls` per span, and allocator-counter
-//!   sanity (`peak ≥ current`, `total ≥ current`). With the optional
-//!   folded-stack file: every line must match a span's `self_ns` and the
-//!   lines must sum exactly to the profile total.
+//!   --host-profile`): **exact** wall-time conservation at every level of
+//!   the span tree (`self_ns + Σ children.total_ns == total_ns`, roots sum
+//!   to the profile total), `dur.count == calls` per span, and
+//!   allocator-counter sanity (`peak ≥ current`, `total ≥ current`). With
+//!   the optional folded-stack file: every line must match a span's
+//!   `self_ns` and the lines must sum exactly to the profile total.
 
-use mesa_trace::{validate_chrome_trace, validate_json};
+use mesa_trace::json::{parse, Json};
+use mesa_trace::validate_chrome_trace;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     let result = match args.first().map(String::as_str) {
-        Some("chrome") => check_chrome(args.get(1).map_or("", String::as_str)),
-        Some("benchgate") => check_benchgate(&args[1..]),
-        Some("benchdiff") => check_benchdiff(&args[1..]),
-        Some("profile") => check_profile(args.get(1).map_or("", String::as_str)),
-        Some("figdiff") => check_figdiff(&args[1..]),
-        Some("fleetstats") => check_fleetstats(args.get(1).map_or("", String::as_str)),
-        Some("postmortem") => check_postmortem(args.get(1).map_or("", String::as_str)),
-        Some("hostprofile") => check_hostprofile(&args[1..]),
+        Some("chrome") => check_chrome(rest),
+        Some("benchgate") => check_benchgate(rest),
+        Some("benchdiff") => check_benchdiff(rest),
+        Some("profile") => with_doc(rest, check_profile),
+        Some("figdiff") => check_figdiff(rest),
+        Some("fleetstats") => with_doc(rest, check_fleetstats),
+        Some("postmortem") => with_doc(rest, check_postmortem),
+        Some("hostprofile") => check_hostprofile(rest),
         _ => Err(
             "usage: tracecheck chrome <trace.json>\n\
              \x20      tracecheck benchgate <bench.json> <name_a> <name_b> <max_ratio>\n\
@@ -98,16 +99,53 @@ fn main() -> ExitCode {
     }
 }
 
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+/// Reads and parses one JSON document.
+fn load(path: &str) -> Result<Json, String> {
+    parse(&read(path)?).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Runs `check` on the document named by the one argument, prefixing its
+/// verdict with the path.
+fn with_doc(args: &[String], check: fn(&Json) -> Result<String, String>) -> Result<String, String> {
+    let [path] = args else {
+        return Err("expected one <path> argument".into());
+    };
+    let verdict = check(&load(path)?);
+    verdict.map(|msg| format!("{path}: {msg}")).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The unsigned integer at `path` inside `doc`.
+fn u64_at(doc: &Json, path: &[&str]) -> Result<u64, String> {
+    doc.at(path)
+        .and_then(Json::u64)
+        .ok_or_else(|| format!("no unsigned integer at {:?}", path.join(".")))
+}
+
+/// The sum of the unsigned integers at `section.key` for each key.
+fn sum_at(doc: &Json, section: &str, keys: &[&str]) -> Result<u128, String> {
+    keys.iter().map(|k| u64_at(doc, &[section, k]).map(u128::from)).sum()
+}
+
+fn expect_schema(doc: &Json, schema: &str) -> Result<(), String> {
+    if doc.get("schema").and_then(Json::str) == Some(schema) {
+        Ok(())
+    } else {
+        Err(format!("missing \"schema\":{schema:?} marker"))
+    }
+}
+
 /// Controller-phase spans every successful offload trace must contain.
 const REQUIRED_SPANS: [&str; 5] = ["detect", "translate", "map", "configure", "offload"];
 
-fn check_chrome(path: &str) -> Result<String, String> {
-    if path.is_empty() {
-        return Err("chrome: missing <trace.json> path".into());
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_finite(path, &text)?;
-    let summary = validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+fn check_chrome(args: &[String]) -> Result<String, String> {
+    let [path] = args else {
+        return Err("chrome: expected <trace.json>".into());
+    };
+    let summary = validate_chrome_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     for name in REQUIRED_SPANS {
         if !summary.span_names.iter().any(|n| n == name) {
             return Err(format!(
@@ -124,25 +162,30 @@ fn check_chrome(path: &str) -> Result<String, String> {
     ))
 }
 
+/// The named benchmark's entry in a bench-suite report, and its median.
+fn bench<'a>(suite: &'a Json, path: &str, name: &str) -> Result<(&'a Json, f64), String> {
+    let entry = suite.items().iter().find(|b| b.get("name").and_then(Json::str) == Some(name));
+    let entry = entry.ok_or_else(|| format!("{path}: no entry {name:?}"))?;
+    let median = entry.get("median_ns").and_then(Json::f64);
+    Ok((entry, median.ok_or_else(|| format!("{path}: {name:?} has no median_ns"))?))
+}
+
 fn check_benchgate(args: &[String]) -> Result<String, String> {
-    let [bench, name_a, name_b, max_ratio] = args else {
+    let [path, name_a, name_b, max_ratio] = args else {
         return Err("benchgate: expected <bench.json> <name_a> <name_b> <max_ratio>".into());
     };
     let max_ratio: f64 = max_ratio
         .parse()
         .map_err(|e| format!("benchgate: bad max_ratio {max_ratio:?}: {e}"))?;
-    let text = std::fs::read_to_string(bench).map_err(|e| format!("reading {bench}: {e}"))?;
-    let a = median_ns(&text, name_a).ok_or_else(|| format!("{bench}: no entry {name_a:?}"))?;
-    let b = median_ns(&text, name_b).ok_or_else(|| format!("{bench}: no entry {name_b:?}"))?;
+    let suite = load(path)?;
+    let (_, a) = bench(&suite, path, name_a)?;
+    let (_, b) = bench(&suite, path, name_b)?;
     let ratio = a / b.max(f64::MIN_POSITIVE);
+    let verdict = format!("{name_a} = {a:.0} ns vs {name_b} = {b:.0} ns: ratio {ratio:.3}");
     if ratio <= max_ratio {
-        Ok(format!(
-            "{name_a} = {a:.0} ns vs {name_b} = {b:.0} ns: ratio {ratio:.3} <= {max_ratio}"
-        ))
+        Ok(format!("{verdict} <= {max_ratio}"))
     } else {
-        Err(format!(
-            "{name_a} = {a:.0} ns vs {name_b} = {b:.0} ns: ratio {ratio:.3} exceeds {max_ratio}"
-        ))
+        Err(format!("{verdict} exceeds {max_ratio}"))
     }
 }
 
@@ -155,13 +198,12 @@ fn check_benchdiff(args: &[String]) -> Result<String, String> {
     let max_ratio: f64 = max_ratio
         .parse()
         .map_err(|e| format!("benchdiff: bad max_ratio {max_ratio:?}: {e}"))?;
-    let new_text =
-        std::fs::read_to_string(new_path).map_err(|e| format!("reading {new_path}: {e}"))?;
-    let base_text =
-        std::fs::read_to_string(base_path).map_err(|e| format!("reading {base_path}: {e}"))?;
+    let new_suite = load(new_path)?;
+    let base_suite = load(base_path)?;
 
     let compare: Vec<String> = if names.is_empty() {
-        bench_names(&base_text)
+        let names = base_suite.items().iter().filter_map(|b| b.get("name")?.str());
+        names.map(str::to_string).collect()
     } else {
         names.to_vec()
     };
@@ -172,24 +214,21 @@ fn check_benchdiff(args: &[String]) -> Result<String, String> {
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
     for name in &compare {
-        let base = median_ns(&base_text, name)
-            .ok_or_else(|| format!("{base_path}: no entry {name:?}"))?;
-        let new = median_ns(&new_text, name)
-            .ok_or_else(|| format!("{new_path}: no entry {name:?} (benchmark removed?)"))?;
-        let ratio = new / base.max(f64::MIN_POSITIVE);
+        let (base, base_ns) = bench(&base_suite, base_path, name)?;
+        let (new, new_ns) =
+            bench(&new_suite, new_path, name).map_err(|e| format!("{e} (benchmark removed?)"))?;
+        let ratio = new_ns / base_ns.max(f64::MIN_POSITIVE);
         // Sim throughput is informational: cycle-reporting benches carry
         // it, plain ones don't, and old baselines may predate the field.
-        let sim = match (
-            bench_field_f64(&base_text, name, "sim_mcycles_per_sec"),
-            bench_field_f64(&new_text, name, "sim_mcycles_per_sec"),
-        ) {
+        let sim = |entry: &Json| entry.get("sim_mcycles_per_sec").and_then(Json::f64);
+        let sim = match (sim(base), sim(new)) {
             (Some(b), Some(n)) => format!(" [sim {b:.1} -> {n:.1} Mcyc/s]"),
             _ => String::new(),
         };
-        lines.push(format!("  {name}: {base:.1} -> {new:.1} ns ({ratio:.3}x){sim}"));
+        lines.push(format!("  {name}: {base_ns:.1} -> {new_ns:.1} ns ({ratio:.3}x){sim}"));
         if ratio > max_ratio {
             regressions.push(format!(
-                "{name}: {base:.1} -> {new:.1} ns ({ratio:.3}x > {max_ratio}x)"
+                "{name}: {base_ns:.1} -> {new_ns:.1} ns ({ratio:.3}x > {max_ratio}x)"
             ));
         }
     }
@@ -207,86 +246,52 @@ fn check_benchdiff(args: &[String]) -> Result<String, String> {
     }
 }
 
-fn check_profile(path: &str) -> Result<String, String> {
-    if path.is_empty() {
-        return Err("profile: missing <report.json> path".into());
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_finite(path, &text)?;
-    validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let compact: String = text.split_whitespace().collect();
-
+fn check_profile(doc: &Json) -> Result<String, String> {
     // Conservation: the four top-down buckets tile the CPU-phase cycles.
-    // `total_cycles` appears only inside the report's `topdown` object.
-    let field = |key: &str| -> Result<u64, String> {
-        field_u64(&compact, key).ok_or_else(|| format!("{path}: no field {key:?}"))
-    };
-    let total = field("total_cycles")?;
+    let total = u64_at(doc, &["topdown", "total_cycles"])?;
     let buckets = ["retiring", "frontend_bound", "backend_core_bound", "memory_bound"];
-    let sum: u64 = buckets.iter().map(|k| field(k)).sum::<Result<u64, _>>()?;
-    if sum != total {
-        return Err(format!(
-            "{path}: top-down buckets sum to {sum}, expected total_cycles = {total}"
-        ));
+    let sum = sum_at(doc, "topdown", &buckets)?;
+    if sum != u128::from(total) {
+        return Err(format!("top-down buckets sum to {sum}, expected total_cycles = {total}"));
     }
 
     // An accepted offload must leave a non-empty heatmap behind.
-    let accepted = compact.contains("\"reject\":null");
-    if accepted && field("fires_total")? == 0 {
-        return Err(format!("{path}: accepted offload but the heatmap recorded zero fires"));
+    let accepted = doc.get("reject") == Some(&Json::Null);
+    if accepted && u64_at(doc, &["summary", "fires_total"])? == 0 {
+        return Err("accepted offload but the heatmap recorded zero fires".into());
     }
 
     // Fusion accounting: the per-idiom counters must tile `fused_pairs`,
     // and each fused pair stands for exactly two retired instructions.
-    // The section's field order (fused_pairs, per-idiom counters, retired)
-    // is part of the schema, so first-occurrence extraction on the
-    // sub-object works.
-    let fusion_pos = compact
-        .find("\"fusion\":{")
-        .ok_or_else(|| format!("{path}: no \"fusion\" section"))?;
-    let fusion_sub = &compact[fusion_pos..];
-    let ffield = |key: &str| -> Result<u64, String> {
-        field_u64(fusion_sub, key)
-            .ok_or_else(|| format!("{path}: fusion section has no field {key:?}"))
-    };
-    let fused_pairs = ffield("fused_pairs")?;
+    let fused_pairs = u64_at(doc, &["fusion", "fused_pairs"])?;
     let by_kind = ["cmp_branch", "addr_load", "addr_store", "alu_alu"];
-    let kind_sum: u64 = by_kind.iter().map(|k| ffield(k)).sum::<Result<u64, _>>()?;
-    if kind_sum != fused_pairs {
+    let kind_sum = sum_at(doc, "fusion", &by_kind)?;
+    if kind_sum != u128::from(fused_pairs) {
         return Err(format!(
-            "{path}: per-idiom fusion counters sum to {kind_sum}, \
-             expected fused_pairs = {fused_pairs}"
+            "per-idiom fusion counters sum to {kind_sum}, expected fused_pairs = {fused_pairs}"
         ));
     }
-    let retired = ffield("retired")?;
-    if 2 * fused_pairs > retired {
+    let retired = u64_at(doc, &["fusion", "retired"])?;
+    if 2 * u128::from(fused_pairs) > u128::from(retired) {
         return Err(format!(
-            "{path}: {fused_pairs} fused pair(s) account for {} instruction(s) \
-             but only {retired} retired",
-            2 * fused_pairs
+            "{fused_pairs} fused pair(s) account for twice as many instructions \
+             but only {retired} retired"
         ));
     }
 
     // Fast-forward accounting: fast-forwarded and fully simulated
     // instructions must tile the retired count exactly.
-    let ff_pos = compact
-        .find("\"fastfwd\":{")
-        .ok_or_else(|| format!("{path}: no \"fastfwd\" section"))?;
-    let ff_sub = &compact[ff_pos..];
-    let xfield = |key: &str| -> Result<u64, String> {
-        field_u64(ff_sub, key)
-            .ok_or_else(|| format!("{path}: fastfwd section has no field {key:?}"))
-    };
-    let (ff, simulated) = (xfield("ff_instrs")?, xfield("simulated_instrs")?);
-    if ff + simulated != retired {
+    let ff = u64_at(doc, &["fastfwd", "ff_instrs"])?;
+    let simulated = u64_at(doc, &["fastfwd", "simulated_instrs"])?;
+    if u128::from(ff) + u128::from(simulated) != u128::from(retired) {
         return Err(format!(
-            "{path}: fast-forward split not conserved: ff_instrs={ff} + \
+            "fast-forward split not conserved: ff_instrs={ff} + \
              simulated_instrs={simulated} != retired = {retired}"
         ));
     }
 
     Ok(format!(
-        "{path}: well-formed profile report, buckets sum to {total} cycles, \
+        "well-formed profile report, buckets sum to {total} cycles, \
          {fused_pairs} fused pair(s) + {ff} fast-forwarded instr(s) conserved, {}",
         if accepted { "offload accepted" } else { "offload declined" }
     ))
@@ -352,33 +357,24 @@ fn check_figdiff(args: &[String]) -> Result<String, String> {
     ))
 }
 
-/// Latency histograms every fleetstats export must carry, in schema order.
+/// Latency histograms every fleetstats export must carry.
 const FLEET_HISTOGRAMS: [&str; 3] = ["queue_wait_cycles", "slice_cycles", "migration_cycles"];
 
-fn check_fleetstats(path: &str) -> Result<String, String> {
-    if path.is_empty() {
-        return Err("fleetstats: missing <stats.json> path".into());
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_finite(path, &text)?;
-    validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let compact: String = text.split_whitespace().collect();
-    if !compact.contains("\"schema\":\"mesa.fleetstats/v1\"") {
-        return Err(format!("{path}: missing \"schema\":\"mesa.fleetstats/v1\" marker"));
-    }
-
-    let field = |key: &str| -> Result<u64, String> {
-        field_u64(&compact, key).ok_or_else(|| format!("{path}: no field {key:?}"))
+fn check_fleetstats(doc: &Json) -> Result<String, String> {
+    expect_schema(doc, "mesa.fleetstats/v1")?;
+    let elapsed = u64_at(doc, &["elapsed_cycles"])?;
+    let bands = u64_at(doc, &["bands"])?;
+    let band_slots = |key: &str| -> Result<Vec<u64>, String> {
+        let Some(Json::Arr(slots)) = doc.get(key) else {
+            return Err(format!("no array {key:?}"));
+        };
+        let slot = |v: &Json| v.u64().ok_or_else(|| format!("non-integer slot in {key:?}"));
+        slots.iter().map(slot).collect()
     };
-    let elapsed = field("elapsed_cycles")?;
-    let bands = field("bands")? as usize;
-    let busy = field_u64_array(&compact, "band_busy")
-        .ok_or_else(|| format!("{path}: no array \"band_busy\""))?;
-    let idle = field_u64_array(&compact, "band_idle")
-        .ok_or_else(|| format!("{path}: no array \"band_idle\""))?;
-    if busy.len() != bands || idle.len() != bands {
+    let (busy, idle) = (band_slots("band_busy")?, band_slots("band_idle")?);
+    if busy.len() as u64 != bands || idle.len() as u64 != bands {
         return Err(format!(
-            "{path}: band arrays have {}/{} slots, expected bands = {bands}",
+            "band arrays have {}/{} slots, expected bands = {bands}",
             busy.len(),
             idle.len()
         ));
@@ -386,197 +382,60 @@ fn check_fleetstats(path: &str) -> Result<String, String> {
     // Occupancy conservation: every elapsed fleet cycle is attributed to
     // every band slot as exactly one of busy or idle.
     let occupied: u128 = busy.iter().chain(&idle).map(|&v| u128::from(v)).sum();
-    let expected = u128::from(elapsed) * bands as u128;
+    let expected = u128::from(elapsed) * u128::from(bands);
     if occupied != expected {
         return Err(format!(
-            "{path}: occupancy not conserved: Σ busy + Σ idle = {occupied}, \
+            "occupancy not conserved: Σ busy + Σ idle = {occupied}, \
              expected elapsed_cycles × bands = {expected}"
         ));
     }
 
-    // Quantile monotonicity for each latency histogram. The histogram's
-    // JSON field order (count, sum, min, p50, p90, p99, max) is part of
-    // the schema, so first-occurrence extraction on the sub-object works.
+    // Quantile monotonicity for each latency histogram.
     for name in FLEET_HISTOGRAMS {
-        let needle = format!("\"{name}\":{{");
-        let Some(pos) = compact.find(&needle) else {
-            return Err(format!("{path}: no histogram {name:?}"));
-        };
-        let sub = &compact[pos..];
-        let hfield = |key: &str| -> Result<u64, String> {
-            field_u64(sub, key)
-                .ok_or_else(|| format!("{path}: histogram {name:?} has no field {key:?}"))
-        };
-        let (count, min) = (hfield("count")?, hfield("min")?);
-        let (p50, p90) = (hfield("p50")?, hfield("p90")?);
-        let (p99, max) = (hfield("p99")?, hfield("max")?);
+        let q = |key: &str| u64_at(doc, &["histograms", name, key]);
+        let (count, min, p50) = (q("count")?, q("min")?, q("p50")?);
+        let (p90, p99, max) = (q("p90")?, q("p99")?, q("max")?);
         if count > 0 && !(min <= p50 && p50 <= p90 && p90 <= p99 && p99 <= max) {
             return Err(format!(
-                "{path}: histogram {name:?} quantiles not monotone: \
+                "histogram {name:?} quantiles not monotone: \
                  min={min} p50={p50} p90={p90} p99={p99} max={max}"
             ));
         }
-        if name == "migration_cycles" {
-            let migrations = field("migrations")?;
-            if count != migrations {
-                return Err(format!(
-                    "{path}: migration_cycles has {count} sample(s) but the \
-                     export reports {migrations} migration(s)"
-                ));
-            }
-        }
+    }
+    let migrations = u64_at(doc, &["migrations"])?;
+    let samples = u64_at(doc, &["histograms", "migration_cycles", "count"])?;
+    if samples != migrations {
+        return Err(format!(
+            "migration_cycles has {samples} sample(s) but the export reports \
+             {migrations} migration(s)"
+        ));
     }
     Ok(format!(
-        "{path}: valid fleetstats export — {} run(s), {bands} band(s), \
+        "valid fleetstats export — {} run(s), {bands} band(s), \
          {elapsed} fleet cycles conserved, {} histogram(s) monotone",
-        field("runs")?,
+        u64_at(doc, &["runs"])?,
         FLEET_HISTOGRAMS.len()
     ))
 }
 
-/// One span row extracted from a hostprofile export.
-struct HostSpanRec {
-    path: String,
+/// One span row of a hostprofile export.
+struct HostSpanRec<'a> {
+    path: &'a str,
     total_ns: u64,
     self_ns: u64,
-    busy_ns: u64,
-    calls: u64,
-    dur_count: u64,
 }
 
 fn check_hostprofile(args: &[String]) -> Result<String, String> {
-    let Some(path) = args.first() else {
+    let [path, folded @ ..] = args else {
         return Err("hostprofile: expected <host.json> [stacks.folded]".into());
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_finite(path, &text)?;
-    validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let compact: String = text.split_whitespace().collect();
-    if !compact.contains("\"schema\":\"mesa.hostprofile/v1\"") {
-        return Err(format!("{path}: missing \"schema\":\"mesa.hostprofile/v1\" marker"));
-    }
-
-    // The first `total_ns` occurrence is the profile-level total (it
-    // precedes the spans array in the schema's field order).
-    let total = field_u64(&compact, "total_ns")
-        .ok_or_else(|| format!("{path}: no field \"total_ns\""))?;
-
-    // Allocator-counter sanity on the top-level `alloc` object.
-    let alloc_pos = compact
-        .find("\"alloc\":{")
-        .ok_or_else(|| format!("{path}: no \"alloc\" object"))?;
-    let alloc_sub = &compact[alloc_pos..];
-    let afield = |key: &str| -> Result<u64, String> {
-        field_u64(alloc_sub, key)
-            .ok_or_else(|| format!("{path}: alloc object has no field {key:?}"))
-    };
-    let (a_total, a_current, a_peak) =
-        (afield("total_bytes")?, afield("current_bytes")?, afield("peak_bytes")?);
-    if a_peak < a_current || a_total < a_current {
-        return Err(format!(
-            "{path}: inconsistent allocator counters: total_bytes={a_total} \
-             current_bytes={a_current} peak_bytes={a_peak}"
-        ));
-    }
-
-    // Spans: each element of the array begins with `{"path":"`, so
-    // splitting on that marker yields one chunk per span whose fields
-    // are first occurrences within the chunk.
-    let mut spans: Vec<HostSpanRec> = Vec::new();
-    for chunk in compact.split("{\"path\":\"").skip(1) {
-        let (span_path, rest) = chunk
-            .split_once('"')
-            .ok_or_else(|| format!("{path}: unterminated span path"))?;
-        let sfield = |key: &str| -> Result<u64, String> {
-            field_u64(rest, key)
-                .ok_or_else(|| format!("{path}: span {span_path:?} has no field {key:?}"))
-        };
-        spans.push(HostSpanRec {
-            path: span_path.to_string(),
-            total_ns: sfield("total_ns")?,
-            self_ns: sfield("self_ns")?,
-            busy_ns: sfield("busy_ns")?,
-            calls: sfield("calls")?,
-            // `dur` is the only sub-object in a span, so the chunk's
-            // first `count` is the histogram's sample count.
-            dur_count: sfield("count")?,
-        });
-    }
-
-    // Exact conservation at every level: a span's children are exactly
-    // the spans whose path extends it by one `;`-separated segment.
-    let mut children_sum: std::collections::BTreeMap<&str, u64> =
-        std::collections::BTreeMap::new();
-    let mut roots_sum = 0u64;
-    for s in &spans {
-        match s.path.rsplit_once(';') {
-            Some((parent, _)) => {
-                *children_sum.entry(parent).or_insert(0) += s.total_ns;
-            }
-            None => roots_sum += s.total_ns,
-        }
-    }
-    for s in &spans {
-        let kids = children_sum.get(s.path.as_str()).copied().unwrap_or(0);
-        if s.self_ns + kids != s.total_ns {
-            return Err(format!(
-                "{path}: span {:?} not conserved: self_ns={} + Σ children={} != total_ns={}",
-                s.path, s.self_ns, kids, s.total_ns
-            ));
-        }
-        if s.busy_ns > s.total_ns {
-            return Err(format!(
-                "{path}: span {:?} has busy_ns={} > total_ns={}",
-                s.path, s.busy_ns, s.total_ns
-            ));
-        }
-        if s.dur_count != s.calls {
-            return Err(format!(
-                "{path}: span {:?} histogram has {} sample(s) but calls={}",
-                s.path, s.dur_count, s.calls
-            ));
-        }
-    }
-    if roots_sum != total {
-        return Err(format!(
-            "{path}: root spans sum to {roots_sum}, expected total_ns = {total}"
-        ));
-    }
-
-    // Optional folded-stack file: every line matches a span's self time
-    // and the lines tile the profile total exactly.
+    let doc = load(path)?;
+    let (spans, total) = host_spans(&doc).map_err(|e| format!("{path}: {e}"))?;
     let mut folded_note = String::new();
-    if let Some(fpath) = args.get(1) {
-        let ftext =
-            std::fs::read_to_string(fpath).map_err(|e| format!("reading {fpath}: {e}"))?;
-        let mut folded_sum = 0u64;
-        let mut folded_lines = 0usize;
-        for line in ftext.lines().filter(|l| !l.trim().is_empty()) {
-            let (fp, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("{fpath}: malformed folded line {line:?}"))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|e| format!("{fpath}: bad count in folded line {line:?}: {e}"))?;
-            let span = spans
-                .iter()
-                .find(|s| s.path == fp)
-                .ok_or_else(|| format!("{fpath}: folded path {fp:?} not in {path}"))?;
-            if span.self_ns != value {
-                return Err(format!(
-                    "{fpath}: folded {fp:?} = {value} but the profile says self_ns = {}",
-                    span.self_ns
-                ));
-            }
-            folded_sum += value;
-            folded_lines += 1;
-        }
-        if folded_sum != total {
-            return Err(format!(
-                "{fpath}: folded stacks sum to {folded_sum}, expected total_ns = {total}"
-            ));
-        }
-        folded_note = format!(", {folded_lines} folded line(s) tile the total");
+    if let Some(fpath) = folded.first() {
+        let lines = check_folded(&read(fpath)?, &spans, total);
+        let lines = lines.map_err(|e| format!("{fpath}: {e}"))?;
+        folded_note = format!(", {lines} folded line(s) tile the total");
     }
     Ok(format!(
         "{path}: valid host profile — {} span(s), {total} ns conserved at \
@@ -585,152 +444,192 @@ fn check_hostprofile(args: &[String]) -> Result<String, String> {
     ))
 }
 
-fn check_postmortem(path: &str) -> Result<String, String> {
-    if path.is_empty() {
-        return Err("postmortem: missing <dump.json> path".into());
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_finite(path, &text)?;
-    validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let compact: String = text.split_whitespace().collect();
-    if !compact.contains("\"schema\":\"mesa.flight/v1\"") {
-        return Err(format!("{path}: missing \"schema\":\"mesa.flight/v1\" marker"));
-    }
-    if compact.contains("\"reason\":\"\"") || !compact.contains("\"reason\":\"") {
-        return Err(format!("{path}: post-mortem has no reason"));
-    }
-    let events = compact.matches("\"cycle\":").count();
-    if events == 0 {
-        return Err(format!("{path}: post-mortem recorded zero flight events"));
-    }
-    Ok(format!("{path}: valid flight post-mortem, {events} event(s)"))
-}
+/// Checks a hostprofile document; returns its spans and the profile total.
+fn host_spans(doc: &Json) -> Result<(Vec<HostSpanRec<'_>>, u64), String> {
+    expect_schema(doc, "mesa.hostprofile/v1")?;
+    let total = u64_at(doc, &["total_ns"])?;
 
-/// Rejects non-finite numeric literals (`NaN`, `inf`, `-inf`) in value
-/// position. JSON has no syntax for them, but Rust's float formatter emits
-/// these tokens when an upstream ratio guard is missed — so their presence
-/// in an exported artifact always marks a division-by-zero bug, and the
-/// syntax validators alone would report it less precisely.
-fn check_finite(path: &str, text: &str) -> Result<(), String> {
-    let compact: String = text.split_whitespace().collect();
-    for needle in
-        [":NaN", ":inf", ":-inf", ",NaN", ",inf", ",-inf", "[NaN", "[inf", "[-inf"]
-    {
-        if compact.contains(needle) {
+    // Allocator-counter sanity.
+    let a = |key: &str| u64_at(doc, &["alloc", key]);
+    let (a_total, a_current, a_peak) = (a("total_bytes")?, a("current_bytes")?, a("peak_bytes")?);
+    if a_peak < a_current || a_total < a_current {
+        return Err(format!(
+            "inconsistent allocator counters: total_bytes={a_total} \
+             current_bytes={a_current} peak_bytes={a_peak}"
+        ));
+    }
+
+    let mut spans = Vec::new();
+    for span in doc.get("spans").map(Json::items).unwrap_or_default() {
+        let path = span.get("path").and_then(Json::str).ok_or("span without a string \"path\"")?;
+        let field = |key: &[&str]| u64_at(span, key).map_err(|e| format!("span {path:?}: {e}"));
+        let (total_ns, busy_ns) = (field(&["total_ns"])?, field(&["busy_ns"])?);
+        let (calls, samples) = (field(&["calls"])?, field(&["dur", "count"])?);
+        if busy_ns > total_ns {
+            return Err(format!("span {path:?} has busy_ns={busy_ns} > total_ns={total_ns}"));
+        }
+        if samples != calls {
             return Err(format!(
-                "{path}: non-finite numeric value ({}) in exported JSON",
-                &needle[1..]
+                "span {path:?} histogram has {samples} sample(s) but calls={calls}"
+            ));
+        }
+        spans.push(HostSpanRec { path, total_ns, self_ns: field(&["self_ns"])? });
+    }
+
+    // Exact conservation at every level: a span's children are exactly
+    // the spans whose path extends it by one `;`-separated segment.
+    let mut children_sum: BTreeMap<&str, u128> = BTreeMap::new();
+    let mut roots_sum = 0u128;
+    for s in &spans {
+        match s.path.rsplit_once(';') {
+            Some((parent, _)) => *children_sum.entry(parent).or_insert(0) += u128::from(s.total_ns),
+            None => roots_sum += u128::from(s.total_ns),
+        }
+    }
+    for s in &spans {
+        let kids = children_sum.get(s.path).copied().unwrap_or(0);
+        if u128::from(s.self_ns) + kids != u128::from(s.total_ns) {
+            return Err(format!(
+                "span {:?} not conserved: self_ns={} + Σ children={kids} != total_ns={}",
+                s.path, s.self_ns, s.total_ns
             ));
         }
     }
-    Ok(())
-}
-
-/// Extracts the first `"key": <u64>` occurrence from compacted JSON.
-fn field_u64(compact: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let (_, rest) = compact.split_once(&needle)?;
-    let num: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    num.parse().ok()
-}
-
-/// Extracts the first `"key": [u64, ...]` array from compacted JSON.
-fn field_u64_array(compact: &str, key: &str) -> Option<Vec<u64>> {
-    let needle = format!("\"{key}\":[");
-    let (_, rest) = compact.split_once(&needle)?;
-    let (body, _) = rest.split_once(']')?;
-    if body.is_empty() {
-        return Some(Vec::new());
+    if roots_sum != u128::from(total) {
+        return Err(format!("root spans sum to {roots_sum}, expected total_ns = {total}"));
     }
-    body.split(',').map(|n| n.parse().ok()).collect()
+    Ok((spans, total))
 }
 
-/// Lists every benchmark name in a JSON-lines report, in file order.
-fn bench_names(text: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in text.lines() {
-        let compact: String = line.split_whitespace().collect();
-        if let Some((_, rest)) = compact.split_once("\"name\":\"") {
-            if let Some((name, _)) = rest.split_once('"') {
-                names.push(name.to_string());
-            }
+/// Checks a folded-stack file against the profile's spans: every line
+/// matches a span's self time and the lines tile the total. Returns the
+/// line count.
+fn check_folded(text: &str, spans: &[HostSpanRec<'_>], total: u64) -> Result<usize, String> {
+    let mut sum = 0u128;
+    let mut lines = 0usize;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let (path, value) =
+            line.rsplit_once(' ').ok_or_else(|| format!("malformed folded line {line:?}"))?;
+        let value: u64 =
+            value.parse().map_err(|e| format!("bad count in folded line {line:?}: {e}"))?;
+        let span = spans
+            .iter()
+            .find(|s| s.path == path)
+            .ok_or_else(|| format!("folded path {path:?} not in the profile"))?;
+        if span.self_ns != value {
+            return Err(format!(
+                "folded {path:?} = {value} but the profile says self_ns = {}",
+                span.self_ns
+            ));
         }
+        sum += u128::from(value);
+        lines += 1;
     }
-    names
+    if sum != u128::from(total) {
+        return Err(format!("folded stacks sum to {sum}, expected total_ns = {total}"));
+    }
+    Ok(lines)
 }
 
-/// Extracts `median_ns` for the named benchmark from the JSON-lines report
-/// the in-repo `mesa-test` BenchSuite writes (one object per line with
-/// `"name"` and `"median_ns"` fields).
-fn median_ns(text: &str, name: &str) -> Option<f64> {
-    bench_field_f64(text, name, "median_ns")
-}
-
-/// Extracts any numeric field from the named benchmark's JSON line
-/// (`None` when the benchmark or the field is absent).
-fn bench_field_f64(text: &str, name: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"name\":\"{name}\"");
-    let field = format!("\"{key}\":");
-    for line in text.lines() {
-        let compact: String = line.split_whitespace().collect();
-        if !compact.contains(&needle) {
-            continue;
-        }
-        let (_, rest) = compact.split_once(field.as_str())?;
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-            .collect();
-        return num.parse().ok();
+fn check_postmortem(doc: &Json) -> Result<String, String> {
+    expect_schema(doc, "mesa.flight/v1")?;
+    if doc.get("reason").and_then(Json::str).is_none_or(str::is_empty) {
+        return Err("post-mortem has no reason".into());
     }
-    None
+    let lanes = doc.get("lanes").map(Json::entries).unwrap_or_default();
+    let events: Vec<&Json> = lanes.iter().flat_map(|(_, ring)| ring.items()).collect();
+    if events.iter().any(|ev| ev.get("cycle").and_then(Json::u64).is_none()) {
+        return Err("flight event without a cycle".into());
+    }
+    if events.is_empty() {
+        return Err("post-mortem recorded zero flight events".into());
+    }
+    Ok(format!("valid flight post-mortem, {} event(s)", events.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_core::{FleetStats, TenantStats};
+    use mesa_trace::host::{ClockSpec, HostProfiler};
 
-    #[test]
-    fn finiteness_check_rejects_nan_and_inf_values() {
-        assert!(check_finite("t", "{\"speedup\": 1.33, \"ipc\": [2.0, 3.5]}").is_ok());
-        assert!(check_finite("t", "{\"name\": \"config\", \"info\": \"x\"}").is_ok());
-        assert!(check_finite("t", "{\"speedup\": NaN}").is_err());
-        assert!(check_finite("t", "{\"speedup\": inf}").is_err());
-        assert!(check_finite("t", "{\"speedup\": -inf}").is_err());
-        assert!(check_finite("t", "{\"ipc\": [1.0, inf]}").is_err());
-        assert!(check_finite("t", "{\"ipc\": [NaN]}").is_err());
+    /// Writes `text` to a per-process temporary file named after `name`.
+    fn temp_file(name: &str, text: &str) -> String {
+        let path = std::env::temp_dir().join(format!("tracecheck-{}-{name}", std::process::id()));
+        std::fs::write(&path, text).expect("temporary file writes");
+        path.to_string_lossy().into_owned()
     }
 
     #[test]
-    fn field_extraction_takes_first_occurrence() {
-        let compact = "{\"total_cycles\":690,\"retiring\":49,\"nested\":{\"retiring\":1}}";
-        assert_eq!(field_u64(compact, "total_cycles"), Some(690));
-        assert_eq!(field_u64(compact, "retiring"), Some(49));
-        assert_eq!(field_u64(compact, "missing"), None);
+    fn non_finite_values_fail_with_the_value_named() {
+        let path = temp_file("nan.json", "{\"speedup\": 1.5, \"ipc\": [2.0, NaN]}");
+        let err = with_doc(std::slice::from_ref(&path), check_profile).expect_err("NaN fails");
+        assert!(err.contains("non-finite number NaN"), "{err}");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn array_extraction_parses_u64_lists() {
-        let compact = "{\"band_busy\":[1,2,3],\"band_idle\":[],\"x\":[9]}";
-        assert_eq!(field_u64_array(compact, "band_busy"), Some(vec![1, 2, 3]));
-        assert_eq!(field_u64_array(compact, "band_idle"), Some(Vec::new()));
-        assert_eq!(field_u64_array(compact, "missing"), None);
-        assert_eq!(field_u64_array("{\"a\":[1,x]}", "a"), None);
+    fn hostprofile_accepts_span_paths_with_spaces_and_quotes() {
+        let mut prof = HostProfiler::from_spec(ClockSpec::Mock { step_ns: 100 });
+        prof.begin("run \"fast\" path");
+        prof.begin("inner step");
+        prof.end();
+        prof.end();
+        let profile = prof.finish();
+        let json = temp_file("host.json", &profile.to_json().to_string());
+        let folded = temp_file("host.folded", &profile.to_folded());
+        let verdict = check_hostprofile(&[json.clone(), folded.clone()]);
+        assert!(verdict.as_ref().is_ok_and(|m| m.contains("2 span(s)")), "{verdict:?}");
+        let _ = (std::fs::remove_file(json), std::fs::remove_file(folded));
     }
 
     #[test]
-    fn bench_names_lists_in_file_order() {
-        let text = "{\"name\":\"a/b\",\"median_ns\":1}\n{ \"name\": \"c/d\", \"median_ns\": 2 }\nnot json\n";
-        assert_eq!(bench_names(text), vec!["a/b".to_string(), "c/d".to_string()]);
-        assert!(bench_names("").is_empty());
+    fn fleetstats_accepts_reordered_top_level_keys() {
+        let tenant = |tenant, migrations| TenantStats {
+            tenant,
+            state: "done",
+            band: Some((0, 4)),
+            cycles: 50,
+            iterations: 10,
+            slices: 2,
+            migrations,
+            queue_wait_cycles: 0,
+            checkpoint_cycles: 0,
+        };
+        let mut stats = FleetStats {
+            runs: 1,
+            elapsed_cycles: 100,
+            bands: 2,
+            band_busy: vec![60, 100],
+            band_idle: vec![40, 0],
+            migrations: 1,
+            tenants: vec![tenant(0, 0), tenant(1, 1)],
+            ..FleetStats::default()
+        };
+        stats.migration_cycles.record(546);
+        for _ in 0..4 {
+            stats.slice_cycles.record(25);
+        }
+        let mut doc = stats.to_json();
+        assert!(check_fleetstats(&doc).is_ok());
+        if let Json::Obj(entries) = &mut doc {
+            entries.reverse();
+        }
+        let path = temp_file("fleet.json", &doc.to_string());
+        let verdict = with_doc(std::slice::from_ref(&path), check_fleetstats);
+        assert!(verdict.is_ok(), "{verdict:?}");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn median_extraction_handles_spacing() {
-        let text = "{ \"name\": \"a/b\", \"median_ns\": 125.5 }\n{\"name\":\"c\",\"median_ns\":3}\n";
-        assert_eq!(median_ns(text, "a/b"), Some(125.5));
-        assert_eq!(median_ns(text, "c"), Some(3.0));
-        assert_eq!(median_ns(text, "missing"), None);
+    fn benchdiff_reads_the_committed_baseline() {
+        let base = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_components.json");
+        let count = read(base).expect("baseline reads").matches("\"name\"").count();
+        let args = [base.to_string(), base.to_string(), "1.0".to_string()];
+        assert_eq!(
+            check_benchdiff(&args),
+            Ok(format!("{count} benchmark(s) within 1x of the baseline"))
+        );
     }
 
     #[test]
@@ -744,12 +643,4 @@ mod tests {
         assert_eq!(mean_row(""), None);
     }
 
-    #[test]
-    fn bench_field_extraction_reads_optional_fields() {
-        let text = "{\"name\":\"a\",\"median_ns\":10.0,\"sim_mcycles_per_sec\":123.456}\n\
-                    {\"name\":\"b\",\"median_ns\":20.0}\n";
-        assert_eq!(bench_field_f64(text, "a", "sim_mcycles_per_sec"), Some(123.456));
-        assert_eq!(bench_field_f64(text, "b", "sim_mcycles_per_sec"), None);
-        assert_eq!(bench_field_f64(text, "b", "median_ns"), Some(20.0));
-    }
 }

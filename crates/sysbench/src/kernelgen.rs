@@ -528,8 +528,8 @@ mod tests {
             tenants_episode_fleet(2, 2, 3, true, false).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(stats.declined, 1);
         let dump = pm.expect("decline must produce a post-mortem");
-        assert!(dump.starts_with("{\"schema\":\"mesa.flight/v1\""));
-        mesa_trace::validate_json(&dump).expect("post-mortem parses");
+        let doc = mesa_trace::json::parse(&dump).expect("post-mortem parses");
+        assert_eq!(doc.get("schema"), Some(&"mesa.flight/v1".into()));
     }
 
     #[test]

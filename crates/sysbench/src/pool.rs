@@ -186,7 +186,8 @@ mod tests {
         // function of the work, not of the worker count.
         let solo = run(1);
         assert_eq!(solo, run(4));
-        assert!(solo.contains("\"path\":\"item\""));
+        let spans = solo.get("spans").map(mesa_trace::Json::items).unwrap_or_default();
+        assert!(spans.iter().any(|s| s.get("path") == Some(&"item".into())));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! deterministic [`mesa_trace::MockClock`].
 
 use mesa_trace::host::{HostClock, RealClock};
-use std::fmt::Write as _;
+use mesa_trace::Json;
 
 /// One benchmark measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,22 +57,27 @@ impl BenchResult {
         }
     }
 
-    /// Renders the result as one JSON object on a single line. The sim
-    /// throughput fields only appear for cycle-reporting benches, so
-    /// existing consumers that scan `median_ns` are unaffected.
-    fn json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"median_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"mean_ns\":{:.1}",
-            self.name, self.iters, self.samples, self.median_ns, self.min_ns, self.max_ns, self.mean_ns
-        );
+    /// The result as one JSON object. The sim throughput fields only
+    /// appear for cycle-reporting benches, so consumers that read only
+    /// `median_ns` are unaffected.
+    fn to_json(&self) -> Json {
+        let ns = |v: f64| Json::fixed(v, 1);
+        let mut fields = vec![
+            ("name", Json::from(self.name.as_str())),
+            ("iters", self.iters.into()),
+            ("samples", self.samples.into()),
+            ("median_ns", ns(self.median_ns)),
+            ("min_ns", ns(self.min_ns)),
+            ("max_ns", ns(self.max_ns)),
+            ("mean_ns", ns(self.mean_ns)),
+        ];
         if let Some(cycles) = self.sim_cycles_per_iter {
-            let _ = write!(out, ",\"sim_cycles_per_iter\":{cycles:.1}");
+            fields.push(("sim_cycles_per_iter", ns(cycles)));
             if let Some(rate) = self.sim_mcycles_per_sec() {
-                let _ = write!(out, ",\"sim_mcycles_per_sec\":{rate:.3}");
+                fields.push(("sim_mcycles_per_sec", Json::fixed(rate, 3)));
             }
         }
-        out.push('}');
-        out
+        Json::obj(fields)
     }
 }
 
@@ -203,7 +208,7 @@ impl BenchSuite {
     ) -> &[BenchResult] {
         let first = self.results.len();
         for r in bench_group(group, iters, &mut RealClock::new(), track_cycles) {
-            println!("{}", r.json_line());
+            println!("{}", r.to_json());
             self.results.push(r);
         }
         &self.results[first..]
@@ -215,28 +220,18 @@ impl BenchSuite {
         &self.results
     }
 
-    /// Serializes the suite as a pretty-ish JSON array.
+    /// The suite as a JSON array.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let _ = write!(out, "  {}", r.json_line());
-            if i + 1 < self.results.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push(']');
-        out.push('\n');
-        out
+    pub fn to_json(&self) -> Json {
+        Json::arr(self.results.iter().map(BenchResult::to_json))
     }
 
-    /// Writes the JSON array to `path`.
+    /// Writes the JSON array to `path`, one result per line.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_json().to_lines())
     }
 }
 
@@ -265,7 +260,7 @@ mod tests {
     #[test]
     fn json_line_is_wellformed() {
         let r = mock_bench("codec/decode", 100, false, &mut || 42);
-        let line = r.json_line();
+        let line = r.to_json().to_string();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"name\":\"codec/decode\""));
         assert!(line.contains("\"median_ns\":"));
@@ -282,7 +277,7 @@ mod tests {
         assert_eq!(a, b);
         assert!((a.median_ns - 100.0).abs() < f64::EPSILON);
         assert_eq!(a.min_ns, a.max_ns, "mock batches are identical");
-        assert_eq!(a.json_line(), b.json_line());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -291,7 +286,7 @@ mod tests {
         assert_eq!(r.sim_cycles_per_iter, Some(1_000.0));
         // 1 000 cycles per 125 ns iteration.
         assert_eq!(r.sim_mcycles_per_sec(), Some(8_000.0));
-        let line = r.json_line();
+        let line = r.to_json().to_string();
         assert!(line.contains("\"sim_cycles_per_iter\":1000.0"));
         assert!(line.contains("\"sim_mcycles_per_sec\":8000.000"));
     }
@@ -301,8 +296,10 @@ mod tests {
         let mut suite = BenchSuite::new();
         suite.run("a", 10, || 1);
         suite.run_group(10, true, &mut [("b", &mut || 2)]);
-        let json = suite.to_json();
+        let json = suite.to_json().to_lines();
         assert!(json.starts_with("[\n") && json.trim_end().ends_with(']'));
+        let doc = mesa_trace::json::parse(&json).expect("suite JSON parses");
+        assert_eq!(doc.to_lines(), json, "re-renders to the same bytes");
         assert_eq!(json.matches("\"name\"").count(), 2);
         assert_eq!(json.matches("sim_cycles_per_iter").count(), 1);
         assert_eq!(suite.results().len(), 2);
@@ -335,7 +332,7 @@ mod tests {
         let recorded = suite.run_group(10, false, &mut [("x", &mut x), ("y", &mut y)]);
         assert_eq!(recorded.len(), 2);
         assert_eq!(recorded[1].name, "y");
-        assert!(!suite.to_json().contains("sim_cycles_per_iter"));
+        assert!(!suite.to_json().to_string().contains("sim_cycles_per_iter"));
     }
 
     #[test]

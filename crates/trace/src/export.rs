@@ -1,39 +1,33 @@
 //! Exporters: JSON-lines event log, Chrome trace-event format, and a
-//! plain-text timeline summary — plus a small hand-rolled JSON validator
-//! used by the CI smoke test (`tracecheck`).
+//! plain-text timeline summary — plus the Chrome trace validator used by
+//! the CI smoke test (`tracecheck`).
 //!
-//! All serialization is hand-written (rule 2 in the crate docs: zero
-//! dependencies). The Chrome trace uses the documented trace-event fields:
-//! `ph` `"B"`/`"E"` for spans, `"i"` for instants, `"C"` for counters and
-//! `"M"` for process/thread-name metadata; `ts` is the simulated cycle
+//! Both JSON exports render through the [`Json`] codec. The Chrome trace
+//! uses the documented trace-event fields: `ph` `"B"`/`"E"` for spans,
+//! `"i"` for instants, `"C"` for counters and `"M"` for
+//! process/thread-name metadata; `ts` is the simulated cycle
 //! (so Perfetto's "microseconds" are really cycles), `pid` is always 0 and
 //! `tid` is the [`Subsystem`] id — one visual track per subsystem.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::tracer::{EventKind, RingTracer, Subsystem};
+use crate::json::{parse, Json};
+use crate::tracer::{Event, EventKind, RingTracer, Subsystem};
 
-/// Escapes `s` as a JSON string literal, including the quotes.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// What an event carries in both exports: its JSON-lines `type`, its
+/// Chrome `ph`, its name, and the instant's detail or the counter's value.
+fn event_fields(e: &Event) -> (&'static str, &'static str, &str, Option<(&'static str, Json)>) {
+    match &e.kind {
+        EventKind::Begin { name } => ("begin", "B", name, None),
+        EventKind::End { name } => ("end", "E", name, None),
+        EventKind::Instant { name, detail } => {
+            ("instant", "i", name, Some(("detail", Json::from(detail.as_str()))))
+        }
+        EventKind::Counter { name, value } => {
+            ("counter", "C", name, Some(("value", Json::from(*value))))
         }
     }
-    out.push('"');
-    out
 }
 
 impl RingTracer {
@@ -43,37 +37,15 @@ impl RingTracer {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
-            let _ = write!(
-                out,
-                "{{\"cycle\":{},\"subsystem\":{}",
-                e.cycle,
-                json_string(e.subsystem.name())
-            );
-            match &e.kind {
-                EventKind::Begin { name } => {
-                    let _ = write!(out, ",\"type\":\"begin\",\"name\":{}", json_string(name));
-                }
-                EventKind::End { name } => {
-                    let _ = write!(out, ",\"type\":\"end\",\"name\":{}", json_string(name));
-                }
-                EventKind::Instant { name, detail } => {
-                    let _ = write!(
-                        out,
-                        ",\"type\":\"instant\",\"name\":{},\"detail\":{}",
-                        json_string(name),
-                        json_string(detail)
-                    );
-                }
-                EventKind::Counter { name, value } => {
-                    let _ = write!(
-                        out,
-                        ",\"type\":\"counter\",\"name\":{},\"value\":{}",
-                        json_string(name),
-                        value
-                    );
-                }
-            }
-            out.push_str("}\n");
+            let (kind, _, name, extra) = event_fields(e);
+            let mut fields = vec![
+                ("cycle", Json::from(e.cycle)),
+                ("subsystem", e.subsystem.name().into()),
+                ("type", kind.into()),
+                ("name", name.into()),
+            ];
+            fields.extend(extra);
+            let _ = writeln!(out, "{}", Json::obj(fields));
         }
         out
     }
@@ -82,55 +54,32 @@ impl RingTracer {
     /// loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
     #[must_use]
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&ev);
+        let meta = |tid: Option<u32>, kind: &str, name: &str| {
+            let mut fields = vec![("ph", Json::from("M")), ("pid", 0u64.into())];
+            fields.extend(tid.map(|t| ("tid", t.into())));
+            fields.push(("name", kind.into()));
+            fields.push(("args", Json::obj([("name", name.into())])));
+            Json::obj(fields)
         };
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"mesa-sim\"}}"
-                .to_string(),
-        );
-        for sub in Subsystem::ALL {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                    sub.tid(),
-                    json_string(sub.name())
-                ),
-            );
-        }
+        let mut events = vec![meta(None, "process_name", "mesa-sim")];
+        events.extend(Subsystem::ALL.iter().map(|s| meta(Some(s.tid()), "thread_name", s.name())));
         for e in self.events() {
-            let head = format!("\"pid\":0,\"tid\":{},\"ts\":{}", e.subsystem.tid(), e.cycle);
-            let ev = match &e.kind {
-                EventKind::Begin { name } => {
-                    format!("{{\"ph\":\"B\",{head},\"name\":{}}}", json_string(name))
-                }
-                EventKind::End { name } => {
-                    format!("{{\"ph\":\"E\",{head},\"name\":{}}}", json_string(name))
-                }
-                EventKind::Instant { name, detail } => format!(
-                    "{{\"ph\":\"i\",{head},\"s\":\"t\",\"name\":{},\"args\":{{\"detail\":{}}}}}",
-                    json_string(name),
-                    json_string(detail)
-                ),
-                EventKind::Counter { name, value } => format!(
-                    "{{\"ph\":\"C\",{head},\"name\":{},\"args\":{{\"value\":{value}}}}}",
-                    json_string(name)
-                ),
-            };
-            push(&mut out, &mut first, ev);
+            let (_, ph, name, extra) = event_fields(e);
+            let mut fields = vec![
+                ("ph", Json::from(ph)),
+                ("pid", 0u64.into()),
+                ("tid", e.subsystem.tid().into()),
+                ("ts", e.cycle.into()),
+            ];
+            if ph == "i" {
+                fields.push(("s", Json::from("t")));
+            }
+            fields.push(("name", name.into()));
+            fields.extend(extra.map(|(k, v)| ("args", Json::obj([(k, v)]))));
+            events.push(Json::obj(fields));
         }
-        out.push_str("],\"displayTimeUnit\":\"ns\"}");
-        out
+        Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", "ns".into())])
+            .to_string()
     }
 
     /// Plain-text aggregate: per `(subsystem, span)` the invocation count
@@ -211,47 +160,29 @@ pub struct ChromeTraceSummary {
     pub span_names: Vec<String>,
 }
 
-/// Validates that `text` is well-formed JSON. Whole-document syntax check
-/// only (no schema); used by `tracecheck` and the metrics exporter tests.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
 /// Validates a Chrome trace-event document: well-formed JSON, a non-empty
 /// `traceEvents` array, and balanced begin/end counts. Returns per-phase
 /// counts and the set of span names so callers (the CI smoke test) can
 /// assert required phases are present.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
-    validate_json(text)?;
-    if !text.contains("\"traceEvents\"") {
-        return Err("missing traceEvents key".to_string());
-    }
-    let mut summary = ChromeTraceSummary::default();
-    // The document is machine-generated with a fixed field order, so a
-    // per-object scan is reliable: split on "{\"ph\":" boundaries.
-    for chunk in text.split("{\"ph\":\"").skip(1) {
-        summary.events += 1;
-        let Some(ph) = chunk.chars().next() else { continue };
-        match ph {
-            'B' => {
+    let doc = parse(text)?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err("missing traceEvents array".to_string());
+    };
+    let mut summary = ChromeTraceSummary { events: events.len(), ..Default::default() };
+    for ev in events {
+        match ev.get("ph").and_then(Json::str) {
+            Some("B") => {
                 summary.begins += 1;
-                if let Some(name) = extract_name(chunk) {
-                    if !summary.span_names.iter().any(|n| n == &name) {
-                        summary.span_names.push(name);
+                if let Some(name) = ev.get("name").and_then(Json::str) {
+                    if !summary.span_names.iter().any(|n| n == name) {
+                        summary.span_names.push(name.to_string());
                     }
                 }
             }
-            'E' => summary.ends += 1,
-            'i' => summary.instants += 1,
-            'C' => summary.counters += 1,
+            Some("E") => summary.ends += 1,
+            Some("i") => summary.instants += 1,
+            Some("C") => summary.counters += 1,
             _ => {}
         }
     }
@@ -268,123 +199,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
         return Err("trace contains no spans".to_string());
     }
     Ok(summary)
-}
-
-fn extract_name(chunk: &str) -> Option<String> {
-    let idx = chunk.find("\"name\":\"")?;
-    let rest = &chunk[idx + 8..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(bytes, pos);
-                parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                parse_value(bytes, pos)?;
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                parse_value(bytes, pos)?;
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => expect_literal(bytes, pos, "true"),
-        Some(b'f') => expect_literal(bytes, pos, "false"),
-        Some(b'n') => expect_literal(bytes, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            *pos += 1;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            Ok(())
-        }
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(bytes, pos, b'"')?;
-    while let Some(&c) = bytes.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(()),
-            b'\\' => {
-                // Any single escaped byte is fine for a syntax check;
-                // \uXXXX consumes the four hex digits too.
-                if bytes.get(*pos) == Some(&b'u') {
-                    *pos += 5;
-                } else {
-                    *pos += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {pos}", want as char, pos = *pos))
-    }
-}
-
-fn expect_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
 }
 
 #[cfg(test)]
@@ -411,7 +225,7 @@ mod tests {
         let jsonl = t.to_json_lines();
         assert_eq!(jsonl.lines().count(), t.len());
         for line in jsonl.lines() {
-            validate_json(line).expect("each line parses");
+            assert_eq!(parse(line).expect("each line parses").to_string(), line);
         }
         assert!(jsonl.contains("\"detail\":\"pc=[0x1000,0x1010)\""));
     }
@@ -440,8 +254,7 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed_and_unbalanced() {
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("{\"a\":1} extra").is_err());
+        assert!(validate_chrome_trace("{\"traceEvents\":[],}").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\":[]}").is_err());
         let mut t = RingTracer::new(64);
         t.span_begin(Subsystem::Cpu, "orphan", 0);

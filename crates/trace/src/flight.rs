@@ -15,7 +15,8 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+
+use crate::json::Json;
 
 /// Default per-lane ring capacity (events retained per tenant).
 pub const FLIGHT_LANE_CAPACITY: usize = 64;
@@ -111,30 +112,21 @@ impl FlightRecorder {
     /// so a dump is deterministic for a deterministic run.
     #[must_use]
     pub fn post_mortem(&self, reason: &str) -> String {
-        let mut out = String::from("{\"schema\":\"mesa.flight/v1\",\"reason\":");
-        out.push_str(&crate::export::json_string(reason));
-        let _ = write!(out, ",\"dropped\":{},\"lanes\":{{", self.dropped);
-        for (i, (lane, ring)) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{lane}\":[");
-            for (j, ev) in ring.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"cycle\":{},\"kind\":{},\"detail\":{}}}",
-                    ev.cycle,
-                    crate::export::json_string(ev.kind),
-                    crate::export::json_string(&ev.detail)
-                );
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
+        let event = |ev: &FlightEvent| {
+            let detail = ev.detail.as_str().into();
+            Json::obj([("cycle", ev.cycle.into()), ("kind", ev.kind.into()), ("detail", detail)])
+        };
+        let lanes = self
+            .lanes
+            .iter()
+            .map(|(lane, ring)| (lane.to_string(), Json::arr(ring.iter().map(event))));
+        Json::obj([
+            ("schema", "mesa.flight/v1".into()),
+            ("reason", reason.into()),
+            ("dropped", self.dropped.into()),
+            ("lanes", Json::obj(lanes)),
+        ])
+        .to_string()
     }
 }
 
@@ -163,7 +155,8 @@ mod tests {
         fr.record(0, 5, "admit", "tenant 0 rows [0,4) \"quoted\"".to_string());
         fr.record(2, 9, "fault", "counter bit-flip".to_string());
         let dump = fr.post_mortem("forced fault");
-        crate::export::validate_json(&dump).expect("post-mortem parses");
+        let doc = crate::json::parse(&dump).expect("post-mortem parses");
+        assert_eq!(doc.to_string(), dump, "re-renders to the same bytes");
         assert!(dump.starts_with("{\"schema\":\"mesa.flight/v1\""));
         assert!(dump.contains("\"reason\":\"forced fault\""));
         assert!(dump.contains("\"kind\":\"fault\""));

@@ -5,7 +5,8 @@
 //! Both exports are byte-deterministic for a deterministic profile
 //! (mock clock): spans serialize in DFS pre-order with
 //! `;`-joined paths, gauges in key order, and every floating-point
-//! field goes through [`fmt_gauge`] (finite → `{:.3}`, else `null`).
+//! field is a [`Json::fixed`] with three decimals (`null` when not
+//! finite).
 //!
 //! Conservation is part of the schema: for every span,
 //! `self_ns + Σ direct-child total_ns == total_ns` exactly, the
@@ -14,48 +15,38 @@
 //! `Σ folded == total_ns`. `tracecheck hostprofile` re-derives all
 //! three identities.
 
-use crate::export::json_string;
-use crate::host::{fmt_gauge, HostProfile, HostSpan};
+use crate::host::{HostProfile, HostSpan};
+use crate::json::Json;
 use std::fmt::Write as _;
 
 impl HostProfile {
-    /// Renders the stable `"schema":"mesa.hostprofile/v1"` JSON
-    /// export. Field order is part of the schema.
+    /// The stable `"schema":"mesa.hostprofile/v1"` JSON export. Field
+    /// order is part of the schema.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"mesa.hostprofile/v1\"");
-        let total = self.total_ns();
-        let _ = write!(
-            out,
-            ",\"clock\":\"{}\",\"wall_ns\":{},\"total_ns\":{},\"sim_cycles\":{}",
-            self.clock,
-            self.wall_ns,
-            total,
-            self.sim_cycles()
-        );
-        let _ = write!(
-            out,
-            ",\"alloc\":{{\"enabled\":{},\"allocations\":{},\"total_bytes\":{},\"current_bytes\":{},\"peak_bytes\":{}}}",
-            self.alloc.enabled,
-            self.alloc.allocations,
-            self.alloc.total_bytes,
-            self.alloc.current_bytes,
-            self.alloc.peak_bytes
-        );
-        out.push_str(",\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), fmt_gauge(*value));
-        }
-        out.push_str("},\"spans\":[");
-        let mut first = true;
+    pub fn to_json(&self) -> Json {
+        let alloc = &self.alloc;
+        let gauges = self.gauges.iter().map(|(name, &v)| (name.as_str(), Json::fixed(v, 3)));
+        let mut spans = Vec::new();
         for root in &self.roots {
-            write_span_json(&mut out, root, "", &mut first);
+            span_json(&mut spans, root, "");
         }
-        out.push_str("]}");
-        out
+        let alloc = Json::obj([
+            ("enabled", alloc.enabled.into()),
+            ("allocations", alloc.allocations.into()),
+            ("total_bytes", alloc.total_bytes.into()),
+            ("current_bytes", alloc.current_bytes.into()),
+            ("peak_bytes", alloc.peak_bytes.into()),
+        ]);
+        Json::obj([
+            ("schema", "mesa.hostprofile/v1".into()),
+            ("clock", self.clock.into()),
+            ("wall_ns", self.wall_ns.into()),
+            ("total_ns", self.total_ns().into()),
+            ("sim_cycles", self.sim_cycles().into()),
+            ("alloc", alloc),
+            ("gauges", Json::obj(gauges)),
+            ("spans", Json::Arr(spans)),
+        ])
     }
 
     /// Renders the folded-stack text export: one `path value` line per
@@ -73,12 +64,9 @@ impl HostProfile {
     }
 }
 
-fn write_span_json(out: &mut String, span: &HostSpan, prefix: &str, first: &mut bool) {
+/// Appends `span` and its subtree to `out` in DFS pre-order.
+fn span_json(out: &mut Vec<Json>, span: &HostSpan, prefix: &str) {
     let path = join_path(prefix, &span.name);
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
     let total = span.total_ns();
     // Per-phase throughput gauge: simulated cycles per host second, in
     // Mcycles/s (null when no sim cycles were attributed here).
@@ -87,22 +75,20 @@ fn write_span_json(out: &mut String, span: &HostSpan, prefix: &str, first: &mut 
     } else {
         f64::NAN
     };
-    let _ = write!(
-        out,
-        "{{\"path\":{},\"total_ns\":{},\"self_ns\":{},\"busy_ns\":{},\"calls\":{},\"sim_cycles\":{},\"sim_mcycles_per_sec\":{},\"alloc_count\":{},\"alloc_bytes\":{},\"dur\":{}}}",
-        json_string(&path),
-        total,
-        span.self_ns(),
-        span.busy_ns,
-        span.calls,
-        span.sim_cycles,
-        fmt_gauge(rate),
-        span.alloc_count,
-        span.alloc_bytes,
-        span.dur.to_json()
-    );
+    out.push(Json::obj([
+        ("path", path.as_str().into()),
+        ("total_ns", total.into()),
+        ("self_ns", span.self_ns().into()),
+        ("busy_ns", span.busy_ns.into()),
+        ("calls", span.calls.into()),
+        ("sim_cycles", span.sim_cycles.into()),
+        ("sim_mcycles_per_sec", Json::fixed(rate, 3)),
+        ("alloc_count", span.alloc_count.into()),
+        ("alloc_bytes", span.alloc_bytes.into()),
+        ("dur", span.dur.to_json()),
+    ]));
     for child in &span.children {
-        write_span_json(out, child, &path, first);
+        span_json(out, child, &path);
     }
 }
 
@@ -132,7 +118,7 @@ fn join_path(prefix: &str, name: &str) -> String {
 mod tests {
     use super::*;
     use crate::host::{ClockSpec, HostProfiler};
-    use crate::export::validate_json;
+    use crate::json::parse;
 
     fn sample_profile() -> HostProfile {
         let mut prof = HostProfiler::from_spec(ClockSpec::Mock { step_ns: 100 });
@@ -151,11 +137,11 @@ mod tests {
 
     #[test]
     fn json_export_is_well_formed_and_deterministic() {
-        let a = sample_profile().to_json();
-        let b = sample_profile().to_json();
+        let a = sample_profile().to_json().to_string();
+        let b = sample_profile().to_json().to_string();
         assert_eq!(a, b);
         assert!(a.starts_with("{\"schema\":\"mesa.hostprofile/v1\""));
-        validate_json(&a).expect("well-formed JSON");
+        assert_eq!(parse(&a).expect("well-formed JSON").to_string(), a);
         assert!(a.contains("\"path\":\"episode\""));
         assert!(a.contains("\"path\":\"episode;offload\""));
         assert!(a.contains("\"episodes_per_sec\":42.125"));
@@ -186,6 +172,10 @@ mod tests {
         prof.end();
         let p = prof.finish();
         assert!(p.to_folded().starts_with("weird_name "));
-        assert!(p.to_json().contains("\"path\":\"weird_name\""));
+        let json = p.to_json();
+        assert_eq!(
+            json.get("spans").map(|s| s.items()[0].get("path")),
+            Some(Some(&"weird_name".into()))
+        );
     }
 }

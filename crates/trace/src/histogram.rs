@@ -14,7 +14,7 @@
 //! histogram that saw every sample. `tests/trace_determinism.rs` pins this
 //! down as a `forall!` property.
 
-use std::fmt::Write as _;
+use crate::json::Json;
 
 /// Number of log buckets: one for zero plus one per bit width of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -167,8 +167,7 @@ impl Histogram {
     /// numeric placeholders (`quantile` returns 0, which reads as "the
     /// p99 latency was zero cycles"), empty lanes render every statistic
     /// as `-`. The JSON export is unaffected — `to_json` keeps numeric
-    /// zeros so the positional schema `tracecheck fleetstats` validates
-    /// stays fixed.
+    /// zeros so every field `tracecheck fleetstats` reads stays a number.
     #[must_use]
     pub fn render(&self) -> String {
         if self.is_empty() {
@@ -185,34 +184,20 @@ impl Histogram {
     }
 
     /// JSON object with the summary statistics and the sparse non-empty
-    /// buckets, in a fixed field order (`p50` before `p90` before `p99`
-    /// before `max`, which `tracecheck fleetstats` scans positionally).
+    /// buckets, in a fixed field order.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\"buckets\":{{",
-            self.count,
-            self.sum,
-            self.min(),
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.max()
-        );
-        let mut first = true;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                if !first {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{i}\":{n}");
-                first = false;
-            }
-        }
-        out.push_str("}}");
-        out
+    pub fn to_json(&self) -> Json {
+        let buckets = self.buckets.iter().enumerate().filter(|&(_, &n)| n > 0);
+        Json::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min().into()),
+            ("p50", self.p50().into()),
+            ("p90", self.p90().into()),
+            ("p99", self.p99().into()),
+            ("max", self.max().into()),
+            ("buckets", Json::obj(buckets.map(|(i, &n)| (i.to_string(), n.into())))),
+        ])
     }
 }
 
@@ -265,12 +250,11 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.render(), "count=0 p50=- p90=- p99=- max=-");
         // The JSON schema stays numeric (the fleetstats validator reads
-        // the quantile fields positionally as u64s).
+        // the quantile fields as u64s).
         let json = h.to_json();
-        crate::export::validate_json(&json).expect("empty histogram JSON parses");
-        assert!(json.contains("\"count\":0"));
-        assert!(json.contains("\"p50\":0"));
-        assert!(json.contains("\"p99\":0"));
+        for key in ["count", "p50", "p99"] {
+            assert_eq!(json.get(key).and_then(Json::u64), Some(0), "{key}");
+        }
     }
 
     /// One-observation histograms: every quantile is clamped to the single
@@ -329,11 +313,11 @@ mod tests {
         h.record(0);
         h.record(5);
         let json = h.to_json();
-        crate::export::validate_json(&json).expect("histogram JSON parses");
-        let p50 = json.find("\"p50\":").unwrap();
-        let p90 = json.find("\"p90\":").unwrap();
-        let p99 = json.find("\"p99\":").unwrap();
-        let max = json.find("\"max\":").unwrap();
-        assert!(p50 < p90 && p90 < p99 && p99 < max, "field order is part of the schema");
+        let keys: Vec<&str> = json.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["count", "sum", "min", "p50", "p90", "p99", "max", "buckets"]);
+        assert_eq!(
+            h.to_json().to_string(),
+            r#"{"count":2,"sum":5,"min":0,"p50":0,"p90":5,"p99":5,"max":5,"buckets":{"0":1,"3":1}}"#
+        );
     }
 }

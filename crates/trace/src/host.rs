@@ -42,7 +42,7 @@
 //! let profile = host::take().expect("profiler was installed");
 //! host::disable();
 //! assert_eq!(profile.total_ns(), profile.roots[0].total_ns());
-//! assert!(profile.to_json().starts_with("{\"schema\":\"mesa.hostprofile/v1\""));
+//! assert_eq!(profile.to_json().get("schema"), Some(&"mesa.hostprofile/v1".into()));
 //! ```
 
 use crate::alloc as alloc_counters;
@@ -365,9 +365,9 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Deterministic gauge formatting: finite values as `{:.3}`, anything
-/// else as `null` (the JSON export reuses this; `tracecheck`'s
-/// finiteness scan then accepts every profile by construction).
+/// Deterministic gauge formatting for text reports: finite values as
+/// `{:.3}`, anything else as `null` (the same rendering the JSON export's
+/// [`Json::fixed`](crate::Json::fixed) gives).
 #[must_use]
 pub fn fmt_gauge(v: f64) -> String {
     if v.is_finite() {

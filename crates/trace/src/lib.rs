@@ -18,8 +18,8 @@
 //!    abstraction, and a CI grep gate keeps raw `Instant` reads from
 //!    appearing anywhere else in the workspace.)
 //! 2. **Zero dependencies.** Like the rest of the workspace, this crate
-//!    builds with an empty cargo registry; the exporters hand-serialize
-//!    JSON.
+//!    builds with an empty cargo registry; every exporter renders through
+//!    the crate's own [`json`] codec, and every validator parses with it.
 //! 3. **Free when off.** [`NullTracer`] reports `enabled() == false` and
 //!    every default [`Tracer`] method early-outs before formatting or
 //!    allocating anything; the `tracer/*` benches in `mesa-bench` hold the
@@ -80,16 +80,18 @@ pub mod fnv;
 pub mod folded;
 pub mod histogram;
 pub mod host;
+pub mod json;
 pub mod metrics;
 pub mod tracer;
 
 pub use alloc::{AllocStats, CountingAlloc};
-pub use export::{json_string, validate_chrome_trace, validate_json, ChromeTraceSummary};
+pub use export::{validate_chrome_trace, ChromeTraceSummary};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_LANE_CAPACITY};
 pub use fnv::Fnv64;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use host::{
     ClockSpec, HostClock, HostProfile, HostProfiler, HostSpan, MockClock, RealClock, SpanGuard,
 };
+pub use json::{json_string, Json};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use tracer::{Event, EventKind, NullTracer, RingTracer, Subsystem, Tracer};

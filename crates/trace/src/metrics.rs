@@ -8,6 +8,7 @@
 //! trace tests rely on.
 
 use crate::histogram::Histogram;
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -154,7 +155,7 @@ impl MetricsRegistry {
 
     /// JSON object `{"counters": {...}, "gauges": {...}}`, sorted by name.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         self.snapshot().to_json()
     }
 }
@@ -186,38 +187,15 @@ impl MetricsSnapshot {
     }
 
     /// JSON object `{"counters": {...}, "gauges": {...}, "histograms":
-    /// {...}}`, sorted by name within each group.
+    /// {...}}`, sorted by name within each group. Non-finite gauges
+    /// (degenerate runs) render as `null`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", crate::export::json_string(k), v);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // Gauges may be NaN/inf from degenerate runs; JSON has no
-            // literal for those, so clamp to null.
-            if v.is_finite() {
-                let _ = write!(out, "{}:{}", crate::export::json_string(k), v);
-            } else {
-                let _ = write!(out, "{}:null", crate::export::json_string(k));
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", crate::export::json_string(k), h.to_json());
-        }
-        out.push_str("}}");
-        out
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("counters", Json::obj(self.counters.iter().map(|(k, &v)| (k, v.into())))),
+            ("gauges", Json::obj(self.gauges.iter().map(|(k, &v)| (k, Json::float(v))))),
+            ("histograms", Json::obj(self.histograms.iter().map(|(k, h)| (k, h.to_json())))),
+        ])
     }
 }
 
@@ -259,11 +237,11 @@ mod tests {
         let a = text.find("alpha").unwrap();
         let z = text.find("zeta").unwrap();
         assert!(a < z);
-        let json = m.to_json();
+        let json = m.to_json().to_string();
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"alpha\":2"));
         assert!(json.contains("\"mid\":0.5"));
-        crate::export::validate_json(&json).expect("metrics JSON parses");
+        assert_eq!(crate::json::parse(&json).expect("metrics JSON parses").to_string(), json);
     }
 
     #[test]
@@ -290,8 +268,8 @@ mod tests {
         assert!(text.contains("fabric.queue_wait_cycles"));
         assert!(text.contains("count=2"));
         let json = m.to_json();
-        assert!(json.contains("\"histograms\":{\"fabric.queue_wait_cycles\":{\"count\":2"));
-        crate::export::validate_json(&json).expect("metrics JSON parses");
+        let count = json.at(&["histograms", "fabric.queue_wait_cycles", "count"]);
+        assert_eq!(count, Some(&2u64.into()));
         // Snapshots round-trip histogram state.
         assert_eq!(m.snapshot(), m.diff(&MetricsSnapshot::default()));
     }
@@ -300,8 +278,7 @@ mod tests {
     fn non_finite_gauges_export_as_null() {
         let mut m = MetricsRegistry::new();
         m.gauge("bad", f64::NAN);
-        let json = m.to_json();
-        assert!(json.contains("\"bad\":null"));
-        crate::export::validate_json(&json).expect("parses");
+        let json = m.to_json().to_string();
+        assert_eq!(json, r#"{"counters":{},"gauges":{"bad":null},"histograms":{}}"#);
     }
 }

@@ -124,6 +124,22 @@ if [[ -n "$debug_hash_hits" ]]; then
 fi
 echo "digest gate: no Debug-formatted bytes hashed in library code"
 
+# JSON gate: every export renders through the one codec in
+# crates/trace/src/json.rs, which owns escaping, layout and the
+# non-finite rule. So non-test library code holds no hand-written JSON key
+# (a `\"name\":` inside a Rust string): an emitter that splices its own
+# keys brings back its own comma, escaping and NaN rules.
+json_key_hits="$(library_sources | grep -vxF crates/trace/src/json.rs \
+  | while read -r f; do nontest_lines "$f"; done \
+  | grep -vE '^[^:]*:[0-9]+: *//' | grep -E '\\"[A-Za-z0-9_.]*\\":' || true)"
+if [[ -n "$json_key_hits" ]]; then
+  echo "ci: hand-written JSON key in library code:" >&2
+  echo "$json_key_hits" >&2
+  echo "ci: build a mesa_trace::Json value and render it instead" >&2
+  exit 1
+fi
+echo "JSON gate: every library export renders through mesa_trace::json"
+
 # Host-clock gate: `std::time::Instant`/`SystemTime` may only appear in
 # the HostClock module (crates/trace/src/host.rs, the one sanctioned
 # wall-clock seam). Everything else must take an injectable HostClock so

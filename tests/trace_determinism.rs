@@ -91,7 +91,8 @@ fn same_run_exports_byte_identical_profile_reports() {
     };
     let a = profile();
     let b = profile();
-    assert_eq!(a.to_json(), b.to_json());
+    let json = a.to_json().to_lines();
+    assert_eq!(json, b.to_json().to_lines());
     assert_eq!(a.render(), b.render());
 
     assert!(a.topdown.sums_to_total());
@@ -99,7 +100,8 @@ fn same_run_exports_byte_identical_profile_reports() {
     assert!(a.spatial.as_ref().is_some_and(|s| s.total_fires() > 0));
     assert!(!a.rounds.is_empty(), "nn's iterative controller must record a round");
     assert!(a.rounds.iter().any(|r| r.critical_path_delta() != 0));
-    mesa::trace::validate_json(&a.to_json()).expect("report JSON is well-formed");
+    let doc = mesa::trace::json::parse(&json).expect("report JSON is well-formed");
+    assert_eq!(doc.to_lines(), json, "re-renders to the same bytes");
 }
 
 /// Histogram merging is exact bucket-wise addition, so folding per-tenant
@@ -216,12 +218,12 @@ fn host_profile_export_is_byte_deterministic_under_mock_clock() {
     forall!(checker("trace::host_export_determinism"), |(seed in 0u64..1_000_000, ops in 4usize..48)| {
         let a = random_host_profile(seed, ops);
         let b = random_host_profile(seed, ops);
-        let json = a.to_json();
-        prop_assert_eq!(&json, &b.to_json());
+        let json = a.to_json().to_string();
+        prop_assert_eq!(&json, &b.to_json().to_string());
         prop_assert_eq!(a.to_folded(), b.to_folded());
-        prop_assert!(json.contains("\"schema\":\"mesa.hostprofile/v1\""));
-        prop_assert!(json.contains("\"clock\":\"mock\""));
-        mesa::trace::validate_json(&json).expect("hostprofile JSON is well-formed");
+        prop_assert!(json.starts_with("{\"schema\":\"mesa.hostprofile/v1\",\"clock\":\"mock\""));
+        let doc = mesa::trace::json::parse(&json).expect("hostprofile JSON is well-formed");
+        prop_assert_eq!(doc.to_string(), json);
     });
 }
 

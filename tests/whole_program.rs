@@ -161,6 +161,34 @@ fn rejected_inner_loop_is_blacklisted_and_program_completes() {
     }
 }
 
+#[test]
+fn accepted_offloads_count_their_configuration_overlap() {
+    // Every dynamic instruction runs either on the CPU (warmup, the
+    // iterations overlapping configuration, glue) or inside a fabric
+    // iteration, so the two shares add up to one plain run.
+    let program = two_loop_program();
+    let (mut st, mut mem) = fresh_system();
+    let mut controller = MesaController::new(SystemConfig::m128());
+    let mut cpu = OoOCore::new(CoreConfig::boom_baseline());
+    let report = controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000);
+    assert!(report.halted, "{report:?}");
+    assert!(report.offloads.iter().all(|o| o.cpu_iterations_during_config > 0), "{report:?}");
+    let on_fabric: u64 =
+        report.offloads.iter().map(|o| o.accel_iterations * ((o.region.1 - o.region.0) / 4)).sum();
+
+    let (mut st, mut mem) = fresh_system();
+    let plain = OoOCore::new(CoreConfig::boom_baseline()).run(
+        &program,
+        &mut st,
+        &mut mem,
+        0,
+        RunLimits::none(),
+        &mut NullMonitor,
+    );
+    assert_eq!(plain.stop, StopReason::Halted);
+    assert_eq!(report.cpu_instrs + on_fabric, plain.retired, "{report:?}");
+}
+
 /// The instruction budget `run_program` gets for a workloads kernel: the
 /// one the end-to-end benchmark's program-large workload grants.
 fn budget(kernel: &Kernel) -> u64 {
