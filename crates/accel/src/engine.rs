@@ -96,40 +96,12 @@ impl<'a> SessionRequest<'a> {
     }
 }
 
-/// How a spatial session ended.
-// The completed variant is the overwhelmingly common one; boxing it would
-// tax every solo execute call to slim the rare paused arm.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum SessionStatus {
-    /// Every tile's loop exited (or the iteration budget ran out); the
-    /// result is exactly what an uninterrupted solo run returns.
-    Completed(AccelRunResult),
-    /// The session froze at a round boundary per
-    /// [`SessionRequest::pause_at_cycle`]; resume it by passing the
-    /// snapshot back to [`SpatialAccelerator::run_session`].
-    Paused(Box<PlacementSnapshot>),
-}
-
-impl SessionStatus {
-    /// The run's result: the completed one, or a paused session's result
-    /// up to its freeze. A solo request never pauses, so solo callers get
-    /// exactly the completed result.
-    #[must_use]
-    pub fn into_result(self, prog: &AccelProgram) -> AccelRunResult {
-        match self {
-            SessionStatus::Completed(r) => r,
-            SessionStatus::Paused(s) => s.to_result(prog),
-        }
-    }
-}
-
 /// Errors starting or resuming a spatial session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
     /// The program failed validation against the session's region.
     Program(ProgramError),
-    /// The resume snapshot was rejected (wrong program, region height, or
+    /// The session state was rejected (wrong program, region height, or
     /// fault binding).
     Snapshot(SnapshotError),
 }
@@ -162,25 +134,6 @@ impl From<SnapshotError> for SessionError {
 pub struct SpatialAccelerator {
     cfg: AccelConfig,
     model: HalfRingModel,
-}
-
-#[derive(Debug, Clone)]
-struct TileState {
-    /// Architectural registers captured at offload (with per-tile induction
-    /// offsets applied).
-    entry_regs: Vec<u64>,
-    /// Previous-iteration node outputs.
-    prev_value: Vec<u64>,
-    /// Previous-iteration node completion times.
-    prev_complete: Vec<u64>,
-    /// Iterations this tile has executed.
-    iters: u64,
-    /// Completion time of the tile's last iteration.
-    last_complete: u64,
-    /// Whether the tile's loop is still running.
-    running: bool,
-    /// Completion time of the last store (in-order store commit).
-    last_store_start: u64,
 }
 
 /// Per-iteration working buffers, allocated once per spatial session and
@@ -272,12 +225,12 @@ struct NodePlan {
 #[allow(clippy::too_many_arguments)]
 fn resolve_operand(
     op: &OpPlan,
-    tile: &TileState,
+    tile: &TileSnap,
     cur_value: &[u64],
     cur_complete: &[u64],
     base: u64,
     first_iter: bool,
-    fabric: &mut Fabric,
+    fabric: &mut Bookings,
     activity: &mut ActivityStats,
 ) -> (u64, u64, u64) {
     match *op {
@@ -316,7 +269,8 @@ fn resolve_operand(
 }
 
 /// Shared fabric bandwidth accounting (memory ports, NoC lanes, fallback
-/// bus).
+/// bus): the booking counters a session carries in its
+/// [`PlacementSnapshot`].
 ///
 /// Each resource is a rate limiter with backfill: the `n`-th request to a
 /// resource of capacity `c` per cycle can start no earlier than `n / c`,
@@ -327,27 +281,25 @@ fn resolve_operand(
 /// simply serve them in its idle slots. The token floor models exactly
 /// that: under saturation it enforces the aggregate bandwidth; under light
 /// load readiness dominates.
-#[derive(Debug)]
-struct Fabric {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Bookings {
+    /// Fault binding: every N-th bus transfer drops its token (0 = off).
+    pub(crate) bus_drop_period: u64,
     /// Memory requests issued so far.
-    port_requests: u64,
-    /// Memory ports (aggregate capacity per cycle).
-    port_count: u64,
-    /// NoC transfers issued per row lane.
-    lane_requests: Vec<u64>,
-    /// Fallback-bus transfers issued.
-    bus_requests: u64,
-    /// Fault injection: every N-th bus transfer drops its token (0 = off).
-    bus_drop_period: u64,
+    pub(crate) port_requests: u64,
+    /// Fallback-bus transfers issued (also the drop-schedule position).
+    pub(crate) bus_requests: u64,
     /// Bus tokens dropped so far.
-    bus_drops: u64,
+    pub(crate) bus_drops: u64,
+    /// NoC transfers issued per row lane, indexed relative to the region.
+    pub(crate) lane_requests: Vec<u64>,
 }
 
-impl Fabric {
-    /// Books one memory-port slot for a request ready at `ready`; returns
-    /// its start time.
-    fn book_port(&mut self, ready: u64) -> u64 {
-        let floor = self.port_requests / self.port_count;
+impl Bookings {
+    /// Books one slot of `ports` memory ports for a request ready at
+    /// `ready`; returns its start time.
+    fn book_port(&mut self, ready: u64, ports: u64) -> u64 {
+        let floor = self.port_requests / ports;
         self.port_requests += 1;
         ready.max(floor)
     }
@@ -418,63 +370,66 @@ impl SpatialAccelerator {
     ) -> Result<AccelRunResult, ProgramError> {
         let faults = FaultPlan::none();
         let req = SessionRequest::solo(requester, max_iterations, &faults, self.cfg.grid());
-        Ok(self.session_inner(prog, entry, mem, &req, None, &mut NullTracer, 0)?.into_result(prog))
+        let mut state = PlacementSnapshot::new(prog, entry, req.region.rows, &faults);
+        self.session_inner(prog, mem, &req, &mut state, &mut NullTracer, 0)?;
+        Ok(state.into_result(prog))
     }
 
-    /// Runs one spatial session: like [`execute`](Self::execute) but
-    /// under `req.faults` (the dropped-bus-token schedule is applied to
-    /// the fallback bus: timing-only, recorded in
-    /// [`AccelRunResult::faults`]), confined to `req.region`'s row band,
-    /// optionally freezing at a round boundary
-    /// ([`SessionRequest::pause_at_cycle`]) and optionally continuing from
-    /// an earlier freeze (`resume`). The run is wrapped in an
-    /// `accel.execute` span on the accelerator timeline starting at
-    /// `cycle_base` (the caller's episode clock, since the engine's own
-    /// cycles are run-relative).
+    /// Runs one spatial session on `state` in place: like
+    /// [`execute`](Self::execute) but under `req.faults` (the
+    /// dropped-bus-token schedule is applied to the fallback bus:
+    /// timing-only, recorded in [`AccelRunResult::faults`]), confined to
+    /// `req.region`'s row band, and optionally freezing at a round boundary
+    /// ([`SessionRequest::pause_at_cycle`]). `state` is either fresh
+    /// ([`PlacementSnapshot::new`]) or one an earlier call paused, possibly
+    /// serialized and decoded in between; run it again to continue.
+    /// [`PlacementSnapshot::into_result`] reads the run's result off it at
+    /// any point. The run is wrapped in an `accel.execute` span on the
+    /// accelerator timeline starting at `cycle_base` (the caller's episode
+    /// clock, since the engine's own cycles are session-relative).
     ///
     /// Because the fabric's latencies depend only on *relative*
-    /// coordinates and its booking counters travel inside the snapshot, a
-    /// session paused in one region and resumed in another same-height
-    /// region of the same grid continues cycle-identically; across grids
-    /// with different port counts the timing shifts but the architectural
-    /// results are unchanged. A session that runs to completion returns
-    /// exactly what an uninterrupted solo run would.
+    /// coordinates and the state indexes NoC lanes relative to its region,
+    /// a session paused in one region and continued in another same-height
+    /// region of the same grid runs cycle-identically; across grids with
+    /// different port counts the timing shifts but the architectural
+    /// results are unchanged. A session that runs to completion, paused
+    /// along the way or not, yields exactly an uninterrupted solo run's
+    /// result.
+    ///
+    /// Returns `true` when the session froze at `req.pause_at_cycle` and
+    /// `false` when every tile's loop exited or the iteration budget ran
+    /// out.
     ///
     /// # Errors
-    /// [`SessionError::Program`] when the program does not fit the region,
-    /// or [`SessionError::Snapshot`] when `resume` does not belong to this
-    /// program/region/fault binding.
-    #[allow(clippy::too_many_arguments)]
+    /// [`SessionError::Snapshot`] when `state` does not belong to this
+    /// program, region height or fault binding, or
+    /// [`SessionError::Program`] when the program does not fit the region.
     pub fn run_session(
         &self,
         prog: &AccelProgram,
-        entry: &ArchState,
         mem: &mut MemorySystem,
         req: &SessionRequest<'_>,
-        resume: Option<&PlacementSnapshot>,
+        state: &mut PlacementSnapshot,
         tracer: &mut dyn Tracer,
         cycle_base: u64,
-    ) -> Result<SessionStatus, SessionError> {
-        if let Some(snap) = resume {
-            snap.check_compatible(prog, req.region, req.faults)?;
-        }
-        Ok(self.session_inner(prog, entry, mem, req, resume, tracer, cycle_base)?)
+    ) -> Result<bool, SessionError> {
+        state.check_compatible(prog, req.region, req.faults)?;
+        Ok(self.session_inner(prog, mem, req, state, tracer, cycle_base)?)
     }
 
-    /// Shared session body. `resume` is trusted here (compatibility is the
-    /// public entry points' concern): with `None` this is byte-for-byte
-    /// the pre-fabric execute path over the full grid.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared session body. `state` is trusted here (compatibility is
+    /// [`run_session`](Self::run_session)'s concern; `execute` builds it
+    /// from `prog` itself).
     fn session_inner(
         &self,
         prog: &AccelProgram,
-        entry: &ArchState,
         mem: &mut MemorySystem,
         req: &SessionRequest<'_>,
-        resume: Option<&PlacementSnapshot>,
+        state: &mut PlacementSnapshot,
         tracer: &mut dyn Tracer,
         cycle_base: u64,
-    ) -> Result<SessionStatus, ProgramError> {
+    ) -> Result<bool, ProgramError> {
         let region = req.region;
         if !region.fits(self.cfg.rows, self.cfg.cols) {
             // The region itself does not sit on this grid; report the
@@ -487,119 +442,28 @@ impl SpatialAccelerator {
         prog.validate(region.dims())?;
         tracer.span_begin(Subsystem::Accelerator, "accel.execute", cycle_base);
 
-        let n = prog.nodes.len();
         let tiles = prog.tiles.max(1);
         let rows_per_tile = prog.rows_per_tile();
-
-        let mut counters;
-        let mut activity;
-        let mut fabric;
-        let mut tile_states: Vec<TileState>;
-        let mut total_iters;
-        let mut last_iter_tile;
-        let xlen;
-        let start_cycles;
-
-        if let Some(snap) = resume {
-            // Continue exactly where the freeze left off: architectural
-            // state, timing cursors, and booking counters all come from
-            // the snapshot; only the region placement is fresh.
-            counters = snap.counters.clone();
-            activity = snap.activity;
-            let mut lanes = vec![0u64; self.cfg.rows];
-            for (i, &v) in snap.lane_requests.iter().enumerate() {
-                if let Some(slot) = lanes.get_mut(region.first_row + i) {
-                    *slot = v;
-                }
-            }
-            fabric = Fabric {
-                port_requests: snap.port_requests,
-                port_count: self.cfg.mem_ports.clamp(1, 1 << 20) as u64,
-                lane_requests: lanes,
-                bus_requests: snap.bus_requests,
-                bus_drop_period: req.faults.bus_drop_period,
-                bus_drops: snap.bus_drops,
-            };
-            tile_states = snap
-                .tile_states
-                .iter()
-                .map(|t| TileState {
-                    entry_regs: t.entry_regs.clone(),
-                    prev_value: t.prev_value.clone(),
-                    prev_complete: t.prev_complete.clone(),
-                    iters: t.iters,
-                    last_complete: t.last_complete,
-                    running: t.running,
-                    last_store_start: t.last_store_start,
-                })
-                .collect();
-            total_iters = snap.total_iters;
-            last_iter_tile = snap.last_iter_tile;
-            xlen = snap.xlen;
-            start_cycles = snap.cycles();
-        } else {
-            counters = PerfCounters::new(n);
-            activity = ActivityStats::default();
-            fabric = Fabric {
-                port_requests: 0,
-                port_count: self.cfg.mem_ports.clamp(1, 1 << 20) as u64,
-                lane_requests: vec![0; self.cfg.rows],
-                bus_requests: 0,
-                bus_drop_period: req.faults.bus_drop_period,
-                bus_drops: 0,
-            };
-            // Per-tile state with induction offsets.
-            tile_states = (0..tiles)
-                .map(|t| {
-                    let mut regs: Vec<u64> = (0..Reg::COUNT)
-                        .map(|i| entry.read(Reg::from_flat_index(i)))
-                        .collect();
-                    if t > 0 {
-                        for node in &prog.nodes {
-                            if node.scale_imm_by_tiles {
-                                if let Some(rd) = node.instr.dest() {
-                                    let v = regs[rd.flat_index()];
-                                    // i128 keeps tile-count × immediate exact
-                                    // before the architectural wrap to u64.
-                                    regs[rd.flat_index()] = v.wrapping_add(
-                                        (t as i128 * i128::from(node.instr.imm)) as u64,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    TileState {
-                        entry_regs: regs,
-                        prev_value: vec![0; n],
-                        prev_complete: vec![0; n],
-                        iters: 0,
-                        last_complete: 0,
-                        running: true,
-                        last_store_start: 0,
-                    }
-                })
-                .collect();
-            total_iters = 0u64;
-            last_iter_tile = 0usize; // tile that ran the globally-last iteration
-            xlen = entry.xlen;
-            start_cycles = 0;
-        }
-        let unlimited_ports = self.cfg.mem_ports >= usize::MAX / 2;
-        let mut scratch = IterScratch::new(n, xlen);
+        let start_cycles = state.cycles();
+        let ports = (self.cfg.mem_ports < usize::MAX / 2)
+            .then(|| self.cfg.mem_ports.clamp(1, 1 << 20) as u64);
+        let mut scratch = IterScratch::new(prog.nodes.len(), state.xlen);
 
         // Static per-tile node plans (coords, routes, tile-scaled
-        // instructions): resolved once here, reused every iteration. The
-        // region offset shifts every placement into the owned row band.
+        // instructions): resolved once here, reused every iteration.
+        // Placements are region-relative, like the lanes they book.
         let plans: Vec<Vec<NodePlan>> = (0..tiles)
             .map(|t| {
-                let row_offset = region.first_row + t * rows_per_tile;
                 prog.nodes
                     .iter()
-                    .map(|node| self.plan_node(prog, node, row_offset, tiles))
+                    .map(|node| self.plan_node(prog, node, t * rows_per_tile, tiles))
                     .collect()
             })
             .collect();
 
+        let PlacementSnapshot {
+            tile_states, bookings, counters, activity, total_iters, last_iter_tile, ..
+        } = &mut *state;
         let mut paused = false;
         loop {
             // The iteration budget is checked at *round* boundaries only:
@@ -607,7 +471,7 @@ impl SpatialAccelerator {
             // iteration, so the set of executed global iterations stays
             // contiguous (0..N) and the controller can resume a paused
             // tiled region from architectural state alone.
-            if total_iters >= req.max_iterations {
+            if *total_iters >= req.max_iterations {
                 break;
             }
             // The pause request shares the boundary: "freeze at cycle c"
@@ -629,92 +493,42 @@ impl SpatialAccelerator {
                     prog,
                     tile_state,
                     &plans[t],
-                    &mut fabric,
+                    bookings,
                     mem,
                     req.requester,
-                    unlimited_ports,
-                    &mut counters,
-                    &mut activity,
+                    ports,
+                    counters,
+                    activity,
                     &mut scratch,
                 );
-                total_iters += 1;
-                last_iter_tile = t;
+                *total_iters += 1;
+                *last_iter_tile = t;
             }
             if !any {
                 break;
             }
         }
+        if paused && state.fingerprint.is_none() {
+            // Bind the state to its program at its first pause; a
+            // continued run re-checks this digest, so each slice hashes
+            // the program at most once.
+            state.fingerprint = Some(prog.fingerprint());
+        }
 
-        let cycles = tile_states.iter().map(|t| t.last_complete).max().unwrap_or(0);
         if tracer.enabled() {
-            // `cycles` is the session clock (cumulative across resumes);
-            // the episode timeline advances only by this call's share.
-            let end = cycle_base + (cycles - start_cycles);
-            tracer.counter(Subsystem::Accelerator, "accel.iterations", total_iters, end);
+            // The session clock is cumulative across pauses; the episode
+            // timeline advances only by this call's share.
+            let end = cycle_base + (state.cycles() - start_cycles);
+            tracer.counter(Subsystem::Accelerator, "accel.iterations", state.total_iters, end);
             tracer.counter(
                 Subsystem::Accelerator,
                 "accel.pe_busy_cycles",
-                activity.pe_busy_cycles,
+                state.activity.pe_busy_cycles,
                 end,
             );
             tracer.span_end(Subsystem::Accelerator, "accel.execute", end);
         }
-
-        if paused {
-            // A resumed session's snapshot already carries `prog`'s digest
-            // (`run_session` checked it), so each slice hashes the program
-            // at most once.
-            let snap = PlacementSnapshot {
-                fingerprint: resume.map_or_else(|| prog.fingerprint(), |s| s.fingerprint),
-                xlen,
-                nodes: n,
-                tiles,
-                region_rows: region.rows,
-                bus_drop_period: req.faults.bus_drop_period,
-                total_iters,
-                last_iter_tile,
-                port_requests: fabric.port_requests,
-                bus_requests: fabric.bus_requests,
-                bus_drops: fabric.bus_drops,
-                lane_requests: fabric
-                    .lane_requests
-                    .get(region.first_row..region.end_row())
-                    .map(<[u64]>::to_vec)
-                    .unwrap_or_default(),
-                tile_states: tile_states
-                    .into_iter()
-                    .map(|t| TileSnap {
-                        entry_regs: t.entry_regs,
-                        prev_value: t.prev_value,
-                        prev_complete: t.prev_complete,
-                        iters: t.iters,
-                        last_complete: t.last_complete,
-                        running: t.running,
-                        last_store_start: t.last_store_start,
-                    })
-                    .collect(),
-                counters,
-                activity,
-            };
-            return Ok(SessionStatus::Paused(Box::new(snap)));
-        }
-
-        let completed = tile_states.iter().all(|t| !t.running);
-        let last = &tile_states[last_iter_tile];
-        let final_regs = prog
-            .live_out
-            .iter()
-            .map(|&(reg, node)| (reg, last.prev_value[node as usize]))
-            .collect();
-        Ok(SessionStatus::Completed(AccelRunResult {
-            iterations: total_iters,
-            cycles,
-            counters,
-            activity,
-            final_regs,
-            completed,
-            faults: FaultLog { bus_tokens_dropped: fabric.bus_drops, ..FaultLog::default() },
-        }))
+        Ok(paused)
     }
 
     /// Builds one operand's static plan for a tile (flat register indices
@@ -783,12 +597,12 @@ impl SpatialAccelerator {
     fn run_iteration(
         &self,
         prog: &AccelProgram,
-        tile: &mut TileState,
+        tile: &mut TileSnap,
         plans: &[NodePlan],
-        fabric: &mut Fabric,
+        fabric: &mut Bookings,
         mem: &mut MemorySystem,
         requester: usize,
-        unlimited_ports: bool,
+        ports: Option<u64>,
         counters: &mut PerfCounters,
         activity: &mut ActivityStats,
         scratch: &mut IterScratch,
@@ -848,16 +662,16 @@ impl SpatialAccelerator {
             // ---- execute ----
             let complete = match plan.class {
                 OpClass::Load => self.do_load(
-                    i, node, plan, v1, ready, tile, fabric, mem, requester, unlimited_ports,
-                    first_iter, stores_seen, cur_complete, activity, cur_value,
+                    i, node, plan, v1, ready, fabric, mem, requester, ports, first_iter,
+                    stores_seen, cur_complete, activity, cur_value,
                 ),
                 OpClass::Store => {
                     let addr = v1.wrapping_add(plan.effective.imm as u64);
                     let width = plan.mem_width;
                     // Program-order store commit (the LDFG keeps ordering).
                     let mut start = ready.max(tile.last_store_start + 1);
-                    if !unlimited_ports {
-                        start = fabric.book_port(start);
+                    if let Some(ports) = ports {
+                        start = fabric.book_port(start, ports);
                     }
                     tile.last_store_start = start;
                     mem.data_mut().store(addr, width, v2);
@@ -916,11 +730,10 @@ impl SpatialAccelerator {
         plan: &NodePlan,
         base_value: u64,
         ready: u64,
-        _tile: &mut TileState,
-        fabric: &mut Fabric,
+        fabric: &mut Bookings,
         mem: &mut MemorySystem,
         requester: usize,
-        unlimited_ports: bool,
+        ports: Option<u64>,
         first_iter: bool,
         stores_seen: &[(usize, u64, u8, u64)],
         cur_complete: &[u64],
@@ -962,14 +775,11 @@ impl SpatialAccelerator {
         }
 
         // Normal port access.
-        let (start, latency) = if unlimited_ports {
-            let acc = mem.access(requester, addr, false, ready);
-            (ready, acc.total)
-        } else {
-            let start = fabric.book_port(ready);
-            let acc = mem.access(requester, addr, false, start);
-            (start, acc.total)
+        let start = match ports {
+            Some(ports) => fabric.book_port(ready, ports),
+            None => ready,
         };
+        let latency = mem.access(requester, addr, false, start).total;
         let latency = if node.prefetched && !first_iter {
             // The line was prefetched an iteration ahead: steady state is a
             // hit.
@@ -1635,6 +1445,20 @@ mod tests {
         assert_eq!(a.faults, b.faults);
     }
 
+    /// Runs one session of `prog` on `state` in `region`, pausing at
+    /// `pause`; returns whether it paused.
+    fn slice(
+        accel: &SpatialAccelerator,
+        prog: &AccelProgram,
+        mem: &mut MemorySystem,
+        state: &mut PlacementSnapshot,
+        region: Region,
+        pause: Option<u64>,
+    ) -> Result<bool, SessionError> {
+        let none = FaultPlan::none();
+        accel.run_session(prog, mem, &session_req(&none, region, pause), state, &mut NullTracer, 0)
+    }
+
     #[test]
     fn pause_resume_in_place_is_bit_identical_to_uninterrupted() {
         let (prog, entry) = sum_loop();
@@ -1649,27 +1473,16 @@ mod tests {
         // points must genuinely freeze.
         for pause_at in [0, 1, solo.cycles / 2, solo.cycles - 1, solo.cycles + 10] {
             let mut mem = sum_loop_mem();
-            let req = session_req(&none, region, Some(pause_at));
-            let status = accel
-                .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
-                .unwrap();
-            let resumed = match status {
-                SessionStatus::Paused(snap) => {
-                    let req = session_req(&none, region, None);
-                    let status = accel
-                        .run_session(&prog, &entry, &mut mem, &req, Some(&snap), &mut NullTracer, 0)
-                        .unwrap();
-                    let SessionStatus::Completed(r) = status else {
-                        panic!("resume did not complete");
-                    };
-                    r
-                }
-                SessionStatus::Completed(r) => {
-                    assert!(pause_at + 1 >= solo.cycles, "pause at {pause_at} did not pause");
-                    r
-                }
-            };
-            expect_full_equality(&solo, &resumed);
+            let mut state = PlacementSnapshot::new(&prog, &entry, region.rows, &none);
+            if slice(&accel, &prog, &mut mem, &mut state, region, Some(pause_at)).unwrap() {
+                assert!(state.is_bound(), "a paused state is bound to its program");
+                let paused = slice(&accel, &prog, &mut mem, &mut state, region, None).unwrap();
+                assert!(!paused, "resume did not complete");
+            } else {
+                assert!(pause_at + 1 >= solo.cycles, "pause at {pause_at} did not pause");
+                assert!(!state.is_bound(), "a run that never paused hashes nothing");
+            }
+            expect_full_equality(&solo, &state.into_result(&prog));
         }
     }
 
@@ -1686,23 +1499,15 @@ mod tests {
         // totals and booking-counter-driven stats must match.
         for first_row in [4, 8, 12] {
             let mut mem = sum_loop_mem();
-            let req = session_req(&none, Region::new(0, 4, 8), Some(solo.cycles / 2));
-            let SessionStatus::Paused(snap) = accel
-                .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
-                .unwrap()
-            else {
-                panic!("did not pause");
-            };
-            let words = snap.to_words();
-            let thawed = PlacementSnapshot::from_words(&words).unwrap();
-            let req = session_req(&none, Region::new(first_row, 4, 8), None);
-            let SessionStatus::Completed(migrated) = accel
-                .run_session(&prog, &entry, &mut mem, &req, Some(&thawed), &mut NullTracer, 0)
-                .unwrap()
-            else {
-                panic!("resume did not complete");
-            };
-            expect_full_equality(&solo, &migrated);
+            let mut state = PlacementSnapshot::new(&prog, &entry, 4, &none);
+            let bottom = Region::new(0, 4, 8);
+            let half = Some(solo.cycles / 2);
+            assert!(slice(&accel, &prog, &mut mem, &mut state, bottom, half).unwrap());
+            let mut thawed = PlacementSnapshot::from_words(&state.to_words()).unwrap();
+            assert_eq!(thawed, state);
+            let target = Region::new(first_row, 4, 8);
+            assert!(!slice(&accel, &prog, &mut mem, &mut thawed, target, None).unwrap());
+            expect_full_equality(&solo, &thawed.into_result(&prog));
         }
     }
 
@@ -1714,31 +1519,29 @@ mod tests {
         let mut mem = sum_loop_mem();
 
         // Region hangs off the 16-row grid.
-        let req = session_req(&none, Region::new(16, 4, 8), None);
-        let err = accel
-            .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
+        let mut state = PlacementSnapshot::new(&prog, &entry, 4, &none);
+        let err = slice(&accel, &prog, &mut mem, &mut state, Region::new(16, 4, 8), None)
             .unwrap_err();
         assert!(matches!(err, SessionError::Program(ProgramError::OutOfGrid(_))), "{err}");
 
-        // A snapshot from a different program must be rejected up front.
-        let req = session_req(&none, Region::new(0, 4, 8), Some(0));
-        let SessionStatus::Paused(snap) = accel
-            .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
-            .unwrap()
-        else {
-            panic!("did not pause");
-        };
-        let (other, other_entry) = counter_loop(10);
-        let req = session_req(&none, Region::new(0, 4, 8), None);
-        let err = accel
-            .run_session(&other, &other_entry, &mut mem, &req, Some(&snap), &mut NullTracer, 0)
-            .unwrap_err();
+        // A state of a different program must be rejected up front.
+        let band = Region::new(0, 4, 8);
+        assert!(slice(&accel, &prog, &mut mem, &mut state, band, Some(0)).unwrap());
+        let (other, _) = counter_loop(10);
+        let err = slice(&accel, &other, &mut mem, &mut state, band, None).unwrap_err();
         assert!(matches!(err, SessionError::Snapshot(SnapshotError::Mismatch { .. })), "{err}");
+        // So must a region of another height.
+        let err = slice(&accel, &prog, &mut mem, &mut state, Region::new(0, 8, 8), None)
+            .unwrap_err();
+        let SessionError::Snapshot(SnapshotError::Mismatch { field, .. }) = err else {
+            panic!("{err}");
+        };
+        assert_eq!(field, "region rows");
     }
 
     /// The program digest alone rejects a foreign program: every mutation
     /// here keeps the node and tile counts, so only the fingerprint
-    /// differs, while an unmutated clone resumes and finishes as solo.
+    /// differs, while an unmutated clone continues and finishes as solo.
     #[test]
     fn session_rejects_a_program_differing_in_one_field() {
         use mesa_test::{forall, prop_assert, Checker};
@@ -1749,17 +1552,13 @@ mod tests {
         let solo = accel.execute(&prog, &entry, &mut sum_loop_mem(), 0, 10_000).unwrap();
         let region = Region::new(0, 4, 8);
         let mut mem = sum_loop_mem();
-        let req = session_req(&none, region, Some(solo.cycles / 2));
-        let SessionStatus::Paused(snap) = accel
-            .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
-            .unwrap()
-        else {
-            panic!("did not pause");
-        };
-        let resume_req = session_req(&none, region, None);
+        let mut paused = PlacementSnapshot::new(&prog, &entry, region.rows, &none);
+        let half = Some(solo.cycles / 2);
+        assert!(slice(&accel, &prog, &mut mem, &mut paused, region, half).unwrap());
         let resume = |p: &AccelProgram| {
             let mut mem = mem.clone();
-            accel.run_session(p, &entry, &mut mem, &resume_req, Some(&snap), &mut NullTracer, 0)
+            let mut state = paused.clone();
+            slice(&accel, p, &mut mem, &mut state, region, None).map(|_| state)
         };
 
         forall!(
@@ -1795,10 +1594,8 @@ mod tests {
                     err
                 );
 
-                let SessionStatus::Completed(resumed) = resume(&prog.clone()).unwrap() else {
-                    panic!("resume did not complete");
-                };
-                expect_full_equality(&solo, &resumed);
+                let resumed = resume(&prog.clone()).unwrap();
+                expect_full_equality(&solo, &resumed.into_result(&prog));
             }
         );
     }

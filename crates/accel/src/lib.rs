@@ -30,7 +30,7 @@ pub use bitstream::{decode as decode_bitstream, encode as encode_bitstream, Bits
 pub use config::{AccelConfig, FpPattern};
 pub use counters::{ActivityStats, NodeCounter, PerfCounters, HOT_NODE_EXPORTS};
 pub use engine::{
-    AccelRunResult, SessionError, SessionRequest, SessionStatus, SpatialAccelerator,
+    AccelRunResult, SessionError, SessionRequest, SpatialAccelerator,
 };
 pub use faults::{FaultLog, FaultPlan, BUS_DROP_PENALTY};
 pub use grid::{

@@ -19,7 +19,8 @@ use crate::engine::VIOLATION_REDO;
 use crate::faults::{FaultLog, FaultPlan, BUS_DROP_PENALTY};
 use crate::{
     AccelProgram, AccelRunResult, ActivityStats, Coord, LatencyModel, NodeConfig, Operand,
-    PerfCounters, ProgramError, SessionError, SessionRequest, SpatialAccelerator,
+    PerfCounters, PlacementSnapshot, ProgramError, SessionError, SessionRequest,
+    SpatialAccelerator,
 };
 use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
 use mesa_mem::MemorySystem;
@@ -27,7 +28,7 @@ use mesa_trace::NullTracer;
 use std::fmt;
 
 /// Per-tile interpreter state (the reference twin of the engine's
-/// `TileState`).
+/// `TileSnap`).
 struct RefTile {
     entry_regs: Vec<u64>,
     prev_value: Vec<u64>,
@@ -592,9 +593,9 @@ pub fn run_differential(
     let mut fast_mem = mem.clone();
     let mut ref_mem = mem.clone();
     let req = SessionRequest::solo(requester, max_iterations, faults, accel.config().grid());
-    let fast = accel
-        .run_session(prog, entry, &mut fast_mem, &req, None, &mut NullTracer, 0)?
-        .into_result(prog);
+    let mut state = PlacementSnapshot::new(prog, entry, req.region.rows, faults);
+    accel.run_session(prog, &mut fast_mem, &req, &mut state, &mut NullTracer, 0)?;
+    let fast = state.into_result(prog);
     let reference =
         accel.execute_reference(prog, entry, &mut ref_mem, requester, max_iterations, faults)?;
     Ok(compare_runs(&fast, &reference))
@@ -710,10 +711,9 @@ mod tests {
         // Dropped tokens slow the run down but never change results.
         let clean = accel.execute(&prog, &entry, &mut mem, 0, 1_000).unwrap();
         let req = SessionRequest::solo(0, 1_000, &faults, accel.config().grid());
-        let faulted = accel
-            .run_session(&prog, &entry, &mut fault_mem, &req, None, &mut NullTracer, 0)
-            .unwrap()
-            .into_result(&prog);
+        let mut state = PlacementSnapshot::new(&prog, &entry, req.region.rows, &faults);
+        accel.run_session(&prog, &mut fault_mem, &req, &mut state, &mut NullTracer, 0).unwrap();
+        let faulted = state.into_result(&prog);
         assert!(faulted.faults.bus_tokens_dropped > 0);
         assert!(faulted.cycles >= clean.cycles);
         assert_eq!(faulted.final_regs, clean.final_regs);

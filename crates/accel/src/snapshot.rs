@@ -1,17 +1,20 @@
-//! Serializable placement checkpoints.
+//! The spatial session state and its serializable checkpoint form.
 //!
-//! A [`PlacementSnapshot`] freezes a running spatial session at a round
-//! boundary: per-tile architectural state (entry registers with induction
-//! offsets, carried node outputs), the timing state the fabric needs to
-//! continue bit-identically (completion times, the LSU's in-order store
-//! cursor, per-lane/port/bus booking counters, in-flight bus-token drop
-//! position), and the cumulative latency counters MESA's feedback channel
-//! reports. Snapshots are *position-independent*: they record how many rows
-//! the session's region had, not where it sat, so a checkpoint taken in one
-//! region resumes in any other region of the same height — on the same grid
-//! or a different one. That is the mechanism behind tenant migration, and
-//! the differential property tests pin down that it is architecturally
-//! invisible.
+//! A [`PlacementSnapshot`] is the engine's live session state: per-tile
+//! architectural state (entry registers with induction offsets, carried
+//! node outputs), the timing state the fabric needs to continue
+//! bit-identically (completion times, the LSU's in-order store cursor,
+//! per-lane/port/bus booking counters, in-flight bus-token drop position),
+//! and the cumulative latency counters MESA's feedback channel reports.
+//! [`SpatialAccelerator::run_session`](crate::SpatialAccelerator::run_session)
+//! advances it in place, so a paused session is frozen at a round boundary
+//! simply by the engine returning. The state is *position-independent*:
+//! NoC lanes are indexed relative to the region, and the state records how
+//! many rows the region had, not where it sat, so a session paused in one
+//! region resumes in any other region of the same height — on the same
+//! grid or a different one. That is the mechanism behind tenant migration,
+//! and the differential property tests pin down that it is
+//! architecturally invisible.
 //!
 //! The wire format mirrors the config bitstream (`bitstream.rs`): a
 //! little-endian `u64` word stream with a magic word, a version, explicit
@@ -20,9 +23,10 @@
 //! panicking.
 
 use crate::counters::{ActivityStats, NodeCounter, PerfCounters};
+use crate::engine::Bookings;
 use crate::faults::{FaultLog, FaultPlan};
 use crate::{AccelProgram, AccelRunResult, Region};
-use mesa_isa::{Reg, Xlen};
+use mesa_isa::{ArchState, Reg, Xlen};
 use mesa_trace::Fnv64;
 use std::fmt;
 use std::hash::Hasher;
@@ -92,8 +96,8 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// One tile's frozen execution state (mirrors the engine's internal
-/// `TileState`).
+/// One tile's execution state: what the engine reads and advances every
+/// iteration, and what a checkpoint carries per tile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TileSnap {
     /// Entry registers with per-tile induction offsets applied.
@@ -108,39 +112,33 @@ pub(crate) struct TileSnap {
     pub(crate) last_complete: u64,
     /// Whether the tile's loop is still running.
     pub(crate) running: bool,
-    /// In-order store-commit cursor (the LSU queue's frozen head).
+    /// In-order store-commit cursor (the LSU queue's head).
     pub(crate) last_store_start: u64,
 }
 
-/// A frozen spatial session: everything needed to resume mid-episode,
-/// bit-identically, in any same-height region. See the module docs.
+/// A spatial session's whole state: built fresh by
+/// [`PlacementSnapshot::new`], advanced in place by
+/// [`SpatialAccelerator::run_session`](crate::SpatialAccelerator::run_session),
+/// and serializable at any round boundary to resume, bit-identically, in
+/// any same-height region. See the module docs.
+///
+/// The node count, tile count and region height are the lengths of the
+/// per-node counters, the per-tile states and the per-row lane counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementSnapshot {
-    /// Digest of the program this snapshot belongs to.
-    pub(crate) fingerprint: u64,
+    /// Digest of the program this state is bound to. `None` until the
+    /// session first pauses: a fresh state trusts the program it is run
+    /// with, so a run that never pauses never hashes the program.
+    pub(crate) fingerprint: Option<u64>,
     /// Register width of the offloaded state.
     pub(crate) xlen: Xlen,
-    /// Node count (redundant with the program, kept for validation).
-    pub(crate) nodes: usize,
-    /// Tile count the session ran with.
-    pub(crate) tiles: usize,
-    /// Height of the region the session ran in.
-    pub(crate) region_rows: usize,
-    /// Fault binding: the bus-token drop period the session ran under.
-    pub(crate) bus_drop_period: u64,
     /// Total iterations executed so far (across tiles).
     pub(crate) total_iters: u64,
     /// Tile that ran the globally-last iteration (live-out source).
     pub(crate) last_iter_tile: usize,
-    /// Memory-port booking counter.
-    pub(crate) port_requests: u64,
-    /// Fallback-bus booking counter (also the drop-schedule position).
-    pub(crate) bus_requests: u64,
-    /// Bus tokens dropped so far.
-    pub(crate) bus_drops: u64,
-    /// Per-row NoC lane booking counters, region-relative.
-    pub(crate) lane_requests: Vec<u64>,
-    /// Per-tile frozen state.
+    /// Shared-resource booking counters and the bus fault binding.
+    pub(crate) bookings: Bookings,
+    /// Per-tile state.
     pub(crate) tile_states: Vec<TileSnap>,
     /// Cumulative per-node latency counters.
     pub(crate) counters: PerfCounters,
@@ -149,35 +147,97 @@ pub struct PlacementSnapshot {
 }
 
 impl PlacementSnapshot {
-    /// Digest of the program this snapshot was taken from.
+    /// A fresh session of `prog` entered with `entry`, in a region of
+    /// `region_rows` rows under `faults`: every tile starts from `entry`
+    /// (tile `t` with its induction registers advanced `t` steps), with
+    /// zeroed clocks, booking counters and latency counters.
     #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    pub fn new(
+        prog: &AccelProgram,
+        entry: &ArchState,
+        region_rows: usize,
+        faults: &FaultPlan,
+    ) -> Self {
+        let n = prog.nodes.len();
+        let tile_states = (0..prog.tiles.max(1))
+            .map(|t| {
+                let mut regs: Vec<u64> =
+                    (0..Reg::COUNT).map(|i| entry.read(Reg::from_flat_index(i))).collect();
+                if t > 0 {
+                    for node in &prog.nodes {
+                        if node.scale_imm_by_tiles {
+                            if let Some(rd) = node.instr.dest() {
+                                let v = regs[rd.flat_index()];
+                                // i128 keeps tile-count × immediate exact
+                                // before the architectural wrap to u64.
+                                regs[rd.flat_index()] =
+                                    v.wrapping_add((t as i128 * i128::from(node.instr.imm)) as u64);
+                            }
+                        }
+                    }
+                }
+                TileSnap {
+                    entry_regs: regs,
+                    prev_value: vec![0; n],
+                    prev_complete: vec![0; n],
+                    iters: 0,
+                    last_complete: 0,
+                    running: true,
+                    last_store_start: 0,
+                }
+            })
+            .collect();
+        PlacementSnapshot {
+            fingerprint: None,
+            xlen: entry.xlen,
+            total_iters: 0,
+            last_iter_tile: 0,
+            bookings: Bookings {
+                bus_drop_period: faults.bus_drop_period,
+                port_requests: 0,
+                bus_requests: 0,
+                bus_drops: 0,
+                lane_requests: vec![0; region_rows],
+            },
+            tile_states,
+            counters: PerfCounters::new(n),
+            activity: ActivityStats::default(),
+        }
     }
 
-    /// Iterations executed before the freeze (across all tiles).
+    /// Iterations executed so far (across all tiles).
     #[must_use]
     pub fn iterations(&self) -> u64 {
         self.total_iters
     }
 
-    /// Session clock at the freeze: the latest per-tile completion time.
+    /// Session clock: the latest per-tile completion time.
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.tile_states.iter().map(|t| t.last_complete).max().unwrap_or(0)
     }
 
-    /// Tile count the frozen session ran with.
+    /// `true` once the state is bound to a program digest: it paused at
+    /// least once, or was decoded from words.
     #[must_use]
-    pub fn tiles(&self) -> usize {
-        self.tiles
+    pub fn is_bound(&self) -> bool {
+        self.fingerprint.is_some()
     }
 
-    /// Height (in rows) of the region the session ran in; a resume target
+    /// Node count of the program the session runs.
+    fn nodes(&self) -> usize {
+        self.counters.nodes.len()
+    }
+
+    /// Tile count the session runs with.
+    fn tiles(&self) -> usize {
+        self.tile_states.len()
+    }
+
+    /// Height (in rows) of the region the session runs in; a resume target
     /// region must match it.
-    #[must_use]
-    pub fn region_rows(&self) -> usize {
-        self.region_rows
+    fn region_rows(&self) -> usize {
+        self.bookings.lane_requests.len()
     }
 
     /// `true` while at least one tile's loop has not exited.
@@ -186,8 +246,9 @@ impl PlacementSnapshot {
         self.tile_states.iter().any(|t| t.running)
     }
 
-    /// Checks that this snapshot can resume against `prog` in `region`
-    /// under `faults`.
+    /// Checks that this state can run `prog` in `region` under `faults`.
+    /// The program digest is compared only once the state is bound to one
+    /// (see [`is_bound`](Self::is_bound)).
     ///
     /// # Errors
     /// Returns [`SnapshotError::Mismatch`] naming the first binding that
@@ -199,14 +260,15 @@ impl PlacementSnapshot {
         region: Region,
         faults: &FaultPlan,
     ) -> Result<(), SnapshotError> {
+        let digest =
+            self.fingerprint.map(|found| ("program fingerprint", prog.fingerprint(), found));
         let checks = [
-            ("program fingerprint", prog.fingerprint(), self.fingerprint),
-            ("node count", prog.nodes.len() as u64, self.nodes as u64),
-            ("tile count", prog.tiles.max(1) as u64, self.tiles as u64),
-            ("region rows", region.rows as u64, self.region_rows as u64),
-            ("bus drop period", faults.bus_drop_period, self.bus_drop_period),
+            ("node count", prog.nodes.len() as u64, self.nodes() as u64),
+            ("tile count", prog.tiles.max(1) as u64, self.tiles() as u64),
+            ("region rows", region.rows as u64, self.region_rows() as u64),
+            ("bus drop period", faults.bus_drop_period, self.bookings.bus_drop_period),
         ];
-        for (field, expected, found) in checks {
+        for (field, expected, found) in digest.into_iter().chain(checks) {
             if expected != found {
                 return Err(SnapshotError::Mismatch { field, expected, found });
             }
@@ -214,12 +276,12 @@ impl PlacementSnapshot {
         Ok(())
     }
 
-    /// Converts the frozen state into a partial [`AccelRunResult`]
+    /// The run's [`AccelRunResult`] so far: the final result of a session
+    /// that completed, or a paused session's result up to its freeze
     /// (`completed` reflects whether every tile's loop already exited).
-    /// Live-out registers are read through the same last-iteration-tile
-    /// rule the engine uses at completion.
+    /// Live-out registers come from the tile that ran the last iteration.
     #[must_use]
-    pub fn to_result(&self, prog: &AccelProgram) -> AccelRunResult {
+    pub fn into_result(self, prog: &AccelProgram) -> AccelRunResult {
         let final_regs = self
             .tile_states
             .get(self.last_iter_tile)
@@ -235,11 +297,11 @@ impl PlacementSnapshot {
         AccelRunResult {
             iterations: self.total_iters,
             cycles: self.cycles(),
-            counters: self.counters.clone(),
-            activity: self.activity,
-            final_regs,
             completed: !self.is_running(),
-            faults: FaultLog { bus_tokens_dropped: self.bus_drops, ..FaultLog::default() },
+            final_regs,
+            counters: self.counters,
+            activity: self.activity,
+            faults: FaultLog { bus_tokens_dropped: self.bookings.bus_drops, ..FaultLog::default() },
         }
     }
 
@@ -250,39 +312,41 @@ impl PlacementSnapshot {
     /// a second serialization on the migration hot path.
     #[must_use]
     pub fn word_len(&self) -> usize {
-        let tile_words = Reg::COUNT + 2 * self.nodes + 4;
+        let tile_words = Reg::COUNT + 2 * self.nodes() + 4;
         14 // header: magic..Reg::COUNT (see to_words)
-            + self.region_rows
-            + self.tiles * tile_words
-            + self.nodes * NodeCounter::SNAPSHOT_WORDS
+            + self.region_rows()
+            + self.tiles() * tile_words
+            + self.nodes() * NodeCounter::SNAPSHOT_WORDS
             + ActivityStats::SNAPSHOT_WORDS
             + 1 // trailing checksum
     }
 
-    /// Serializes the snapshot to a little-endian word stream (magic,
-    /// version, counts, payload, trailing FNV checksum).
+    /// Serializes the state to a little-endian word stream (magic,
+    /// version, counts, payload, trailing FNV checksum). A state that is
+    /// not [bound](Self::is_bound) writes digest 0.
     #[must_use]
     pub fn to_words(&self) -> Vec<u64> {
+        let b = &self.bookings;
         let mut out = vec![
             SNAPSHOT_MAGIC,
             VERSION,
-            self.fingerprint,
+            self.fingerprint.unwrap_or(0),
             match self.xlen {
                 Xlen::Rv32 => 32,
                 Xlen::Rv64 => 64,
             },
-            self.nodes as u64,
-            self.tiles as u64,
-            self.region_rows as u64,
-            self.bus_drop_period,
+            self.nodes() as u64,
+            self.tiles() as u64,
+            self.region_rows() as u64,
+            b.bus_drop_period,
             self.total_iters,
             self.last_iter_tile as u64,
-            self.port_requests,
-            self.bus_requests,
-            self.bus_drops,
+            b.port_requests,
+            b.bus_requests,
+            b.bus_drops,
             Reg::COUNT as u64,
         ];
-        out.extend_from_slice(&self.lane_requests);
+        out.extend_from_slice(&b.lane_requests);
         for tile in &self.tile_states {
             out.extend_from_slice(&tile.entry_regs);
             out.extend_from_slice(&tile.prev_value);
@@ -396,18 +460,17 @@ impl PlacementSnapshot {
             .ok_or(SnapshotError::Truncated)?;
 
         Ok(PlacementSnapshot {
-            fingerprint,
+            fingerprint: Some(fingerprint),
             xlen,
-            nodes,
-            tiles,
-            region_rows,
-            bus_drop_period,
             total_iters,
             last_iter_tile,
-            port_requests,
-            bus_requests,
-            bus_drops,
-            lane_requests,
+            bookings: Bookings {
+                bus_drop_period,
+                port_requests,
+                bus_requests,
+                bus_drops,
+                lane_requests,
+            },
             tile_states,
             counters,
             activity,
@@ -464,18 +527,17 @@ mod tests {
 
     fn sample() -> PlacementSnapshot {
         PlacementSnapshot {
-            fingerprint: 0xDEAD_BEEF,
+            fingerprint: Some(0xDEAD_BEEF),
             xlen: Xlen::Rv32,
-            nodes: 2,
-            tiles: 1,
-            region_rows: 4,
-            bus_drop_period: 3,
             total_iters: 5,
             last_iter_tile: 0,
-            port_requests: 7,
-            bus_requests: 9,
-            bus_drops: 3,
-            lane_requests: vec![1, 0, 2, 0],
+            bookings: Bookings {
+                bus_drop_period: 3,
+                port_requests: 7,
+                bus_requests: 9,
+                bus_drops: 3,
+                lane_requests: vec![1, 0, 2, 0],
+            },
             tile_states: vec![TileSnap {
                 entry_regs: vec![0; Reg::COUNT],
                 prev_value: vec![11, 22],

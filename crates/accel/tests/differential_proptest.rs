@@ -6,11 +6,12 @@
 
 use mesa_accel::{
     run_differential, AccelConfig, AccelProgram, AccelRunResult, Coord, FaultPlan, NodeConfig,
-    Operand, PlacementSnapshot, Region, SessionRequest, SessionStatus, SpatialAccelerator,
+    Operand, PlacementSnapshot, Region, SessionRequest, SpatialAccelerator,
 };
 use mesa_isa::reg::abi::*;
 use mesa_isa::{ArchState, Instruction, Opcode, Xlen};
 use mesa_mem::{MemConfig, MemorySystem};
+use mesa_test::prop::{any_bool, vec};
 use mesa_test::{forall, prop_assert, Checker, Rng};
 use mesa_trace::NullTracer;
 
@@ -291,7 +292,7 @@ fn assert_migration_invisible(
     }
 
     let session = |pause: Option<u64>,
-                   resume: Option<&PlacementSnapshot>,
+                   state: &mut PlacementSnapshot,
                    region: Region,
                    mem: &mut MemorySystem| {
         let req = SessionRequest {
@@ -301,47 +302,47 @@ fn assert_migration_invisible(
             region,
             pause_at_cycle: pause,
         };
-        accel.run_session(&prog, &entry, mem, &req, resume, &mut NullTracer, 0)
+        accel.run_session(&prog, mem, &req, state, &mut NullTracer, 0)
     };
+    let fresh = || PlacementSnapshot::new(&prog, &entry, band.rows, faults);
 
     let mut mem_solo = mem.clone();
-    let solo = match session(None, None, band, &mut mem_solo) {
-        Ok(SessionStatus::Completed(r)) => r,
-        Ok(SessionStatus::Paused(_)) => {
-            return Err(format!("seed {seed}: un-paused session froze"));
-        }
+    let mut solo_state = fresh();
+    match session(None, &mut solo_state, band, &mut mem_solo) {
+        Ok(false) => {}
+        Ok(true) => return Err(format!("seed {seed}: un-paused session froze")),
         Err(e) => return Err(format!("seed {seed}: solo session rejected: {e}")),
-    };
+    }
+    let solo = solo_state.into_result(&prog);
 
     let pause_at = cycle_pick % solo.cycles.max(1);
     let mut mem_mig = mem.clone();
-    match session(Some(pause_at), None, band, &mut mem_mig) {
-        Ok(SessionStatus::Completed(r)) => {
+    let mut state = fresh();
+    match session(Some(pause_at), &mut state, band, &mut mem_mig) {
+        Ok(false) => {
             // The final round legitimately leapt past the pause point;
             // there is nothing to migrate, but the run must still match.
-            expect_identical(seed, "pause-skipping run", &solo, &r)?;
+            expect_identical(seed, "pause-skipping run", &solo, &state.into_result(&prog))?;
         }
-        Ok(SessionStatus::Paused(snap)) => {
-            let words = snap.to_words();
-            let decoded = PlacementSnapshot::from_words(&words)
+        Ok(true) => {
+            let words = state.to_words();
+            let mut decoded = PlacementSnapshot::from_words(&words)
                 .map_err(|e| format!("seed {seed}: snapshot roundtrip failed: {e}"))?;
-            if *snap != decoded {
+            if state != decoded {
                 return Err(format!("seed {seed}: snapshot words not lossless"));
             }
             let bands = (cfg.grid().rows / 4).max(1) as u64;
             let target = Region::new(4 * (row_pick % bands) as usize, 4, cols);
-            let resumed = match session(None, Some(&decoded), target, &mut mem_mig) {
-                Ok(SessionStatus::Completed(r)) => r,
-                Ok(SessionStatus::Paused(_)) => {
-                    return Err(format!("seed {seed}: resume froze again"));
-                }
+            match session(None, &mut decoded, target, &mut mem_mig) {
+                Ok(false) => {}
+                Ok(true) => return Err(format!("seed {seed}: resume froze again")),
                 Err(e) => return Err(format!("seed {seed}: resume rejected: {e}")),
-            };
+            }
             expect_identical(
                 seed,
                 &format!("migration to {target} at cycle {pause_at}"),
                 &solo,
-                &resumed,
+                &decoded.into_result(&prog),
             )?;
         }
         Err(e) => return Err(format!("seed {seed}: pausing session rejected: {e}")),
@@ -392,4 +393,88 @@ fn engines_agree_across_all_grids_for_one_kernel() {
             prop_assert!(outcome.is_ok(), "grid {}: {}", pick, outcome.unwrap_err());
         }
     });
+}
+
+/// Continuation in place: one state paused at `k` random cycles and run
+/// again after each pause (optionally taken through its word stream every
+/// time) ends exactly where the uninterrupted run does — timing, counters,
+/// final registers and memory.
+fn assert_continuation_invisible(
+    seed: u64,
+    bound: u64,
+    cfg: AccelConfig,
+    pauses: &[u64],
+    through_words: bool,
+) -> Result<(), String> {
+    let cols = cfg.grid().cols;
+    let prog = random_program(seed, cols);
+    let band = Region::new(0, 4, cols);
+    if prog.validate(band.dims()).is_err() {
+        return Ok(()); // untranslatable draw; skip
+    }
+    let accel = SpatialAccelerator::new(cfg);
+    let (entry, mem) = entry_and_mem(seed, bound);
+    let faults = FaultPlan::none();
+    let req = |pause_at_cycle| SessionRequest {
+        requester: 0,
+        max_iterations: 100_000,
+        faults: &faults,
+        region: band,
+        pause_at_cycle,
+    };
+
+    let mut mem_solo = mem.clone();
+    let solo = accel
+        .execute(&prog, &entry, &mut mem_solo, 0, 100_000)
+        .map_err(|e| format!("seed {seed}: solo rejected: {e}"))?;
+
+    let mut mem_sliced = mem.clone();
+    let mut state = PlacementSnapshot::new(&prog, &entry, band.rows, &faults);
+    let mut at = 0;
+    for &pick in pauses {
+        // Pause points move forward through the run (a point the clock has
+        // already passed freezes at the next round boundary).
+        at += pick % (solo.cycles / pauses.len() as u64).max(1);
+        let paused = accel
+            .run_session(&prog, &mut mem_sliced, &req(Some(at)), &mut state, &mut NullTracer, 0)
+            .map_err(|e| format!("seed {seed}: slice rejected: {e}"))?;
+        if !paused {
+            break;
+        }
+        if through_words {
+            state = PlacementSnapshot::from_words(&state.to_words())
+                .map_err(|e| format!("seed {seed}: snapshot roundtrip failed: {e}"))?;
+        }
+    }
+    accel
+        .run_session(&prog, &mut mem_sliced, &req(None), &mut state, &mut NullTracer, 0)
+        .map_err(|e| format!("seed {seed}: final slice rejected: {e}"))?;
+    let what = format!("{} pauses (through words: {through_words})", pauses.len());
+    expect_identical(seed, &what, &solo, &state.into_result(&prog))?;
+    for i in 0..=bound + 8 {
+        let addr = ARR_OUT + 4 * i;
+        let (a, b) = (mem_solo.data_mut().load_u32(addr), mem_sliced.data_mut().load_u32(addr));
+        if a != b {
+            return Err(format!("seed {seed}: {what}: memory diverges at {addr:#x}: {a} vs {b}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn continuing_a_paused_state_in_place_matches_the_solo_run() {
+    forall!(
+        checker("differential::continuation_in_place_is_invisible", 80),
+        |(
+            seed in 0u64..1_000_000,
+            bound in 1u64..100,
+            grid in 0u64..3,
+            pauses in vec(0u64..1_000_000, 1..8),
+            through_words in any_bool(),
+        )| {
+            let cfg = grid_for(grid);
+            let outcome = assert_continuation_invisible(seed, bound, cfg, &pauses, through_words);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    );
 }

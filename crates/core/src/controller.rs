@@ -16,8 +16,8 @@ use crate::{
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, ActivityStats, BitstreamError, Coord, FaultLog, FaultPlan,
-    PerfCounters, ProgramError, Region, SessionError, SessionRequest, SnapshotError,
-    SpatialAccelerator,
+    PerfCounters, PlacementSnapshot, ProgramError, Region, SessionError, SessionRequest,
+    SnapshotError, SpatialAccelerator,
 };
 use mesa_cpu::{
     CoreConfig, FastForward, LoopStreamDetector, OoOCore, PipelineStats, RetireEvent, RetireMonitor,
@@ -176,7 +176,7 @@ impl From<crate::fabric::FabricError> for MesaError {
 }
 
 /// Complete account of one offload episode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OffloadReport {
     /// Region bounds.
     pub region: (u64, u64),
@@ -409,6 +409,36 @@ pub(crate) struct CpuWork {
     halted: bool,
 }
 
+impl CpuWork {
+    /// Runs one CPU quantum on requester port 0: through the functional
+    /// fast-forward interpreter when `ff` is set, else on the timing core.
+    /// Charges its cycles and instructions (and interpreted instructions
+    /// to `ff_instrs`) to `self`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_quantum(
+        &mut self,
+        ff: Option<&mut FastForward>,
+        cpu: &mut OoOCore,
+        program: &Program,
+        state: &mut ArchState,
+        mem: &mut MemorySystem,
+        limits: RunLimits,
+        monitor: &mut dyn RetireMonitor,
+    ) -> mesa_cpu::RunResult {
+        let r = match ff {
+            Some(ff) => {
+                let fr = ff.run(program, state, mem, cpu.predictor_mut(), limits, monitor, None);
+                self.ff_instrs += fr.retired;
+                fr.as_run_result()
+            }
+            None => cpu.run(program, state, mem, 0, limits, monitor),
+        };
+        self.cycles += r.cycles;
+        self.instrs += r.retired;
+        r
+    }
+}
+
 /// Everything F1 + F2 produced for one episode, frozen at the instant
 /// control would transfer to the accelerator: the mapped configuration,
 /// the latency-weighted DFG it came from, the cycle clock, and the full
@@ -437,6 +467,30 @@ pub(crate) struct PreparedEpisode {
     pub(crate) fault_log: FaultLog,
     pub(crate) cpu_phase_traffic: MemTraffic,
     pub(crate) now: u64,
+}
+
+impl PreparedEpisode {
+    /// The episode's report with its CPU side (warmup, configuration,
+    /// detection-time estimates) filled in; the accelerated phase fills in
+    /// the rest.
+    pub(crate) fn cpu_report(&self) -> OffloadReport {
+        OffloadReport {
+            region: (self.start_pc, self.end_pc),
+            warmup_cycles: self.warmup_cycles,
+            warmup_instrs: self.warmup_instrs,
+            ff_instrs: self.ff_instrs,
+            config: self.config,
+            config_phase_cpu_cycles: self.config_phase_cpu_cycles,
+            cpu_iterations_during_config: self.cpu_iterations_during_config,
+            unmapped_nodes: self.unmapped_nodes,
+            expected_iterations: self.expected_iterations,
+            initial_estimate: self.initial_estimate,
+            from_cache: self.from_cache,
+            cpu_phase_traffic: self.cpu_phase_traffic,
+            cpu_pipeline: self.cpu_pipeline,
+            ..OffloadReport::default()
+        }
+    }
 }
 
 /// Per-run options of a MESA episode beyond the [`SystemConfig`]: what a
@@ -568,10 +622,7 @@ impl MesaController {
             amat: AmatTable::new(),
             captured: std::collections::VecDeque::with_capacity(CAPTURE_WINDOW),
         };
-        let mut warmup_cycles = 0u64;
-        let mut warmup_instrs = 0u64;
-        let mut ff_instrs = 0u64;
-        let mut halted = false;
+        *work = CpuWork::default();
         let mut cpu_pipeline = PipelineStats::default();
         // With fast-forward on, warmup quanta run through the functional
         // interpreter: it feeds the same monitor (so detection is
@@ -579,32 +630,17 @@ impl MesaController {
         // cycles instead of paying the timing model's bookkeeping.
         let mut ff = self.system.fast_forward.then(|| FastForward::new(&self.system.core));
         let hot = loop {
-            if warmup_instrs >= self.system.max_warmup_instrs {
+            if work.instrs >= self.system.max_warmup_instrs {
                 break None;
             }
-            let r = match ff.as_mut() {
-                Some(ff) => {
-                    let fr = ff.run(
-                        program,
-                        state,
-                        mem,
-                        cpu.predictor_mut(),
-                        RunLimits::instrs(32),
-                        &mut monitor,
-                        None,
-                    );
-                    ff_instrs += fr.retired;
-                    fr.as_run_result()
-                }
-                None => cpu.run(program, state, mem, CPU, RunLimits::instrs(32), &mut monitor),
-            };
+            let quantum = RunLimits::instrs(32);
+            let r =
+                work.run_quantum(ff.as_mut(), cpu, program, state, mem, quantum, &mut monitor);
             cpu_pipeline.absorb(&r);
-            warmup_cycles += r.cycles;
-            warmup_instrs += r.retired;
             if r.stop != StopReason::InstrLimit {
                 // The program exited or left its code: nothing is left to
                 // monitor, and running on would re-execute the exit.
-                halted = r.stop == StopReason::Halted;
+                work.halted = r.stop == StopReason::Halted;
                 break None;
             }
             if let Some(hot) = monitor.lsd.hot_loop() {
@@ -624,26 +660,17 @@ impl MesaController {
                         max_instrs: 2 * hot.len() as u64,
                         stop_pc: Some(hot.start_pc),
                     };
-                    let r = match ff.as_mut() {
-                        Some(ff) => {
-                            let fr = ff.run(
-                                program,
-                                state,
-                                mem,
-                                cpu.predictor_mut(),
-                                align,
-                                &mut monitor,
-                                None,
-                            );
-                            ff_instrs += fr.retired;
-                            fr.as_run_result()
-                        }
-                        None => cpu.run(program, state, mem, CPU, align, &mut monitor),
-                    };
+                    let r = work.run_quantum(
+                        ff.as_mut(),
+                        cpu,
+                        program,
+                        state,
+                        mem,
+                        align,
+                        &mut monitor,
+                    );
                     cpu_pipeline.absorb(&r);
-                    warmup_cycles += r.cycles;
-                    warmup_instrs += r.retired;
-                    halted = r.stop == StopReason::Halted;
+                    work.halted = r.stop == StopReason::Halted;
                     match r.stop {
                         StopReason::StopPc => break Some(hot),
                         StopReason::InstrLimit => monitor.lsd.reset(),
@@ -652,9 +679,9 @@ impl MesaController {
                 }
             }
         };
+        let CpuWork { cycles: warmup_cycles, instrs: warmup_instrs, ff_instrs, .. } = *work;
         tracer.span_end(Subsystem::Cpu, "cpu.warmup", warmup_cycles);
         host::sim_cycles(warmup_cycles);
-        *work = CpuWork { cycles: warmup_cycles, instrs: warmup_instrs, ff_instrs, halted };
         let Some(hot) = hot else {
             if tracer.enabled() {
                 tracer.instant(
@@ -1038,27 +1065,17 @@ impl MesaController {
         tracer: &mut dyn Tracer,
     ) -> Result<OffloadReport, MesaError> {
         const ACCEL: usize = 1;
+        let mut report = prepared.cpu_report();
         let PreparedEpisode {
-            start_pc,
             end_pc,
-            warmup_cycles,
-            warmup_instrs,
-            ff_instrs,
-            cpu_pipeline,
-            config,
-            config_phase_cpu_cycles,
-            cpu_iterations_during_config,
             accel_prog,
             mut ldfg,
             expected_iterations,
-            initial_estimate,
-            from_cache,
-            unmapped_nodes,
             annotation,
             fault_plan,
             mut fault_log,
-            cpu_phase_traffic,
             mut now,
+            ..
         } = prepared;
 
         // ---- offload: run on the accelerator, optionally re-optimizing ----
@@ -1090,13 +1107,12 @@ impl MesaController {
                 self.system.max_accel_iterations
             };
             let req = SessionRequest::solo(ACCEL, budget, &fault_plan, self.system.accel.grid());
-            let r = match self.accel.run_session(&current, state, mem, &req, None, tracer, now) {
-                Ok(status) => status.into_result(&current),
-                Err(e) => {
-                    tracer.span_end(Subsystem::Controller, "offload", now);
-                    return Err(e.into());
-                }
-            };
+            let mut session = PlacementSnapshot::new(&current, state, req.region.rows, &fault_plan);
+            if let Err(e) = self.accel.run_session(&current, mem, &req, &mut session, tracer, now) {
+                tracer.span_end(Subsystem::Controller, "offload", now);
+                return Err(e.into());
+            }
+            let r = session.into_result(&current);
 
             now += r.cycles;
             accel_cycles += r.cycles;
@@ -1232,37 +1248,18 @@ impl MesaController {
         // Control returns to the CPU just past the loop (§5.1).
         state.pc = end_pc;
 
-        Ok(OffloadReport {
-            region: (start_pc, end_pc),
-            warmup_cycles,
-            warmup_instrs,
-            ff_instrs,
-            config,
-            config_phase_cpu_cycles,
-            cpu_iterations_during_config,
-            reconfig_cycles,
-            reconfigurations,
-            accel_cycles,
-            accel_iterations,
-            tiles: current.tiles,
-            pipelined: current.pipelined,
-            unmapped_nodes,
-            expected_iterations,
-            initial_estimate,
-            from_cache,
-            cpu_phase_traffic,
-            cpu_pipeline,
-            placement: current.nodes.iter().map(|n| n.coord).collect(),
-            reopt_rounds,
-            activity,
-            counters,
-            faults: fault_log,
-            tenant: 0,
-            fabric_region: None,
-            migrations: 0,
-            queue_wait_cycles: 0,
-            checkpoint_cycles: 0,
-        })
+        report.reconfig_cycles = reconfig_cycles;
+        report.reconfigurations = reconfigurations;
+        report.accel_cycles = accel_cycles;
+        report.accel_iterations = accel_iterations;
+        report.tiles = current.tiles;
+        report.pipelined = current.pipelined;
+        report.placement = current.nodes.iter().map(|n| n.coord).collect();
+        report.reopt_rounds = reopt_rounds;
+        report.activity = activity;
+        report.counters = counters;
+        report.faults = fault_log;
+        Ok(report)
     }
 
     /// Drives a whole program to completion: CPU execution interleaved
@@ -1326,24 +1323,20 @@ impl MesaController {
         // speed when fast-forward is on (nobody reads per-cycle timing of
         // the exit glue).
         let tail = RunLimits::instrs(max_cpu_instrs.saturating_sub(report.cpu_instrs).max(1));
-        let r = if self.system.fast_forward {
-            let mut ff = FastForward::new(&self.system.core);
-            let fr = ff.run(
-                program,
-                state,
-                mem,
-                cpu.predictor_mut(),
-                tail,
-                &mut mesa_cpu::NullMonitor,
-                None,
-            );
-            report.ff_instrs += fr.retired;
-            fr.as_run_result()
-        } else {
-            cpu.run(program, state, mem, 0, tail, &mut mesa_cpu::NullMonitor)
-        };
-        report.total_cycles += r.cycles;
-        report.cpu_instrs += r.retired;
+        let mut ff = self.system.fast_forward.then(|| FastForward::new(&self.system.core));
+        let mut work = CpuWork::default();
+        let r = work.run_quantum(
+            ff.as_mut(),
+            cpu,
+            program,
+            state,
+            mem,
+            tail,
+            &mut mesa_cpu::NullMonitor,
+        );
+        report.total_cycles += work.cycles;
+        report.cpu_instrs += work.instrs;
+        report.ff_instrs += work.ff_instrs;
         report.halted = r.stop == StopReason::Halted;
         report
     }

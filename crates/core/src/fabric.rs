@@ -13,12 +13,15 @@
 //! a band frees up. Only a loop that cannot fit even a single tile on an
 //! empty grid is declined with [`FabricError::NoCapacity`].
 //!
-//! Every tenant's execution state is a [`PlacementSnapshot`]: the manager
-//! can [`checkpoint`](FabricManager::checkpoint) it to a word stream,
-//! [`restore`](FabricManager::restore) it, and
-//! [`migrate`](FabricManager::migrate) the frozen placement to a different
-//! band — the half-ring NoC is translation invariant across aligned bands,
-//! so a migrated tenant's timing is bit-identical to one that never moved.
+//! Every tenant holds one live [`PlacementSnapshot`], built at admission
+//! and advanced in place by each slice. Between slices the manager can
+//! [`checkpoint`](FabricManager::checkpoint) it to a word stream,
+//! [`restore`](FabricManager::restore) it from one, and
+//! [`migrate`](FabricManager::migrate) the tenant to a different band by
+//! changing only its [`Region`]: the state indexes NoC lanes relative to
+//! its band and the half-ring NoC is translation invariant across aligned
+//! bands, so a migrated tenant's timing is bit-identical to one that never
+//! moved.
 
 use crate::controller::{
     apply_live_outs, CpuWork, MesaController, MesaError, OffloadReport, PreparedEpisode, RunOptions,
@@ -26,8 +29,7 @@ use crate::controller::{
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, AccelRunResult, FaultPlan, PlacementSnapshot, ProgramError,
-    Region, SessionError, SessionRequest, SessionStatus, SnapshotError, SpatialAccelerator,
-    REGION_ROW_ALIGN,
+    Region, SessionError, SessionRequest, SnapshotError, SpatialAccelerator, REGION_ROW_ALIGN,
 };
 use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
@@ -91,8 +93,8 @@ pub enum FabricError {
     RegionMisaligned(Region),
     /// The tenant is still queued and has no execution state to act on.
     StillQueued(TenantId),
-    /// The tenant is not frozen, so there is no snapshot to checkpoint,
-    /// restore over, or migrate.
+    /// The tenant is not frozen mid-episode, so there is no paused session
+    /// to checkpoint or migrate.
     NotPaused(TenantId),
     /// A snapshot failed to decode or did not match the tenant's binding.
     Snapshot(SnapshotError),
@@ -410,13 +412,13 @@ struct Tenant {
     /// Band the tenant last ran in, kept for reporting after completion.
     last_region: Option<Region>,
     program: AccelProgram,
-    entry: ArchState,
     faults: FaultPlan,
     max_iterations: u64,
-    /// Present exactly while the tenant is frozen mid-episode.
-    snapshot: Option<PlacementSnapshot>,
-    /// Present once the tenant's loop has finished.
-    result: Option<AccelRunResult>,
+    /// The tenant's session state: fresh until its first slice, then
+    /// advanced in place by every slice.
+    state: PlacementSnapshot,
+    /// Set once the tenant's loop has finished.
+    done: bool,
     migrations: u32,
     /// Fleet clock at admission (for queue-wait attribution).
     admitted_at: u64,
@@ -428,6 +430,14 @@ struct Tenant {
     slices: u64,
     /// Session cycles already accounted into the fleet clock.
     last_cycles: u64,
+}
+
+impl Tenant {
+    /// `true` while frozen mid-episode: a slice paused the session (or a
+    /// restore installed one) and its loop has not finished.
+    fn frozen(&self) -> bool {
+        !self.done && self.state.is_bound()
+    }
 }
 
 /// Carves one spatial accelerator's grid into per-tenant row bands and
@@ -596,15 +606,15 @@ impl FabricManager {
             // queue-wait histogram counts every placement.
             self.telemetry.metrics.observe("fabric.queue_wait_cycles", 0);
         }
+        let rows = Self::rows_for(&program, program.tiles);
         self.tenants.push(Tenant {
             region,
             last_region: region,
+            state: PlacementSnapshot::new(&program, &entry, rows, &faults),
             program,
-            entry,
             faults,
             max_iterations,
-            snapshot: None,
-            result: None,
+            done: false,
             migrations: 0,
             admitted_at: self.telemetry.elapsed,
             queue_wait: 0,
@@ -670,19 +680,15 @@ impl FabricManager {
             .tenants
             .get_mut(id as usize)
             .ok_or(FabricError::UnknownTenant(id))?;
-        if let Some(r) = &t.result {
-            return Ok(TenantProgress::Completed(r.cycles));
+        if t.done {
+            return Ok(TenantProgress::Completed(t.state.cycles()));
         }
         let Some(region) = t.region else { return Ok(TenantProgress::Queued) };
         // A zero quantum could freeze at the current clock without running
         // a round; one cycle forces at least one round of progress.
         let quantum = quantum.max(1);
-        let pause_at_cycle = if quantum == u64::MAX {
-            None
-        } else {
-            let base = t.snapshot.as_ref().map_or(0, PlacementSnapshot::cycles);
-            Some(base.saturating_add(quantum))
-        };
+        let pause_at_cycle =
+            (quantum != u64::MAX).then(|| t.state.cycles().saturating_add(quantum));
         let req = SessionRequest {
             requester,
             max_iterations: t.max_iterations,
@@ -690,16 +696,15 @@ impl FabricManager {
             region,
             pause_at_cycle,
         };
-        let status = match self.accel.run_session(
+        let paused = match self.accel.run_session(
             &t.program,
-            &t.entry,
             mem,
             &req,
-            t.snapshot.as_ref(),
+            &mut t.state,
             tracer,
             cycle_base,
         ) {
-            Ok(status) => status,
+            Ok(paused) => paused,
             Err(e) => {
                 let fe = FabricError::from(e);
                 self.telemetry.recorder.record(
@@ -711,25 +716,14 @@ impl FabricManager {
                 return Err(fe);
             }
         };
-        let (progress, iterations) = match status {
-            SessionStatus::Completed(r) => {
-                let cycles = r.cycles;
-                let iterations = r.iterations;
-                t.result = Some(r);
-                t.snapshot = None;
-                t.region = None;
-                (TenantProgress::Completed(cycles), iterations)
-            }
-            SessionStatus::Paused(s) => {
-                let cycles = s.cycles();
-                let iterations = s.iterations();
-                t.snapshot = Some(*s);
-                (TenantProgress::Paused(cycles), iterations)
-            }
-        };
-        let (TenantProgress::Completed(total) | TenantProgress::Paused(total)) = progress
-        else {
-            return Ok(progress);
+        let total = t.state.cycles();
+        let iterations = t.state.iterations();
+        let progress = if paused {
+            TenantProgress::Paused(total)
+        } else {
+            t.done = true;
+            t.region = None;
+            TenantProgress::Completed(total)
         };
         let slice = total.saturating_sub(t.last_cycles);
         t.last_cycles = total;
@@ -765,21 +759,18 @@ impl FabricManager {
         Ok(progress)
     }
 
-    /// Serializes tenant `id`'s frozen execution state to a word stream
+    /// Serializes tenant `id`'s frozen session state to a word stream
     /// (see [`PlacementSnapshot::to_words`] for the format).
     ///
     /// # Errors
     /// [`FabricError::NotPaused`] unless the tenant is frozen.
     pub fn checkpoint(&self, id: TenantId) -> Result<Vec<u64>, FabricError> {
         let t = self.tenants.get(id as usize).ok_or(FabricError::UnknownTenant(id))?;
-        t.snapshot
-            .as_ref()
-            .map(PlacementSnapshot::to_words)
-            .ok_or(FabricError::NotPaused(id))
+        t.frozen().then(|| t.state.to_words()).ok_or(FabricError::NotPaused(id))
     }
 
-    /// Decodes `words` and installs the snapshot as tenant `id`'s frozen
-    /// state, after verifying it binds to the tenant's program, band
+    /// Decodes `words` and replaces tenant `id`'s session state with it,
+    /// after verifying it binds to the tenant's program, band
     /// height, and fault plan. A corrupted or truncated stream declines
     /// with a typed error and leaves the tenant untouched.
     ///
@@ -798,8 +789,7 @@ impl FabricManager {
         // mark so re-executed cycles are accounted as the real work they
         // are rather than skewing the next slice's length.
         t.last_cycles = snap.cycles();
-        t.snapshot = Some(snap);
-        t.result = None;
+        t.state = snap;
         Ok(())
     }
 
@@ -823,8 +813,10 @@ impl FabricManager {
         let (old, cycles, wire_words) = {
             let t = self.tenants.get(idx).ok_or(FabricError::UnknownTenant(id))?;
             let old = t.region.ok_or(FabricError::StillQueued(id))?;
-            let snap = t.snapshot.as_ref().ok_or(FabricError::NotPaused(id))?;
-            (old, snap.cycles(), snap.word_len() as u64)
+            if !t.frozen() {
+                return Err(FabricError::NotPaused(id));
+            }
+            (old, t.state.cycles(), t.state.word_len() as u64)
         };
         let target = Region::new(first_row, old.rows, old.cols);
         if !target.is_aligned() {
@@ -909,14 +901,15 @@ impl FabricManager {
 
     /// The finished tenant's result, if it has completed.
     #[must_use]
-    pub fn result(&self, id: TenantId) -> Option<&AccelRunResult> {
-        self.tenants.get(id as usize).and_then(|t| t.result.as_ref())
+    pub fn result(&self, id: TenantId) -> Option<AccelRunResult> {
+        let t = self.tenants.get(id as usize)?;
+        t.done.then(|| t.state.clone().into_result(&t.program))
     }
 
     /// `true` while tenant `id` waits for a band.
     #[must_use]
     pub fn is_queued(&self, id: TenantId) -> bool {
-        self.tenants.get(id as usize).is_some_and(|t| t.region.is_none() && t.result.is_none())
+        self.tenants.get(id as usize).is_some_and(|t| t.region.is_none() && !t.done)
     }
 
     /// Fleet cycles tenant `id` spent queued before first placement.
@@ -964,21 +957,21 @@ impl FabricManager {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let (state, iterations, cycles) = if let Some(r) = &t.result {
-                    ("done", r.iterations, r.cycles)
-                } else if let Some(s) = &t.snapshot {
-                    ("running", s.iterations(), s.cycles())
+                // A queued or never-run tenant's state is fresh: 0 cycles,
+                // 0 iterations.
+                let state = if t.done {
+                    "done"
                 } else if t.region.is_some() {
-                    ("running", 0, 0)
+                    "running"
                 } else {
-                    ("queued", 0, 0)
+                    "queued"
                 };
                 TenantStats {
                     tenant: i as TenantId,
                     state,
                     band: t.last_region.map(|r| (r.first_row, r.rows)),
-                    cycles,
-                    iterations,
+                    cycles: t.state.cycles(),
+                    iterations: t.state.iterations(),
                     slices: t.slices,
                     migrations: t.migrations,
                     queue_wait_cycles: t.queue_wait,
@@ -1478,35 +1471,20 @@ fn finish_tenant(
     fault_log.merge(&r.faults);
     tracer.span_end(Subsystem::Controller, "offload", slot.now);
     Ok(OffloadReport {
-        region: (ep.start_pc, ep.end_pc),
-        warmup_cycles: ep.warmup_cycles,
-        warmup_instrs: ep.warmup_instrs,
-        ff_instrs: ep.ff_instrs,
-        config: ep.config,
-        config_phase_cpu_cycles: ep.config_phase_cpu_cycles,
-        cpu_iterations_during_config: ep.cpu_iterations_during_config,
-        reconfig_cycles: 0,
-        reconfigurations: 0,
         accel_cycles: r.cycles,
         accel_iterations: r.iterations,
         tiles: prog.tiles,
         pipelined: prog.pipelined,
-        unmapped_nodes: ep.unmapped_nodes,
-        expected_iterations: ep.expected_iterations,
-        initial_estimate: ep.initial_estimate,
-        from_cache: ep.from_cache,
-        cpu_phase_traffic: ep.cpu_phase_traffic,
-        cpu_pipeline: ep.cpu_pipeline,
         placement: prog.nodes.iter().map(|n| n.coord).collect(),
-        reopt_rounds: Vec::new(),
         activity: r.activity,
-        counters: r.counters.clone(),
+        counters: r.counters,
         faults: fault_log,
         tenant: slot.id,
         fabric_region: manager.last_region(slot.id),
         migrations: manager.migrations(slot.id),
         queue_wait_cycles: manager.queue_wait_cycles(slot.id),
         checkpoint_cycles: manager.checkpoint_cycles(slot.id),
+        ..ep.cpu_report()
     })
 }
 

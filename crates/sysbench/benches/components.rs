@@ -10,7 +10,9 @@
 //! (set `MESA_BENCH_OUT=<path>` to write elsewhere — `scripts/bench_diff.sh`
 //! uses this to compare a fresh run against the committed baseline).
 
-use mesa_accel::{AccelConfig, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
+use mesa_accel::{
+    AccelConfig, Coord, FaultPlan, PlacementSnapshot, SessionRequest, SpatialAccelerator,
+};
 use mesa_bench::serve::{bench_request, synthetic_kernel, KernelSpec, ServeEngine};
 use mesa_core::{
     analyze_memopts, build_accel_program, map_instructions, FabricManager, Ldfg, MapperConfig,
@@ -140,9 +142,9 @@ fn nn_engine_setup() -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel:
 ///   completion tracking), gated within 10% of the plain run so
 ///   virtualizing the fabric stays cheap for the solo case.
 /// - `fabric/nn_sliced_session_on_m128`: the same tenant advanced in
-///   fixed ~1,000-cycle quanta (about 24 slices), each resuming from and
-///   re-freezing a snapshot; its ratio to the single session is the
-///   per-slice overhead.
+///   fixed ~1,000-cycle quanta (about 24 slices), each continuing the
+///   tenant's session state in place; its ratio to the single session is
+///   the per-slice overhead.
 ///
 /// The gates live in `scripts/bench_gates.sh`.
 fn bench_engine_and_fabric(suite: &mut BenchSuite) {
@@ -168,12 +170,9 @@ fn bench_engine_and_fabric(suite: &mut BenchSuite) {
     };
     let mut null_traced = || {
         let mut mem = fresh_mem();
-        black_box(
-            sa.run_session(&prog, &kernel.entry, &mut mem, &req, None, &mut NullTracer, 0)
-                .expect("runs")
-                .into_result(&prog),
-        )
-        .cycles
+        let mut state = PlacementSnapshot::new(&prog, &kernel.entry, req.region.rows, &faults);
+        sa.run_session(&prog, &mut mem, &req, &mut state, &mut NullTracer, 0).expect("runs");
+        black_box(state.into_result(&prog)).cycles
     };
     let mut single_tenant = || {
         let mut mem = fresh_mem();

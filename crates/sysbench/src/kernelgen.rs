@@ -14,7 +14,10 @@
 //!    complete fault taxonomy must either produce a report or a typed
 //!    decline — never a panic.
 
-use mesa_accel::{AccelConfig, AccelProgram, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
+use mesa_accel::{
+    AccelConfig, AccelProgram, Coord, FaultPlan, PlacementSnapshot, SessionRequest,
+    SpatialAccelerator,
+};
 use mesa_core::{
     analyze_memopts, build_accel_program, map_instructions, run_tenants_fleet, Ldfg, MapperConfig,
     OptFlags, RunOptions, SystemConfig, TenantJob,
@@ -222,10 +225,11 @@ pub fn differential_episode(seed: u64) -> Result<EpisodeStats, String> {
 
     // Golden compare: injected timing faults must never change results.
     let req = SessionRequest::solo(0, 10_000, &plan, grid);
-    let r = accel
-        .run_session(&prog, &entry, &mut mem, &req, None, &mut NullTracer, 0)
-        .map_err(|e| format!("engine rejected validated program: {e}"))?
-        .into_result(&prog);
+    let mut state = PlacementSnapshot::new(&prog, &entry, req.region.rows, &plan);
+    accel
+        .run_session(&prog, &mut mem, &req, &mut state, &mut NullTracer, 0)
+        .map_err(|e| format!("engine rejected validated program: {e}"))?;
+    let r = state.into_result(&prog);
     if !r.completed {
         return Err("loop did not terminate within the iteration budget".into());
     }

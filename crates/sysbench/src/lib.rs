@@ -2,9 +2,9 @@
 //! paper's evaluation (§6).
 //!
 //! Each `figN`/`tableN` function returns structured rows; the `figures`
-//! binary prints them, and the Criterion benches under `benches/` time the
-//! underlying simulations. `EXPERIMENTS.md` records paper-reported vs
-//! measured values.
+//! binary prints them, and the benches under `benches/` time the
+//! underlying simulations on the `mesa-test` timer. `EXPERIMENTS.md`
+//! records paper-reported vs measured values.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

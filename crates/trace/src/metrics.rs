@@ -58,8 +58,10 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the monotonic counter `name` (creating it at zero).
+    /// Counters wrap on overflow, like [`Histogram`] totals.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        let c = self.counters.entry(name.to_string()).or_insert(0);
+        *c = c.wrapping_add(delta);
     }
 
     /// Sets the gauge `name` to `value`.
@@ -72,8 +74,8 @@ impl MetricsRegistry {
     /// `fabric.slices{tenant=2}`. Labels are canonicalized (sorted by
     /// key), so call-site ordering does not fragment the series.
     pub fn add_labeled(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = labeled_key(name, labels);
-        *self.counters.entry(key).or_insert(0) += delta;
+        let c = self.counters.entry(labeled_key(name, labels)).or_insert(0);
+        *c = c.wrapping_add(delta);
     }
 
     /// Records one sample into the histogram `name` (creating it empty).
@@ -202,6 +204,17 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counters_wrap_on_overflow_instead_of_panicking() {
+        let mut m = MetricsRegistry::new();
+        m.add("c", u64::MAX);
+        m.add("c", 1);
+        assert_eq!(m.counter("c"), 0);
+        m.add_labeled("l", &[("tenant", "0")], u64::MAX);
+        m.add_labeled("l", &[("tenant", "0")], 2);
+        assert_eq!(m.labeled_counter("l", &[("tenant", "0")]), 1);
+    }
 
     #[test]
     fn counters_accumulate_and_read_back() {

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# bench/ is its own package outside the workspace: run its tests too, so a
+# change that breaks an API bench/ pins fails here, not only when the
+# benchmark runs.
+cargo test -q --offline --manifest-path bench/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Non-test library sources: every crate's `src/` (the facade's included),
