@@ -336,6 +336,6 @@ mod tests {
         assert_eq!(reg.counter("fb.hot1.node"), 1);
         // Idle node 3 never appears.
         assert_eq!(reg.counter("fb.hot3.node"), 0);
-        assert!(reg.snapshot().counters.keys().all(|k| !k.starts_with("fb.hot3")));
+        assert!(reg.render().lines().all(|l| !l.starts_with("fb.hot3")));
     }
 }

@@ -32,13 +32,12 @@
 //!
 //! Capacity is bounded with deterministic FIFO eviction so a soak run
 //! cannot grow without bound, and hit/miss/insert/evict counters are
-//! exported through [`ArtifactCacheStats`] into `MetricsRegistry` and
-//! `FleetStats`.
+//! exported through [`ArtifactCacheStats`] into `FleetStats`.
 
 use crate::{Ldfg, MapperConfig, OptFlags};
 use mesa_accel::{AccelConfig, AccelProgram};
 use mesa_isa::{ParallelKind, Program};
-use mesa_trace::{Fnv64, Json, MetricsRegistry};
+use mesa_trace::{Fnv64, Json};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
@@ -133,20 +132,6 @@ impl ArtifactCacheStats {
         self.artifact_misses += other.artifact_misses;
         self.inserts += other.inserts;
         self.evictions += other.evictions;
-    }
-
-    /// Registers the counters into `reg` under the `artifact_cache.`
-    /// prefix.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.add("artifact_cache.program_hits", self.program_hits);
-        reg.add("artifact_cache.program_misses", self.program_misses);
-        reg.add("artifact_cache.artifact_hits", self.artifact_hits);
-        reg.add("artifact_cache.artifact_misses", self.artifact_misses);
-        reg.add("artifact_cache.inserts", self.inserts);
-        reg.add("artifact_cache.evictions", self.evictions);
-        if let Some(rate) = self.hit_rate() {
-            reg.gauge("artifact_cache.hit_rate", rate);
-        }
     }
 
     /// JSON object (all fields numeric, in a fixed order).

@@ -35,10 +35,9 @@ use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
 use mesa_mem::MemorySystem;
 use mesa_trace::host::{self, HostClock};
-use mesa_trace::{FlightRecorder, Histogram, Json, MetricsRegistry, Subsystem, Tracer};
+use mesa_trace::{FlightRecorder, Histogram, Json, Subsystem, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Identifies one tenant of the shared fabric (dense, starting at 0).
 pub type TenantId = u32;
@@ -135,55 +134,6 @@ impl From<SessionError> for FabricError {
         match e {
             SessionError::Program(p) => FabricError::Session(p),
             SessionError::Snapshot(s) => FabricError::Snapshot(s),
-        }
-    }
-}
-
-/// Fleet-wide telemetry the manager keeps as a side effect of normal
-/// operation: labeled admission counters, latency histograms, per-band
-/// occupancy accounting, and the always-on flight recorder.
-///
-/// The *fleet clock* (`elapsed`) is the sum of every scheduled slice's
-/// session cycles. For each slice of length `L` run by a tenant owning a
-/// set of band slots, those slots accrue `L` busy cycles and every other
-/// slot accrues `L` idle cycles — so `Σ busy + Σ idle == elapsed × bands`
-/// holds *exactly* at all times (the conservation invariant `tracecheck
-/// fleetstats` verifies).
-#[derive(Debug)]
-struct FleetTelemetry {
-    metrics: MetricsRegistry,
-    recorder: FlightRecorder,
-    /// Fleet clock: total session cycles scheduled across all tenants.
-    elapsed: u64,
-    /// Busy cycles per aligned band slot (`grid.rows / REGION_ROW_ALIGN`).
-    band_busy: Vec<u64>,
-    /// Idle cycles per aligned band slot.
-    band_idle: Vec<u64>,
-}
-
-impl FleetTelemetry {
-    fn new(band_slots: usize) -> Self {
-        FleetTelemetry {
-            metrics: MetricsRegistry::new(),
-            recorder: FlightRecorder::new(),
-            elapsed: 0,
-            band_busy: vec![0; band_slots],
-            band_idle: vec![0; band_slots],
-        }
-    }
-
-    /// Accounts one scheduled slice of `cycles` run in `region`: the
-    /// region's band slots go busy, every other slot goes idle.
-    fn account_slice(&mut self, region: Region, cycles: u64) {
-        self.elapsed += cycles;
-        let lo = region.first_row / REGION_ROW_ALIGN;
-        let hi = (region.end_row() / REGION_ROW_ALIGN).min(self.band_busy.len());
-        for (slot, busy) in self.band_busy.iter_mut().enumerate() {
-            if slot >= lo && slot < hi {
-                *busy += cycles;
-            } else {
-                self.band_idle[slot] += cycles;
-            }
         }
     }
 }
@@ -300,6 +250,24 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
+    /// Accounts one scheduled slice of `cycles` run in `region`: the fleet
+    /// clock advances by `cycles`, the region's band slots go busy and
+    /// every other slot goes idle, so `Σ busy + Σ idle == elapsed × bands`
+    /// holds exactly at all times (the conservation invariant `tracecheck
+    /// fleetstats` verifies).
+    fn account_slice(&mut self, region: Region, cycles: u64) {
+        self.elapsed_cycles += cycles;
+        let lo = region.first_row / REGION_ROW_ALIGN;
+        let hi = (region.end_row() / REGION_ROW_ALIGN).min(self.band_busy.len());
+        for (slot, busy) in self.band_busy.iter_mut().enumerate() {
+            if slot >= lo && slot < hi {
+                *busy += cycles;
+            } else {
+                self.band_idle[slot] += cycles;
+            }
+        }
+    }
+
     /// Folds `other` into `self` (used by `soak` to aggregate episodes).
     /// Aggregates and histograms add exactly; per-tenant details are
     /// concatenated. The occupancy conservation invariant is preserved:
@@ -450,20 +418,32 @@ pub struct FabricManager {
     /// Tenants waiting for a band, in admission order (head is placed
     /// first — later arrivals never jump the queue).
     queue: VecDeque<TenantId>,
-    telemetry: FleetTelemetry,
+    /// Fleet telemetry, kept as the export itself: every counter and
+    /// histogram is updated where its event happens, and the tenant rows
+    /// are filled in by [`fleet_stats`](Self::fleet_stats).
+    stats: FleetStats,
+    /// The always-on flight recorder (recent per-tenant event rings).
+    recorder: FlightRecorder,
 }
 
 impl FabricManager {
     /// A manager for one grid of the given configuration.
     #[must_use]
     pub fn new(cfg: AccelConfig) -> Self {
-        let band_slots = cfg.grid().rows / REGION_ROW_ALIGN;
+        let bands = cfg.grid().rows / REGION_ROW_ALIGN;
         FabricManager {
             accel: SpatialAccelerator::new(cfg),
             cfg,
             tenants: Vec::new(),
             queue: VecDeque::new(),
-            telemetry: FleetTelemetry::new(band_slots),
+            stats: FleetStats {
+                runs: 1,
+                bands,
+                band_busy: vec![0; bands],
+                band_idle: vec![0; bands],
+                ..FleetStats::default()
+            },
+            recorder: FlightRecorder::new(),
         }
     }
 
@@ -549,14 +529,10 @@ impl FabricManager {
         let min_rows = Self::rows_for(&program, 1);
         let id = self.tenants.len() as TenantId;
         if min_rows > rows_total {
-            self.telemetry.metrics.add_labeled(
-                "fabric.admissions",
-                &[("outcome", "declined")],
-                1,
-            );
-            self.telemetry.recorder.record(
+            self.stats.declined += 1;
+            self.recorder.record(
                 id,
-                self.telemetry.elapsed,
+                self.stats.elapsed_cycles,
                 "declined",
                 format!("no capacity: {min_rows} rows needed, grid has {rows_total}"),
             );
@@ -591,20 +567,20 @@ impl FabricManager {
             Admission::Admitted(r) | Admission::Shrunk { region: r, .. } => Some(r),
             Admission::Queued => None,
         };
-        let (outcome, detail) = match admission {
-            Admission::Admitted(r) => ("full_band", format!("admitted to {r}")),
+        let (outcomes, detail) = match admission {
+            Admission::Admitted(r) => (&mut self.stats.admitted_full, format!("admitted to {r}")),
             Admission::Shrunk { region: r, tiles_before, tiles_after } => (
-                "shrunk",
+                &mut self.stats.admitted_shrunk,
                 format!("shrunk {tiles_before}->{tiles_after} tiles, admitted to {r}"),
             ),
-            Admission::Queued => ("queued", "queued: no free band".to_string()),
+            Admission::Queued => (&mut self.stats.queued, "queued: no free band".to_string()),
         };
-        self.telemetry.metrics.add_labeled("fabric.admissions", &[("outcome", outcome)], 1);
-        self.telemetry.recorder.record(id, self.telemetry.elapsed, "admit", detail);
+        *outcomes += 1;
+        self.recorder.record(id, self.stats.elapsed_cycles, "admit", detail);
         if region.is_some() {
-            // Placed immediately: zero queue wait, observed so the
+            // Placed immediately: zero queue wait, recorded so the
             // queue-wait histogram counts every placement.
-            self.telemetry.metrics.observe("fabric.queue_wait_cycles", 0);
+            self.stats.queue_wait.record(0);
         }
         let rows = Self::rows_for(&program, program.tiles);
         self.tenants.push(Tenant {
@@ -616,7 +592,7 @@ impl FabricManager {
             max_iterations,
             done: false,
             migrations: 0,
-            admitted_at: self.telemetry.elapsed,
+            admitted_at: self.stats.elapsed_cycles,
             queue_wait: 0,
             checkpoint_cycles: 0,
             slices: 0,
@@ -643,11 +619,11 @@ impl FabricManager {
             if let Some(t) = self.tenants.get_mut(id as usize) {
                 t.region = Some(region);
                 t.last_region = Some(region);
-                t.queue_wait = self.telemetry.elapsed.saturating_sub(t.admitted_at);
-                self.telemetry.metrics.observe("fabric.queue_wait_cycles", t.queue_wait);
-                self.telemetry.recorder.record(
+                t.queue_wait = self.stats.elapsed_cycles.saturating_sub(t.admitted_at);
+                self.stats.queue_wait.record(t.queue_wait);
+                self.recorder.record(
                     id,
-                    self.telemetry.elapsed,
+                    self.stats.elapsed_cycles,
                     "placed",
                     format!("placed in {region} after {} fleet cycles queued", t.queue_wait),
                 );
@@ -707,9 +683,9 @@ impl FabricManager {
             Ok(paused) => paused,
             Err(e) => {
                 let fe = FabricError::from(e);
-                self.telemetry.recorder.record(
+                self.recorder.record(
                     id,
-                    self.telemetry.elapsed,
+                    self.stats.elapsed_cycles,
                     "error",
                     format!("session failed: {fe}"),
                 );
@@ -728,30 +704,20 @@ impl FabricManager {
         let slice = total.saturating_sub(t.last_cycles);
         t.last_cycles = total;
         t.slices += 1;
-        self.telemetry.account_slice(region, slice);
-        self.telemetry.metrics.observe("fabric.slice_cycles", slice);
-        let mut lane = String::new();
-        let _ = write!(lane, "{id}");
-        self.telemetry.metrics.add_labeled("fabric.slices", &[("tenant", &lane)], 1);
-        self.telemetry.metrics.add_labeled("fabric.tenant_cycles", &[("tenant", &lane)], slice);
-        self.telemetry.metrics.add_labeled(
-            "fabric.region_cycles",
-            &[("first_row", &format!("{:02}", region.first_row))],
-            slice,
-        );
+        self.stats.account_slice(region, slice);
+        self.stats.slice_cycles.record(slice);
         if matches!(progress, TenantProgress::Completed(_)) {
-            self.telemetry.metrics.add("fabric.completions", 1);
-            self.telemetry.recorder.record(
+            self.recorder.record(
                 id,
-                self.telemetry.elapsed,
+                self.stats.elapsed_cycles,
                 "complete",
                 format!("completed after {total} session cycles, {iterations} iterations"),
             );
             self.promote();
         } else {
-            self.telemetry.recorder.record(
+            self.recorder.record(
                 id,
-                self.telemetry.elapsed,
+                self.stats.elapsed_cycles,
                 "slice",
                 format!("slice of {slice} cycles in {region} (session clock {total})"),
             );
@@ -846,11 +812,11 @@ impl FabricManager {
             t.migrations += 1;
             t.checkpoint_cycles += cost;
         }
-        self.telemetry.metrics.add("fabric.migrations", 1);
-        self.telemetry.metrics.observe("fabric.migration_cycles", cost);
-        self.telemetry.recorder.record(
+        self.stats.migrations += 1;
+        self.stats.migration_cycles.record(cost);
+        self.recorder.record(
             id,
-            self.telemetry.elapsed,
+            self.stats.elapsed_cycles,
             "migrate",
             format!("{old} -> {target} ({cost} wire-word cycles)"),
         );
@@ -893,6 +859,16 @@ impl FabricManager {
         self.tenants.get(id as usize).map_or(0, |t| t.migrations)
     }
 
+    /// Session cycles tenant `id` has run so far.
+    fn session_cycles(&self, id: TenantId) -> u64 {
+        self.tenants.get(id as usize).map_or(0, |t| t.state.cycles())
+    }
+
+    /// Scheduling slices tenant `id` has been granted.
+    fn slices(&self, id: TenantId) -> u64 {
+        self.tenants.get(id as usize).map_or(0, |t| t.slices)
+    }
+
     /// The tenant's (possibly shrunk) configuration.
     #[must_use]
     pub fn program(&self, id: TenantId) -> Option<&AccelProgram> {
@@ -925,33 +901,17 @@ impl FabricManager {
         self.tenants.get(id as usize).map_or(0, |t| t.checkpoint_cycles)
     }
 
-    /// The metrics the manager accumulated as a side effect of admission,
-    /// scheduling, and migration (labeled counters + latency histograms).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.telemetry.metrics
-    }
-
-    /// The always-on flight recorder (recent per-tenant event rings).
-    #[must_use]
-    fn flight_recorder(&self) -> &FlightRecorder {
-        &self.telemetry.recorder
-    }
-
     /// Records an externally observed event into tenant `id`'s flight
     /// lane (the fleet scheduler uses this for decline/fault context the
     /// manager cannot see itself).
     fn record_flight(&mut self, id: TenantId, kind: &'static str, detail: String) {
-        self.telemetry.recorder.record(id, self.telemetry.elapsed, kind, detail);
+        self.recorder.record(id, self.stats.elapsed_cycles, kind, detail);
     }
 
     /// The stable fleet-stats export: aggregates, per-band occupancy, the
     /// latency histograms, and one [`TenantStats`] per tenant.
     #[must_use]
     pub fn fleet_stats(&self) -> FleetStats {
-        let m = &self.telemetry.metrics;
-        let histogram =
-            |name: &str| m.histogram(name).cloned().unwrap_or_default();
         let tenants = self
             .tenants
             .iter()
@@ -979,24 +939,7 @@ impl FabricManager {
                 }
             })
             .collect();
-        FleetStats {
-            runs: 1,
-            elapsed_cycles: self.telemetry.elapsed,
-            bands: self.telemetry.band_busy.len(),
-            band_busy: self.telemetry.band_busy.clone(),
-            band_idle: self.telemetry.band_idle.clone(),
-            admitted_full: m.labeled_counter("fabric.admissions", &[("outcome", "full_band")]),
-            admitted_shrunk: m.labeled_counter("fabric.admissions", &[("outcome", "shrunk")]),
-            queued: m.labeled_counter("fabric.admissions", &[("outcome", "queued")]),
-            declined: m.labeled_counter("fabric.admissions", &[("outcome", "declined")]),
-            migrations: m.counter("fabric.migrations"),
-            queue_wait: histogram("fabric.queue_wait_cycles"),
-            slice_cycles: histogram("fabric.slice_cycles"),
-            migration_cycles: histogram("fabric.migration_cycles"),
-            tenants,
-            host: None,
-            artifacts: None,
-        }
+        FleetStats { tenants, ..self.stats.clone() }
     }
 }
 
@@ -1027,13 +970,17 @@ impl TenantJob {
 struct Slot {
     id: TenantId,
     ep: PreparedEpisode,
-    /// Episode-relative clock for this tenant's trace spans.
-    now: u64,
-    /// Session cycles already accounted into `now`.
-    counted: u64,
-    slices: u64,
     /// Band the tenant's open `region_held@…` trace span covers.
     held: Option<Region>,
+}
+
+impl Slot {
+    /// Episode-relative clock for this tenant's trace spans: the episode's
+    /// clock at admission plus the cycles its session has run (the driver
+    /// never restores, so the session clock only moves forward).
+    fn now(&self, manager: &FabricManager) -> u64 {
+        self.ep.now + manager.session_cycles(self.id)
+    }
 }
 
 /// Everything a fleet run produced: the per-job outcomes, the aggregate
@@ -1140,17 +1087,9 @@ impl<'a> FleetDriver<'a> {
                         system.max_accel_iterations,
                     ) {
                         Ok((id, _admission)) => {
-                            let now = ep.now;
-                            tracer.span_begin(Subsystem::Controller, "offload", now);
+                            tracer.span_begin(Subsystem::Controller, "offload", ep.now);
                             admitted.push(Some(id));
-                            slots.push(Some(Slot {
-                                id,
-                                ep,
-                                now,
-                                counted: 0,
-                                slices: 0,
-                                held: None,
-                            }));
+                            slots.push(Some(Slot { id, ep, held: None }));
                         }
                         Err(e) => {
                             outcomes[i] = Some(Err(e.into()));
@@ -1200,18 +1139,19 @@ impl<'a> FleetDriver<'a> {
             if current == slot.held {
                 continue;
             }
+            let now = slot.now(&self.manager);
             if let Some(r) = slot.held {
                 tracer.span_end(
                     Subsystem::Controller,
                     &format!("region_held@r{:02}", r.first_row),
-                    slot.now,
+                    now,
                 );
             }
             if let Some(r) = current {
                 tracer.span_begin(
                     Subsystem::Controller,
                     &format!("region_held@r{:02}", r.first_row),
-                    slot.now,
+                    now,
                 );
             }
             slot.held = current;
@@ -1257,16 +1197,14 @@ impl<'a> FleetDriver<'a> {
                 Self::ACCEL,
                 self.quantum,
                 tracer,
-                slot.now,
+                slot.now(&self.manager),
             );
             match progress {
                 Ok(TenantProgress::Queued) => {}
-                Ok(TenantProgress::Paused(total)) => {
+                Ok(TenantProgress::Paused(_)) => {
                     advanced_any = true;
-                    slot.now += total - slot.counted;
-                    slot.counted = total;
-                    slot.slices += 1;
-                    if self.migrate_every > 0 && slot.slices % self.migrate_every == 0 {
+                    let slices = self.manager.slices(slot.id);
+                    if self.migrate_every > 0 && slices.is_multiple_of(self.migrate_every) {
                         if let Some(row) = self.manager.migration_target(slot.id) {
                             // A full grid is not an error — the tenant
                             // simply stays where it is this round.
@@ -1274,10 +1212,8 @@ impl<'a> FleetDriver<'a> {
                         }
                     }
                 }
-                Ok(TenantProgress::Completed(total)) => {
+                Ok(TenantProgress::Completed(_)) => {
                     advanced_any = true;
-                    slot.now += total - slot.counted;
-                    slot.counted = total;
                     // Close the residency span before the offload span so
                     // the per-tenant timeline nests correctly.
                     self.sync_region_spans(tracer);
@@ -1289,16 +1225,17 @@ impl<'a> FleetDriver<'a> {
                     self.remaining -= 1;
                 }
                 Err(e) => {
+                    let now = slot.now(&self.manager);
                     if tracer.enabled() {
                         if let Some(r) = slot.held.take() {
                             tracer.span_end(
                                 Subsystem::Controller,
                                 &format!("region_held@r{:02}", r.first_row),
-                                slot.now,
+                                now,
                             );
                         }
                     }
-                    tracer.span_end(Subsystem::Controller, "offload", slot.now);
+                    tracer.span_end(Subsystem::Controller, "offload", now);
                     self.outcomes[i] = Some(Err(e.into()));
                     self.remaining -= 1;
                 }
@@ -1346,12 +1283,6 @@ impl<'a> FleetDriver<'a> {
         self.admitted.iter().position(|&t| t == Some(id))
     }
 
-    /// The underlying manager, for live inspection (band map, metrics).
-    #[must_use]
-    pub fn manager(&self) -> &FabricManager {
-        &self.manager
-    }
-
     /// Point-in-time fleet stats (see [`FabricManager::fleet_stats`]),
     /// with the host throughput section attached when a clock is.
     #[must_use]
@@ -1367,20 +1298,13 @@ impl<'a> FleetDriver<'a> {
     /// post-mortem if any job declined or any report carried faults.
     #[must_use]
     pub fn into_run(self) -> FleetRun {
+        let stats = self.fleet_stats();
         let outcomes: Vec<Result<OffloadReport, MesaError>> = self
             .outcomes
             .into_iter()
             .map(|o| o.unwrap_or(Err(MesaError::NoLoopDetected)))
             .collect();
-        let mut stats = self.manager.fleet_stats();
-        stats.host = self.host.as_ref().map(|h| HostStats {
-            elapsed_ns: h.elapsed_ns,
-            steps: h.steps,
-            episodes: outcomes.iter().filter(|o| o.is_ok()).count() as u64,
-            sim_cycles: stats.elapsed_cycles,
-        });
-        stats.artifacts = self.shared_cache.as_ref().map(|c| c.stats());
-        let flight = self.manager.flight_recorder().clone();
+        let flight = self.manager.recorder;
         let mut reason: Option<String> = None;
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -1469,7 +1393,7 @@ fn finish_tenant(
     state.pc = ep.end_pc;
     let mut fault_log = ep.fault_log;
     fault_log.merge(&r.faults);
-    tracer.span_end(Subsystem::Controller, "offload", slot.now);
+    tracer.span_end(Subsystem::Controller, "offload", slot.now(manager));
     Ok(OffloadReport {
         accel_cycles: r.cycles,
         accel_iterations: r.iterations,

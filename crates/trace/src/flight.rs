@@ -18,19 +18,19 @@ use std::collections::VecDeque;
 
 use crate::json::Json;
 
-/// Default per-lane ring capacity (events retained per tenant).
-pub const FLIGHT_LANE_CAPACITY: usize = 64;
+/// Per-lane ring capacity (events retained per tenant).
+const FLIGHT_LANE_CAPACITY: usize = 64;
 
 /// One recorded event: a simulated-cycle timestamp, a short kind tag
 /// (`admit`, `slice`, `migrate`, `fault`, ...), and a detail string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
+struct FlightEvent {
     /// Simulated cycle at which the event happened.
-    pub cycle: u64,
+    cycle: u64,
     /// Short machine-readable tag (`admit`, `placed`, `slice`, ...).
-    pub kind: &'static str,
+    kind: &'static str,
     /// Free-form human-readable detail.
-    pub detail: String,
+    detail: String,
 }
 
 /// Bounded per-lane ring buffer of recent fabric/engine events.
@@ -49,8 +49,7 @@ impl FlightRecorder {
     }
 
     /// A recorder keeping at most `capacity` events per lane (min 4).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         FlightRecorder { lanes: BTreeMap::new(), capacity: capacity.max(4), dropped: 0 }
     }
 
@@ -65,40 +64,10 @@ impl FlightRecorder {
         ring.push_back(FlightEvent { cycle, kind, detail });
     }
 
-    /// Total events currently retained across all lanes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes.values().map(VecDeque::len).sum()
-    }
-
     /// Whether nothing has been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lanes.values().all(VecDeque::is_empty)
-    }
-
-    /// Number of events evicted by ring overflow since construction.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events of one lane, oldest first.
-    #[must_use]
-    pub fn lane(&self, lane: u32) -> Vec<&FlightEvent> {
-        self.lanes.get(&lane).map_or_else(Vec::new, |ring| ring.iter().collect())
-    }
-
-    /// Folds another recorder's lanes into this one (used when a fleet run
-    /// aggregates recorders from sequential episodes). Lane rings are
-    /// concatenated then re-bounded, oldest dropped first.
-    pub fn merge(&mut self, other: &FlightRecorder) {
-        for (lane, ring) in &other.lanes {
-            for ev in ring {
-                self.record(*lane, ev.cycle, ev.kind, ev.detail.clone());
-            }
-        }
-        self.dropped += other.dropped;
     }
 
     /// Renders everything the recorder still holds as a JSON post-mortem:
@@ -140,12 +109,11 @@ mod tests {
         for i in 0..10u64 {
             fr.record(1, i, "slice", format!("slice {i}"));
         }
-        assert_eq!(fr.len(), 4);
-        assert_eq!(fr.dropped(), 6);
-        let lane = fr.lane(1);
-        assert_eq!(lane.first().map(|e| e.cycle), Some(6), "oldest evicted first");
-        assert_eq!(lane.last().map(|e| e.cycle), Some(9));
-        assert!(fr.lane(99).is_empty());
+        let doc = crate::json::parse(&fr.post_mortem("overflow")).expect("post-mortem parses");
+        assert_eq!(doc.get("dropped").and_then(Json::u64), Some(6));
+        let lane = doc.at(&["lanes", "1"]).map(Json::items).unwrap_or_default();
+        let cycles: Vec<u64> = lane.iter().filter_map(|e| e.get("cycle")?.u64()).collect();
+        assert_eq!(cycles, [6, 7, 8, 9], "oldest evicted first");
     }
 
     #[test]
@@ -161,18 +129,5 @@ mod tests {
         assert!(dump.contains("\"reason\":\"forced fault\""));
         assert!(dump.contains("\"kind\":\"fault\""));
         assert!(dump.contains("\\\"quoted\\\""), "details are JSON-escaped");
-    }
-
-    #[test]
-    fn merge_concatenates_lanes() {
-        let mut a = FlightRecorder::with_capacity(8);
-        a.record(0, 1, "admit", "a".to_string());
-        let mut b = FlightRecorder::with_capacity(8);
-        b.record(0, 2, "slice", "b".to_string());
-        b.record(3, 4, "migrate", "c".to_string());
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.lane(0).len(), 2);
-        assert_eq!(a.lane(3).len(), 1);
     }
 }

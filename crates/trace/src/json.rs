@@ -452,7 +452,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::host::{ClockSpec, HostProfiler};
-    use crate::{FlightRecorder, Histogram, MetricsRegistry, RingTracer, Subsystem, Tracer};
+    use crate::{FlightRecorder, Histogram, RingTracer, Subsystem, Tracer};
     use mesa_test::{forall, prop_assert_eq, Checker, Rng};
 
     #[test]
@@ -576,7 +576,6 @@ mod tests {
     fn random_exports(rng: &mut Rng) -> Vec<String> {
         let mut tracer = RingTracer::new(64);
         let mut flight = FlightRecorder::new();
-        let mut metrics = MetricsRegistry::new();
         let mut hist = Histogram::new();
         let mut prof = HostProfiler::from_spec(ClockSpec::Mock { step_ns: 10 });
         for cycle in 0..rng.gen_range(1..12u64) {
@@ -588,9 +587,6 @@ mod tests {
             tracer.span_end(sub, &name, cycle + 1);
             let kind = ["admit", "slice", "fault"][rng.gen_range(0..3)];
             flight.record(rng.gen_range(0..3), cycle, kind, random_string(rng));
-            metrics.add(&name, rng.next_u64() >> 8);
-            metrics.gauge(&random_string(rng), f64::from_bits(rng.next_u64()));
-            metrics.observe(&name, rng.next_u64());
             hist.record(rng.next_u64() >> rng.gen_range(0..64));
             prof.begin(&name);
             prof.attribute_sim_cycles(rng.gen_range(0..1000));
@@ -602,7 +598,6 @@ mod tests {
         let mut out = vec![
             tracer.to_chrome_trace(),
             flight.post_mortem(&random_string(rng)),
-            metrics.to_json().to_string(),
             hist.to_json().to_string(),
             prof.finish().to_json().to_string(),
         ];

@@ -4,8 +4,8 @@
 //! counters at PEs and load-store entries are reported back to MESA's
 //! frontend" (paper §5.2) — and this crate makes that loop *visible*:
 //! every phase of an offload episode emits cycle-timestamped events into a
-//! [`Tracer`], and every subsystem's counters can register into a
-//! [`MetricsRegistry`] for phase-diffed reporting.
+//! [`Tracer`], and an episode's counters and gauges can register into a
+//! [`MetricsRegistry`] and print as one table.
 //!
 //! Three design rules:
 //!
@@ -86,12 +86,12 @@ pub mod tracer;
 
 pub use alloc::{AllocStats, CountingAlloc};
 pub use export::{validate_chrome_trace, ChromeTraceSummary};
-pub use flight::{FlightEvent, FlightRecorder, FLIGHT_LANE_CAPACITY};
+pub use flight::FlightRecorder;
 pub use fnv::Fnv64;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use host::{
     ClockSpec, HostClock, HostProfile, HostProfiler, HostSpan, MockClock, RealClock, SpanGuard,
 };
 pub use json::{json_string, Json};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsRegistry;
 pub use tracer::{Event, EventKind, NullTracer, RingTracer, Subsystem, Tracer};
