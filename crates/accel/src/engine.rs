@@ -2,7 +2,8 @@
 //!
 //! Each configured node fires once per loop iteration when its inputs are
 //! available (the dataflow model of paper §3.1). Values are computed with
-//! the exact ISA semantics from `mesa-isa`; timing follows the fabric:
+//! the exact ISA semantics from `mesa-isa` ([`op_value`], on an operation
+//! each node lowers once per session); timing follows the fabric:
 //! single-cycle neighbor links, a contended half-ring NoC, a shared
 //! fallback bus for unplaced nodes, and load/store entries that keep
 //! original program order for stores while loads may run ahead, with
@@ -18,7 +19,7 @@ use crate::{
     AccelConfig, AccelProgram, ActivityStats, Coord, HalfRingModel, LatencyModel, NodeConfig,
     Operand, PerfCounters, ProgramError, Region,
 };
-use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
+use mesa_isa::{op_value, ArchState, Instruction, MemoryIo, OpClass, Opcode, Reg, Xlen};
 use mesa_mem::MemorySystem;
 use mesa_trace::{NullTracer, Subsystem, Tracer};
 use std::fmt;
@@ -137,12 +138,11 @@ pub struct SpatialAccelerator {
 }
 
 /// Per-iteration working buffers, allocated once per spatial session and
-/// reused across every `run_iteration` of every tile. The engine
-/// previously allocated four fresh `Vec`s plus two `ArchState`s per node
-/// fire per iteration; with hundreds of iterations per offload that
-/// dominated the run time. Buffers are reset with `fill`/`clear` at each
-/// iteration start, which preserves the exact semantics of fresh
-/// zero-initialized allocations.
+/// reused across every `run_iteration` of every tile. Buffers are reset
+/// with `fill`/`clear` at each iteration start, which preserves the exact
+/// semantics of fresh zero-initialized allocations. Nodes evaluate their
+/// values from their [`NodePlan`]'s lowered [`PeOp`], so no architectural
+/// state is staged per firing.
 #[derive(Debug)]
 struct IterScratch {
     cur_value: Vec<u64>,
@@ -150,18 +150,15 @@ struct IterScratch {
     branch_taken: Vec<bool>,
     /// (node index, address, width, data_complete) per store seen so far.
     stores_seen: Vec<(usize, u64, u8, u64)>,
-    /// Scratch architectural state for PE value evaluation.
-    eval_state: ArchState,
 }
 
 impl IterScratch {
-    fn new(n: usize, xlen: Xlen) -> Self {
+    fn new(n: usize) -> Self {
         IterScratch {
             cur_value: vec![0; n],
             cur_complete: vec![0; n],
             branch_taken: vec![false; n],
             stores_seen: Vec::new(),
-            eval_state: ArchState::new(0, xlen),
         }
     }
 
@@ -199,29 +196,173 @@ enum OpPlan {
     Node { idx: usize, carried: bool, via: usize, route: Route },
 }
 
+/// How a register file shapes a value written to one register: what
+/// reading the register back returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Canon {
+    /// `x0`, or no register at all: reads 0.
+    Zero,
+    /// An RV64 X register: reads back what was written.
+    Keep,
+    /// An RV32 X register: the low 32 bits, sign-extended.
+    Sext32,
+    /// An F register: the low 32 bits, zero-extended.
+    Zext32,
+}
+
+impl Canon {
+    fn of(r: Option<Reg>, xlen: Xlen) -> Canon {
+        match (r, xlen) {
+            (None | Some(Reg::X(0)), _) => Canon::Zero,
+            (Some(Reg::F(_)), _) => Canon::Zext32,
+            (Some(Reg::X(_)), Xlen::Rv32) => Canon::Sext32,
+            (Some(Reg::X(_)), Xlen::Rv64) => Canon::Keep,
+        }
+    }
+
+    #[inline]
+    fn apply(self, v: u64) -> u64 {
+        match self {
+            Canon::Zero => 0,
+            Canon::Keep => v,
+            Canon::Sext32 => (v as u32) as i32 as i64 as u64,
+            Canon::Zext32 => u64::from(v as u32),
+        }
+    }
+}
+
+/// One source register of a [`PeOp`]: which operand staging left in it
+/// and how its register file shapes that operand.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// All-ones masks selecting `v1` and `v2` (both 0: the register
+    /// reads 0). Masks rather than a selector keep the read branch-free.
+    take: [u64; 2],
+    canon: Canon,
+}
+
+impl Slot {
+    #[inline]
+    fn read(self, v1: u64, v2: u64) -> u64 {
+        self.canon.apply((v1 & self.take[0]) | (v2 & self.take[1]))
+    }
+}
+
+/// A compute or branch node's operation, lowered once per session from its
+/// tile-scaled instruction so a firing calls [`op_value`] on its operands
+/// directly.
+///
+/// It reproduces exactly what evaluating the instruction with `step` on a
+/// zeroed `ArchState` at PC 0 gives after writing `v1` to `rs1` and then
+/// `v2` to `rs2`:
+/// - `rs2` wins when `rs1 == rs2`, `rs3` reads 0 unless it aliases one of
+///   them, and `x0` reads 0;
+/// - each source is shaped by its register file (RV32 X registers
+///   sign-extend, F registers keep the low 32 bits);
+/// - `rd` reads back through the same shaping, and `x0` or no `rd` gives 0.
+#[derive(Debug, Clone, Copy)]
+struct PeOp {
+    op: Opcode,
+    imm: i64,
+    xlen: Xlen,
+    /// `rs1`, `rs2`, `rs3`.
+    srcs: [Slot; 3],
+    rd: Canon,
+}
+
+impl PeOp {
+    fn lower(instr: &Instruction, xlen: Xlen) -> PeOp {
+        // The register `r` holds whichever operand was written to it last.
+        let slot = |r: Option<Reg>| {
+            let canon = Canon::of(r, xlen);
+            let take = if canon == Canon::Zero {
+                [0, 0]
+            } else if r == instr.rs2 {
+                [0, u64::MAX]
+            } else if r == instr.rs1 {
+                [u64::MAX, 0]
+            } else {
+                [0, 0]
+            };
+            Slot { take, canon }
+        };
+        let srcs = [slot(instr.rs1), slot(instr.rs2), slot(instr.rs3)];
+        if instr.op.is_system() {
+            // A system op writes no register: `rd` reads back as staged,
+            // which is what `ori rd, rd, 0` computes.
+            return PeOp {
+                op: Opcode::Ori,
+                imm: 0,
+                xlen,
+                srcs: [slot(instr.rd), slot(None), slot(None)],
+                rd: Canon::of(instr.rd, xlen),
+            };
+        }
+        PeOp { op: instr.op, imm: instr.imm, xlen, srcs, rd: Canon::of(instr.rd, xlen) }
+    }
+
+    #[inline]
+    fn eval(&self, v1: u64, v2: u64) -> u64 {
+        let [a, b, c] = self.srcs.map(|s| s.read(v1, v2));
+        op_value(self.op, a, b, c, self.imm, 0, self.xlen)
+    }
+
+    /// A conditional branch's direction.
+    #[inline]
+    fn taken(&self, v1: u64, v2: u64) -> bool {
+        self.eval(v1, v2) != 0
+    }
+
+    /// The value a compute node leaves in `rd`.
+    #[inline]
+    fn value(&self, v1: u64, v2: u64) -> u64 {
+        self.rd.apply(self.eval(v1, v2))
+    }
+}
+
+/// A load's static shape and memory-optimization flags.
+#[derive(Debug, Clone, Copy)]
+struct LoadPlan {
+    imm: i64,
+    width: u8,
+    sign_extend: bool,
+    forwarded_from: Option<u32>,
+    vector_head: Option<u32>,
+    prefetched: bool,
+}
+
+/// What a node does when it fires.
+#[derive(Debug, Clone, Copy)]
+enum Fire {
+    Load(LoadPlan),
+    Store { imm: i64, width: u8 },
+    /// Taken when the op evaluates non-zero.
+    Branch(PeOp),
+    Compute { op: PeOp, latency: u64, fp: bool },
+}
+
 /// Per-node execution plan: everything about a node that is invariant
-/// across iterations (tile-scaled instruction, opcode class, memory access
-/// shape, operand routes), computed once per tile per run so the
-/// per-iteration loop performs no coordinate math, latency-model dispatch,
-/// or opcode-property lookups.
+/// across iterations, computed once per tile per session so the
+/// per-iteration loop reads only the plan (the node's guard list aside,
+/// which it walks only when `guarded` is set). That covers the lowered
+/// operation ([`Fire`], from the tile-scaled instruction) and the operand
+/// routes. The loop performs no coordinate math, latency-model dispatch,
+/// opcode-property lookup or instruction decode.
 #[derive(Debug, Clone)]
 struct NodePlan {
-    effective: Instruction,
-    class: OpClass,
+    fire: Fire,
     inputs: [OpPlan; 2],
     hidden: OpPlan,
-    /// Load/store access width in bytes (0 for non-memory nodes).
-    mem_width: u8,
-    /// Whether a load sign-extends.
-    sign_extend: bool,
-    /// Compute latency of the operation.
-    base_latency: u64,
+    /// Whether any guard predicates the node.
+    guarded: bool,
 }
 
 /// Resolves one pre-planned operand to `(value, ready_time_at_consumer,
 /// transfer_cycles)` — the last is what the per-edge latency counters
-/// record (paper §5.2).
-#[inline]
+/// record (paper §5.2). Always inlined: a firing resolves up to three
+/// operands, and an out-of-line call per operand cost program-large about
+/// an eighth of its host time.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn resolve_operand(
     op: &OpPlan,
@@ -447,16 +588,17 @@ impl SpatialAccelerator {
         let start_cycles = state.cycles();
         let ports = (self.cfg.mem_ports < usize::MAX / 2)
             .then(|| self.cfg.mem_ports.clamp(1, 1 << 20) as u64);
-        let mut scratch = IterScratch::new(prog.nodes.len(), state.xlen);
+        let mut scratch = IterScratch::new(prog.nodes.len());
 
-        // Static per-tile node plans (coords, routes, tile-scaled
-        // instructions): resolved once here, reused every iteration.
+        // Static per-tile node plans (routes, lowered operations from the
+        // tile-scaled instructions): resolved once here, reused every
+        // iteration.
         // Placements are region-relative, like the lanes they book.
         let plans: Vec<Vec<NodePlan>> = (0..tiles)
             .map(|t| {
                 prog.nodes
                     .iter()
-                    .map(|node| self.plan_node(prog, node, t * rows_per_tile, tiles))
+                    .map(|node| self.plan_node(prog, node, t * rows_per_tile, tiles, state.xlen))
                     .collect()
             })
             .collect();
@@ -571,23 +713,39 @@ impl SpatialAccelerator {
         node: &NodeConfig,
         row_offset: usize,
         tiles: usize,
+        xlen: Xlen,
     ) -> NodePlan {
         let consumer = node.coord.map(|c| Coord::new(c.row + row_offset, c.col));
         let mut effective = node.instr;
         if node.scale_imm_by_tiles && tiles > 1 {
             effective.imm = node.instr.imm.wrapping_mul(tiles as i64);
         }
+        let op = effective.op;
+        let fire = match op.class() {
+            OpClass::Load => Fire::Load(LoadPlan {
+                imm: effective.imm,
+                width: op.mem_width().unwrap_or(0),
+                sign_extend: op.load_sign_extends(),
+                forwarded_from: node.forwarded_from,
+                vector_head: node.vector_head,
+                prefetched: node.prefetched,
+            }),
+            OpClass::Store => Fire::Store { imm: effective.imm, width: op.mem_width().unwrap_or(0) },
+            OpClass::Branch => Fire::Branch(PeOp::lower(&effective, xlen)),
+            class => Fire::Compute {
+                op: PeOp::lower(&effective, xlen),
+                latency: op.base_latency(),
+                fp: class.needs_fp(),
+            },
+        };
         NodePlan {
-            effective,
-            class: node.instr.class(),
+            fire,
             inputs: [
                 self.plan_operand(prog, &node.inputs[0], consumer, row_offset),
                 self.plan_operand(prog, &node.inputs[1], consumer, row_offset),
             ],
             hidden: self.plan_operand(prog, &node.hidden, consumer, row_offset),
-            mem_width: effective.op.mem_width().unwrap_or(0),
-            sign_extend: effective.op.load_sign_extends(),
-            base_latency: effective.op.base_latency(),
+            guarded: !node.guards.is_empty(),
         }
     }
 
@@ -613,16 +771,12 @@ impl SpatialAccelerator {
         let base = if prog.pipelined { 0 } else { tile.last_complete };
 
         scratch.reset();
-        let IterScratch { cur_value, cur_complete, branch_taken, stores_seen, eval_state } =
-            scratch;
+        let IterScratch { cur_value, cur_complete, branch_taken, stores_seen } = scratch;
         let mut iteration_complete = 0u64;
 
-        for (i, node) in prog.nodes.iter().enumerate() {
-            let plan = &plans[i];
-
+        for (i, plan) in plans.iter().enumerate() {
             // ---- predication ----
-            let disabled = node.guards.iter().any(|&g| branch_taken[g as usize]);
-            if disabled {
+            if plan.guarded && prog.nodes[i].guards.iter().any(|&g| branch_taken[g as usize]) {
                 let (hv, hready, _) = resolve_operand(
                     &plan.hidden, tile, cur_value, cur_complete, base, first_iter, fabric,
                     activity,
@@ -660,14 +814,13 @@ impl SpatialAccelerator {
             let ready = r1.max(r2).max(base);
 
             // ---- execute ----
-            let complete = match plan.class {
-                OpClass::Load => self.do_load(
-                    i, node, plan, v1, ready, fabric, mem, requester, ports, first_iter,
-                    stores_seen, cur_complete, activity, cur_value,
+            let complete = match plan.fire {
+                Fire::Load(ref load) => self.do_load(
+                    i, load, v1, ready, fabric, mem, requester, ports, first_iter, stores_seen,
+                    cur_complete, activity, cur_value,
                 ),
-                OpClass::Store => {
-                    let addr = v1.wrapping_add(plan.effective.imm as u64);
-                    let width = plan.mem_width;
+                Fire::Store { imm, width } => {
+                    let addr = v1.wrapping_add(imm as u64);
                     // Program-order store commit (the LDFG keeps ordering).
                     let mut start = ready.max(tile.last_store_start + 1);
                     if let Some(ports) = ports {
@@ -680,24 +833,21 @@ impl SpatialAccelerator {
                     stores_seen.push((i, addr, width, start + 1));
                     start + 1
                 }
-                OpClass::Branch => {
-                    let taken = eval_branch(eval_state, &plan.effective, v1, v2);
-                    branch_taken[i] = taken;
+                Fire::Branch(ref op) => {
+                    branch_taken[i] = op.taken(v1, v2);
                     activity.int_ops += 1;
                     activity.pe_busy_cycles += 1;
                     ready + 1
                 }
-                _ => {
-                    let value = eval_compute(eval_state, &plan.effective, v1, v2);
-                    cur_value[i] = value;
-                    let lat = plan.base_latency;
-                    if plan.class.needs_fp() {
+                Fire::Compute { ref op, latency, fp } => {
+                    cur_value[i] = op.value(v1, v2);
+                    if fp {
                         activity.fp_ops += 1;
                     } else {
                         activity.int_ops += 1;
                     }
-                    activity.pe_busy_cycles += lat;
-                    ready + lat
+                    activity.pe_busy_cycles += latency;
+                    ready + latency
                 }
             };
 
@@ -726,8 +876,7 @@ impl SpatialAccelerator {
     fn do_load(
         &self,
         i: usize,
-        node: &NodeConfig,
-        plan: &NodePlan,
+        load: &LoadPlan,
         base_value: u64,
         ready: u64,
         fabric: &mut Bookings,
@@ -740,12 +889,12 @@ impl SpatialAccelerator {
         activity: &mut ActivityStats,
         cur_value: &mut [u64],
     ) -> u64 {
-        let addr = base_value.wrapping_add(plan.effective.imm as u64);
-        let width = plan.mem_width;
+        let addr = base_value.wrapping_add(load.imm as u64);
+        let width = load.width;
 
         // Functional value (stores earlier in program order already applied).
         let raw = mem.data_mut().load(addr, width);
-        let value = if plan.sign_extend {
+        let value = if load.sign_extend {
             let bits = u32::from(width) * 8;
             ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
         } else {
@@ -755,7 +904,7 @@ impl SpatialAccelerator {
         activity.loads += 1;
 
         // Static store→load forwarding edge (§4.2).
-        if let Some(s) = node.forwarded_from {
+        if let Some(s) = load.forwarded_from {
             if let Some(&(_, saddr, _, scomplete)) =
                 stores_seen.iter().find(|&&(si, ..)| si == s as usize)
             {
@@ -767,7 +916,7 @@ impl SpatialAccelerator {
         }
 
         // Vector piggyback: the head's wide access already brought the line.
-        if let Some(h) = node.vector_head {
+        if let Some(h) = load.vector_head {
             if (h as usize) < i {
                 activity.vector_piggybacks += 1;
                 return ready.max(cur_complete[h as usize]) + 1;
@@ -780,7 +929,7 @@ impl SpatialAccelerator {
             None => ready,
         };
         let latency = mem.access(requester, addr, false, start).total;
-        let latency = if node.prefetched && !first_iter {
+        let latency = if load.prefetched && !first_iter {
             // The line was prefetched an iteration ahead: steady state is a
             // hit.
             activity.prefetch_hits += 1;
@@ -794,7 +943,7 @@ impl SpatialAccelerator {
         // overlapping address whose data resolved after our start
         // invalidates this load (§4.2); redo after the store.
         for &(si, saddr, swidth, scomplete) in stores_seen {
-            if node.forwarded_from == Some(si as u32) {
+            if load.forwarded_from == Some(si as u32) {
                 continue; // already handled as a forward
             }
             // u128 range ends: an access near u64::MAX must not wrap (a
@@ -811,69 +960,19 @@ impl SpatialAccelerator {
 
 }
 
-/// Prepares the shared scratch [`ArchState`] so an evaluation on it is
-/// indistinguishable from one on a fresh zeroed state: the PC is reset
-/// (AUIPC/JAL read it, `step` advances it) and every register the
-/// instruction can read is written. Compute nodes read only their encoded
-/// sources (`rs1`/`rs2`/`rs3`), so stale values elsewhere are unobservable.
-#[inline]
-fn stage_eval_state(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) {
-    st.pc = 0;
-    if let Some(r) = instr.rs3 {
-        st.write(r, 0);
-    }
-    if let Some(r) = instr.rs1 {
-        st.write(r, v1);
-    }
-    if let Some(r) = instr.rs2 {
-        st.write(r, v2);
-    }
-}
-
-/// Evaluates a conditional branch's direction with exact ISA semantics.
-/// A non-branch outcome can only come from a malformed configuration; it
-/// is treated as not-taken (fall through) rather than panicking mid-run.
-fn eval_branch(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) -> bool {
-    stage_eval_state(st, instr, v1, v2);
-    let mut nomem = NoMemory;
-    match step(st, instr, &mut nomem).outcome {
-        Outcome::Branch { taken, .. } => taken,
-        _ => false,
-    }
-}
-
-/// Evaluates a non-memory, non-branch node with exact ISA semantics.
-fn eval_compute(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) -> u64 {
-    stage_eval_state(st, instr, v1, v2);
-    let mut nomem = NoMemory;
-    step(st, instr, &mut nomem);
-    instr.rd.map_or(0, |rd| st.read(rd))
-}
-
-/// Memory stub for pure compute evaluation; PEs never touch memory. A
-/// misclassified node (only reachable through a malformed configuration)
-/// reads zeros and discards stores instead of panicking mid-run.
-struct NoMemory;
-
-impl MemoryIo for NoMemory {
-    fn load(&mut self, _addr: u64, _width: u8) -> u64 {
-        0
-    }
-    fn store(&mut self, _addr: u64, _width: u8, _value: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesa_isa::{Opcode};
     use mesa_isa::reg::abi::*;
+    use mesa_isa::{step, FlatMemory, Outcome};
     use mesa_mem::MemConfig;
 
-    /// Fresh-state branch evaluation — the pre-optimization implementation,
-    /// kept as the oracle for the scratch-reuse equivalence property.
+    /// Fresh-state branch evaluation through `step` — the
+    /// pre-optimization implementation, kept as the oracle for the
+    /// plan-lowered evaluator.
     fn eval_branch_fresh(instr: &Instruction, v1: u64, v2: u64, xlen: Xlen) -> bool {
         let mut st = ArchState::new(0, xlen);
-        let mut nomem = NoMemory;
+        let mut nomem = FlatMemory::new();
         if let Some(r) = instr.rs1 {
             st.write(r, v1);
         }
@@ -886,11 +985,12 @@ mod tests {
         }
     }
 
-    /// Fresh-state compute evaluation — the pre-optimization implementation,
-    /// kept as the oracle for the scratch-reuse equivalence property.
+    /// Fresh-state compute evaluation through `step` — the
+    /// pre-optimization implementation, kept as the oracle for the
+    /// plan-lowered evaluator.
     fn eval_compute_fresh(instr: &Instruction, v1: u64, v2: u64, xlen: Xlen) -> u64 {
         let mut st = ArchState::new(0, xlen);
-        let mut nomem = NoMemory;
+        let mut nomem = FlatMemory::new();
         if let Some(r) = instr.rs1 {
             st.write(r, v1);
         }
@@ -1309,98 +1409,92 @@ mod tests {
         assert!(pf.cycles <= plain.cycles);
     }
 
-    /// The scratch-reuse evaluators must be indistinguishable from the
-    /// fresh-state originals for any instruction, *including* after the
-    /// scratch state has been polluted by a long random sequence of prior
-    /// evaluations (stale registers, advanced PC).
+    /// Every opcode that reaches the compute or branch arm: the integer
+    /// ALU, mul/div, FP, RV64 `*w` and conditional branches, plus jumps
+    /// and system ops, which only a malformed configuration places.
+    const PE_OPCODES: &[Opcode] = {
+        use Opcode::*;
+        &[
+            Lui, Auipc, Jal, Jalr, Beq, Bne, Blt, Bge, Bltu, Bgeu, Addi, Slti, Sltiu, Xori, Ori,
+            Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Fence,
+            Ecall, Ebreak, Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu, FaddS, FsubS, FmulS,
+            FdivS, FsqrtS, FminS, FmaxS, FmaddS, FmsubS, FnmaddS, FnmsubS, FcvtWS, FcvtWuS,
+            FcvtSW, FcvtSWu, FmvXW, FmvWX, FeqS, FltS, FleS, FsgnjS, FsgnjnS, FsgnjxS, FclassS,
+            Addiw, Slliw, Srliw, Sraiw, Addw, Subw, Sllw, Srlw, Sraw,
+        ]
+    };
+
+    /// Operand values with non-canonical upper bits, NaN payloads (quiet,
+    /// signalling, negative) and the RV32 sign boundary.
+    const PE_VALUES: &[u64] = &[
+        0,
+        1,
+        u64::MAX,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xFFFF_FFFF_8000_0000,
+        0xDEAD_BEEF_8000_0001,
+        0x0000_0001_0000_0000,
+        0x7FC0_1234,
+        0xABCD_0000_7FA0_0001,
+        0xFFC0_0042,
+        0x4049_0FDB,
+        0x1234_5678_C049_0FDB,
+        0x0080_0000,
+    ];
+
+    /// The plan-lowered evaluator a firing runs must agree with `step` on
+    /// a fresh state for every instruction the compute or branch arm can
+    /// see, on both register widths: registers drawn from a small pool of
+    /// both files, so `x0`, `rs1 == rs2`, `rs3` aliasing a source and a
+    /// register of the wrong file all occur, and operands with
+    /// non-canonical upper bits and NaN payloads.
     #[test]
     fn scratch_eval_matches_fresh_oracle_on_random_programs() {
         use mesa_test::{forall, prop_assert_eq, Checker};
 
-        // Compute ops across every class the PE path can see: integer ALU,
-        // mul/div, upper-immediate (reads PC via AUIPC), FP including the
-        // three-source FMA family (exercises the rs3 staging).
-        const COMPUTE: &[Opcode] = &[
-            Opcode::Add, Opcode::Sub, Opcode::Sll, Opcode::Slt, Opcode::Sltu,
-            Opcode::Xor, Opcode::Srl, Opcode::Sra, Opcode::Or, Opcode::And,
-            Opcode::Addi, Opcode::Xori, Opcode::Andi, Opcode::Slli, Opcode::Srli,
-            Opcode::Mul, Opcode::Mulh, Opcode::Div, Opcode::Rem,
-            Opcode::Lui, Opcode::Auipc,
-            Opcode::FaddS, Opcode::FsubS, Opcode::FmulS, Opcode::FdivS,
-            Opcode::FminS, Opcode::FsgnjS, Opcode::FeqS, Opcode::FltS,
-        ];
-        const BRANCHES: &[Opcode] =
-            &[Opcode::Beq, Opcode::Bne, Opcode::Blt, Opcode::Bge, Opcode::Bltu, Opcode::Bgeu];
-        const FMA: &[Opcode] =
-            &[Opcode::FmaddS, Opcode::FmsubS, Opcode::FnmaddS, Opcode::FnmsubS];
-
-        fn instr_for(sel: u64, imm: i64) -> Instruction {
-            let fp_reg = |n: u64| Reg::f((n % 8) as u8);
-            let int_reg = |n: u64| Reg::x((1 + n % 7) as u8);
-            let pick = (sel >> 8) as usize;
-            match sel % 3 {
-                0 => {
-                    let op = COMPUTE[pick % COMPUTE.len()];
-                    let reg = |n: u64| if op.class().needs_fp() { fp_reg(n) } else { int_reg(n) };
-                    match op {
-                        Opcode::Lui | Opcode::Auipc => {
-                            Instruction::upper(op, int_reg(sel >> 20), imm << 12)
-                        }
-                        Opcode::Addi | Opcode::Xori | Opcode::Andi | Opcode::Slli
-                        | Opcode::Srli => Instruction::reg_imm(
-                            op,
-                            int_reg(sel >> 20),
-                            int_reg(sel >> 26),
-                            if matches!(op, Opcode::Slli | Opcode::Srli) { imm & 31 } else { imm },
-                        ),
-                        Opcode::FeqS | Opcode::FltS => Instruction::reg3(
-                            op,
-                            int_reg(sel >> 20),
-                            fp_reg(sel >> 26),
-                            fp_reg(sel >> 32),
-                        ),
-                        _ => Instruction::reg3(op, reg(sel >> 20), reg(sel >> 26), reg(sel >> 32)),
-                    }
-                }
-                1 => {
-                    let op = FMA[pick % FMA.len()];
-                    Instruction::reg4(
-                        op,
-                        fp_reg(sel >> 20),
-                        fp_reg(sel >> 26),
-                        fp_reg(sel >> 32),
-                        fp_reg(sel >> 38),
-                    )
-                }
-                _ => {
-                    let op = BRANCHES[pick % BRANCHES.len()];
-                    Instruction::branch(op, int_reg(sel >> 20), int_reg(sel >> 26), 8)
-                }
+        fn reg(code: u64) -> Option<Reg> {
+            match code % 9 {
+                0 => None,
+                n @ 1..=4 => Some(Reg::X((n - 1) as u8)),
+                n => Some(Reg::F((n - 5) as u8)),
             }
         }
 
         forall!(
-            Checker::new("engine::scratch_eval_matches_fresh").cases(64),
+            Checker::new("engine::scratch_eval_matches_fresh").cases(256),
             |(seed in 0u64..u64::MAX, len in 4usize..40)| {
-                let mut shared = ArchState::new(0, Xlen::Rv32);
-                let mut sel = seed;
+                let mut sel = seed | 1;
                 for k in 0..len {
                     // Cheap xorshift so each step sees a different instruction.
                     sel ^= sel << 13;
                     sel ^= sel >> 7;
                     sel ^= sel << 17;
-                    let imm = ((sel >> 40) as i64 & 0x7FF) - 1024;
-                    let instr = instr_for(sel, imm);
-                    let v1 = sel.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let v2 = sel.rotate_left(17) ^ 0xABCD_EF01;
+                    let instr = Instruction {
+                        op: PE_OPCODES[(sel % PE_OPCODES.len() as u64) as usize],
+                        rd: reg(sel >> 8),
+                        rs1: reg(sel >> 12),
+                        rs2: reg(sel >> 16),
+                        rs3: reg(sel >> 20),
+                        imm: ((sel >> 24) as i64 & 0xFFF) - 2048,
+                    };
+                    let xlen = if sel >> 36 & 1 == 0 { Xlen::Rv32 } else { Xlen::Rv64 };
+                    let pick = |shift: u32| {
+                        let n = (sel >> shift) as usize;
+                        if n.is_multiple_of(4) {
+                            sel.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (n % 32)
+                        } else {
+                            PE_VALUES[n % PE_VALUES.len()]
+                        }
+                    };
+                    let (v1, v2) = (pick(40), pick(50));
+                    let op = PeOp::lower(&instr, xlen);
                     if instr.op.is_branch() {
-                        let got = eval_branch(&mut shared, &instr, v1, v2);
-                        let want = eval_branch_fresh(&instr, v1, v2, Xlen::Rv32);
-                        prop_assert_eq!(got, want, "step {} instr {}", k, instr);
+                        let want = eval_branch_fresh(&instr, v1, v2, xlen);
+                        prop_assert_eq!(op.taken(v1, v2), want, "step {} instr {:?}", k, instr);
                     } else {
-                        let got = eval_compute(&mut shared, &instr, v1, v2);
-                        let want = eval_compute_fresh(&instr, v1, v2, Xlen::Rv32);
-                        prop_assert_eq!(got, want, "step {} instr {}", k, instr);
+                        let want = eval_compute_fresh(&instr, v1, v2, xlen);
+                        prop_assert_eq!(op.value(v1, v2), want, "step {} instr {:?}", k, instr);
                     }
                 }
             }

@@ -1,14 +1,14 @@
 //! Straight-line reference interpreter for mapped DFGs — the differential
 //! oracle for the optimized engine in [`crate::engine`].
 //!
-//! The fast engine pre-resolves static per-tile `NodePlan`s, reuses dense
-//! scratch buffers across iterations, and shares one evaluation
-//! `ArchState`. Those are exactly the optimizations a silent bug could
-//! hide in, so this module re-implements the execution semantics with
-//! none of them: every iteration allocates fresh buffers, every operand
-//! re-derives its coordinates, route, and latency from the [`NodeConfig`]
-//! it came from, and every value evaluation runs on a fresh architectural
-//! state. Timing rules (fabric booking order, store commit chain,
+//! The fast engine pre-resolves static per-tile `NodePlan`s, lowers each
+//! node's operation once per session instead of interpreting it per
+//! firing, and reuses dense scratch buffers across iterations. Those are
+//! exactly the optimizations a silent bug could hide in, so this module
+//! re-implements the execution semantics with none of them: every
+//! iteration allocates fresh buffers, every operand re-derives its
+//! coordinates, route, and latency from the [`NodeConfig`] it came from,
+//! and every value evaluation runs `step` on a fresh architectural state. Timing rules (fabric booking order, store commit chain,
 //! forwarding, violations, predication) follow the same definitions, so
 //! the two implementations must agree bit-for-bit on architectural
 //! results, iteration counts, cycle totals, latency counters, and

@@ -145,20 +145,6 @@ impl RunResult {
             self.retired as f64 / self.cycles as f64
         }
     }
-
-    /// Registers the pipeline story — fetch, issue, retire, branch — as
-    /// counters named `<prefix>.cycles`, `<prefix>.retired`, etc.
-    pub fn record_metrics(&self, reg: &mut mesa_trace::MetricsRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.cycles"), self.cycles);
-        reg.add(&format!("{prefix}.retired"), self.retired);
-        reg.add(&format!("{prefix}.loads"), self.loads);
-        reg.add(&format!("{prefix}.stores"), self.stores);
-        reg.add(&format!("{prefix}.branches"), self.branches);
-        reg.add(&format!("{prefix}.mispredicts"), self.mispredicts);
-        reg.add(&format!("{prefix}.issue_wait_cycles"), self.issue_wait_cycles);
-        reg.add(&format!("{prefix}.fetch_redirects"), self.fetch_redirects);
-        self.fusion.record_metrics(reg, prefix);
-    }
 }
 
 /// Accumulated pipeline counters across any number of [`RunResult`]s.
@@ -1036,8 +1022,10 @@ mod tests {
         });
         assert!(r.issue_wait_cycles > 0, "issue_wait = {}", r.issue_wait_cycles);
         assert!(r.fetch_redirects <= r.mispredicts + r.branches);
+        let mut acc = PipelineStats::default();
+        acc.absorb(&r);
         let mut reg = mesa_trace::MetricsRegistry::new();
-        r.record_metrics(&mut reg, "cpu");
+        acc.record_metrics(&mut reg, "cpu");
         assert_eq!(reg.counter("cpu.retired"), r.retired);
         assert_eq!(reg.counter("cpu.issue_wait_cycles"), r.issue_wait_cycles);
         assert_eq!(reg.counter("cpu.fetch_redirects"), r.fetch_redirects);
@@ -1215,8 +1203,10 @@ mod tests {
     #[test]
     fn fusion_counters_flow_into_metrics() {
         let (r, _, _) = run_with_fusion(true, Xlen::Rv32);
+        let mut acc = PipelineStats::default();
+        acc.absorb(&r);
         let mut reg = mesa_trace::MetricsRegistry::new();
-        r.record_metrics(&mut reg, "core");
+        acc.record_metrics(&mut reg, "core");
         assert_eq!(reg.counter("core.fused_pairs"), r.fusion.fused_pairs());
         assert_eq!(reg.counter("core.fused_cmp_branch"), r.fusion.cmp_branch);
     }

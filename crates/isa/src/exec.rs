@@ -19,6 +19,26 @@ pub enum Xlen {
     Rv64,
 }
 
+impl Xlen {
+    /// The unsigned view of a canonical register value (RV32 compares and
+    /// divides the low 32 bits).
+    #[inline]
+    fn unsigned(self, v: u64) -> u64 {
+        match self {
+            Xlen::Rv32 => u64::from(v as u32),
+            Xlen::Rv64 => v,
+        }
+    }
+
+    #[inline]
+    fn shamt_mask(self) -> u32 {
+        match self {
+            Xlen::Rv32 => 31,
+            Xlen::Rv64 => 63,
+        }
+    }
+}
+
 /// Memory seen by the functional semantics.
 ///
 /// Implemented by `mesa-mem`'s sparse memory; the trait lives here so `isa`
@@ -86,20 +106,6 @@ impl ArchState {
     fn read_f32(&self, n: u8) -> f32 {
         f32::from_bits(self.f[n as usize])
     }
-
-    fn unsigned(&self, v: u64) -> u64 {
-        match self.xlen {
-            Xlen::Rv32 => u64::from(v as u32),
-            Xlen::Rv64 => v,
-        }
-    }
-
-    fn shamt_mask(&self) -> u32 {
-        match self.xlen {
-            Xlen::Rv32 => 31,
-            Xlen::Rv64 => 63,
-        }
-    }
 }
 
 /// A memory access performed by one step, reported for the timing models.
@@ -150,164 +156,70 @@ pub struct StepInfo {
 ///
 /// The FP environment is simplified: round-to-nearest only, no exception
 /// flags, and `fcvt.w.s` truncates toward zero — sufficient for the Rodinia
-/// kernel semantics the evaluation uses.
+/// kernel semantics the evaluation uses. What each operation computes is
+/// [`op_value`]; this function reads the sources, performs the memory and
+/// system effects, writes `rd` and advances the PC.
 pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M) -> StepInfo {
     use Opcode::*;
     let pc = state.pc;
-    let rd = instr.rd;
+    let imm = instr.imm;
     let rs1v = instr.rs1.map_or(0, |r| state.read(r));
     let rs2v = instr.rs2.map_or(0, |r| state.read(r));
-    let imm = instr.imm;
-    let f1 = instr.rs1.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
-    let f2 = instr.rs2.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
-    let f3 = instr.rs3.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
+    let rs3v = instr.rs3.map_or(0, |r| state.read(r));
+    let xlen = state.xlen;
+    let value = || op_value(instr.op, rs1v, rs2v, rs3v, imm, pc, xlen);
 
     let mut outcome = Outcome::Next;
     let mut mem_access = None;
-
-    let write_rd = |state: &mut ArchState, v: u64| {
-        if let Some(r) = rd {
-            state.write(r, v);
+    let rd_value = match instr.op {
+        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
+            outcome = Outcome::Branch { taken: value() != 0, target: pc.wrapping_add(imm as u64) };
+            None
         }
-    };
-    let wf = |v: f32| u64::from(v.to_bits());
-    let branch = |taken: bool| Outcome::Branch { taken, target: pc.wrapping_add(imm as u64) };
-
-    match instr.op {
-        Lui => write_rd(state, imm as u64),
-        Auipc => write_rd(state, pc.wrapping_add(imm as u64)),
         Jal => {
-            write_rd(state, pc.wrapping_add(4));
             outcome = Outcome::Jump { target: pc.wrapping_add(imm as u64) };
+            Some(value())
         }
         Jalr => {
-            let target = rs1v.wrapping_add(imm as u64) & !1;
-            write_rd(state, pc.wrapping_add(4));
-            outcome = Outcome::Jump { target };
+            outcome = Outcome::Jump { target: rs1v.wrapping_add(imm as u64) & !1 };
+            Some(value())
         }
-        Beq => outcome = branch(rs1v == rs2v),
-        Bne => outcome = branch(rs1v != rs2v),
-        Blt => outcome = branch((rs1v as i64) < rs2v as i64),
-        Bge => outcome = branch(rs1v as i64 >= rs2v as i64),
-        Bltu => outcome = branch(state.unsigned(rs1v) < state.unsigned(rs2v)),
-        Bgeu => outcome = branch(state.unsigned(rs1v) >= state.unsigned(rs2v)),
         Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw => {
             let addr = rs1v.wrapping_add(imm as u64);
             let width = instr.op.mem_width().expect("load width");
             let raw = mem.load(addr, width);
-            let value = if instr.op.load_sign_extends() {
+            mem_access = Some(MemAccess { addr, width, is_store: false });
+            Some(if instr.op.load_sign_extends() {
                 let bits = u32::from(width) * 8;
                 ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
             } else {
                 raw
-            };
-            write_rd(state, value);
-            mem_access = Some(MemAccess { addr, width, is_store: false });
+            })
         }
         Sb | Sh | Sw | Sd | Fsw => {
             let addr = rs1v.wrapping_add(imm as u64);
             let width = instr.op.mem_width().expect("store width");
             mem.store(addr, width, rs2v);
             mem_access = Some(MemAccess { addr, width, is_store: true });
+            None
         }
-        Addi => write_rd(state, rs1v.wrapping_add(imm as u64)),
-        Slti => write_rd(state, u64::from((rs1v as i64) < imm)),
-        Sltiu => write_rd(state, u64::from(state.unsigned(rs1v) < state.unsigned(imm as u64))),
-        Xori => write_rd(state, rs1v ^ imm as u64),
-        Ori => write_rd(state, rs1v | imm as u64),
-        Andi => write_rd(state, rs1v & imm as u64),
-        Slli => write_rd(state, rs1v << (imm as u32 & state.shamt_mask())),
-        Srli => {
-            let sh = imm as u32 & state.shamt_mask();
-            write_rd(state, state.unsigned(rs1v) >> sh);
-        }
-        Srai => {
-            let sh = imm as u32 & state.shamt_mask();
-            write_rd(state, ((rs1v as i64) >> sh) as u64);
-        }
-        Add => write_rd(state, rs1v.wrapping_add(rs2v)),
-        Sub => write_rd(state, rs1v.wrapping_sub(rs2v)),
-        Sll => write_rd(state, rs1v << (rs2v as u32 & state.shamt_mask())),
-        Slt => write_rd(state, u64::from((rs1v as i64) < (rs2v as i64))),
-        Sltu => write_rd(state, u64::from(state.unsigned(rs1v) < state.unsigned(rs2v))),
-        Xor => write_rd(state, rs1v ^ rs2v),
-        Srl => write_rd(state, state.unsigned(rs1v) >> (rs2v as u32 & state.shamt_mask())),
-        Sra => write_rd(state, ((rs1v as i64) >> (rs2v as u32 & state.shamt_mask())) as u64),
-        Or => write_rd(state, rs1v | rs2v),
-        And => write_rd(state, rs1v & rs2v),
-        Fence => {}
+        Fence => None,
         Ecall => {
             outcome = if state.read(Reg::X(17)) == 93 {
                 Outcome::Halt
             } else {
                 Outcome::Syscall
             };
+            None
         }
-        Ebreak => outcome = Outcome::Halt,
-        Mul => write_rd(state, rs1v.wrapping_mul(rs2v)),
-        Mulh => {
-            let prod = i128::from(rs1v as i64) * i128::from(rs2v as i64);
-            write_rd(state, (prod >> 64) as u64);
+        Ebreak => {
+            outcome = Outcome::Halt;
+            None
         }
-        Mulhsu => {
-            let prod = i128::from(rs1v as i64).wrapping_mul(i128::from(rs2v));
-            write_rd(state, (prod >> 64) as u64);
-        }
-        Mulhu => {
-            let prod = u128::from(rs1v) * u128::from(rs2v);
-            write_rd(state, (prod >> 64) as u64);
-        }
-        Div => {
-            let (a, b) = (rs1v as i64, rs2v as i64);
-            let q = if b == 0 { -1 } else { a.wrapping_div(b) };
-            write_rd(state, q as u64);
-        }
-        Divu => {
-            let (a, b) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            write_rd(state, a.checked_div(b).unwrap_or(u64::MAX));
-        }
-        Rem => {
-            let (a, b) = (rs1v as i64, rs2v as i64);
-            let r = if b == 0 { a } else { a.wrapping_rem(b) };
-            write_rd(state, r as u64);
-        }
-        Remu => {
-            let (a, b) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            write_rd(state, if b == 0 { a } else { a % b });
-        }
-        FaddS => write_rd(state, wf(f1 + f2)),
-        FsubS => write_rd(state, wf(f1 - f2)),
-        FmulS => write_rd(state, wf(f1 * f2)),
-        FdivS => write_rd(state, wf(f1 / f2)),
-        FsqrtS => write_rd(state, wf(f1.sqrt())),
-        FminS => write_rd(state, wf(f1.min(f2))),
-        FmaxS => write_rd(state, wf(f1.max(f2))),
-        FmaddS => write_rd(state, wf(f1.mul_add(f2, f3))),
-        FmsubS => write_rd(state, wf(f1.mul_add(f2, -f3))),
-        FnmaddS => write_rd(state, wf((-f1).mul_add(f2, -f3))),
-        FnmsubS => write_rd(state, wf((-f1).mul_add(f2, f3))),
-        FcvtWS => write_rd(state, (f1 as i32) as u64),
-        FcvtWuS => write_rd(state, u64::from(f1 as u32)),
-        FcvtSW => write_rd(state, wf(rs1v as i32 as f32)),
-        FcvtSWu => write_rd(state, wf(rs1v as u32 as f32)),
-        FmvXW => write_rd(state, (rs1v as u32) as i32 as i64 as u64),
-        FmvWX => write_rd(state, u64::from(rs1v as u32)),
-        FeqS => write_rd(state, u64::from(f1 == f2)),
-        FltS => write_rd(state, u64::from(f1 < f2)),
-        FleS => write_rd(state, u64::from(f1 <= f2)),
-        FsgnjS => write_rd(state, u64::from((f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FsgnjnS => write_rd(state, u64::from((!f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FsgnjxS => write_rd(state, u64::from(((f1.to_bits() ^ f2.to_bits()) & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FclassS => write_rd(state, u64::from(fclass(f1))),
-        Addiw => write_rd(state, (rs1v.wrapping_add(imm as u64) as i32) as i64 as u64),
-        Slliw => write_rd(state, ((rs1v as u32) << (imm as u32 & 31)) as i32 as i64 as u64),
-        Srliw => write_rd(state, ((rs1v as u32) >> (imm as u32 & 31)) as i32 as i64 as u64),
-        Sraiw => write_rd(state, ((rs1v as i32) >> (imm as u32 & 31)) as i64 as u64),
-        Addw => write_rd(state, (rs1v.wrapping_add(rs2v) as i32) as i64 as u64),
-        Subw => write_rd(state, (rs1v.wrapping_sub(rs2v) as i32) as i64 as u64),
-        Sllw => write_rd(state, ((rs1v as u32) << (rs2v as u32 & 31)) as i32 as i64 as u64),
-        Srlw => write_rd(state, ((rs1v as u32) >> (rs2v as u32 & 31)) as i32 as i64 as u64),
-        Sraw => write_rd(state, ((rs1v as i32) >> (rs2v as u32 & 31)) as i64 as u64),
+        _ => Some(value()),
+    };
+    if let (Some(rd), Some(v)) = (instr.rd, rd_value) {
+        state.write(rd, v);
     }
 
     state.pc = match outcome {
@@ -318,6 +230,111 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
     };
 
     StepInfo { outcome, mem: mem_access }
+}
+
+/// The value `op` computes from its source registers, the one copy of the
+/// ISA's value semantics: what [`step`] writes to `rd`, and for a
+/// conditional branch 1 when taken and 0 when not.
+///
+/// `rs1v`, `rs2v` and `rs3v` are the sources as [`ArchState::read`]
+/// returns them (0 for an absent source); `pc` is the instruction's
+/// address. The result is not yet canonicalized: [`ArchState::write`] does
+/// that. Loads, stores and system operations compute no value from their
+/// sources and return 0; their effects are memory and control, which
+/// [`step`] performs itself. FP operations read only the low 32 bits of
+/// their sources.
+#[inline]
+#[must_use]
+pub fn op_value(op: Opcode, rs1v: u64, rs2v: u64, rs3v: u64, imm: i64, pc: u64, xlen: Xlen) -> u64 {
+    use Opcode::*;
+    let f1 = f32::from_bits(rs1v as u32);
+    let f2 = f32::from_bits(rs2v as u32);
+    let f3 = f32::from_bits(rs3v as u32);
+    let wf = |v: f32| u64::from(v.to_bits());
+    let unsigned = |v: u64| xlen.unsigned(v);
+    let shamt = |v: u64| v as u32 & xlen.shamt_mask();
+    match op {
+        Lui => imm as u64,
+        Auipc => pc.wrapping_add(imm as u64),
+        Jal | Jalr => pc.wrapping_add(4),
+        Beq => u64::from(rs1v == rs2v),
+        Bne => u64::from(rs1v != rs2v),
+        Blt => u64::from((rs1v as i64) < rs2v as i64),
+        Bge => u64::from(rs1v as i64 >= rs2v as i64),
+        Bltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
+        Bgeu => u64::from(unsigned(rs1v) >= unsigned(rs2v)),
+        Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw | Sb | Sh | Sw | Sd | Fsw | Fence | Ecall
+        | Ebreak => 0,
+        Addi => rs1v.wrapping_add(imm as u64),
+        Slti => u64::from((rs1v as i64) < imm),
+        Sltiu => u64::from(unsigned(rs1v) < unsigned(imm as u64)),
+        Xori => rs1v ^ imm as u64,
+        Ori => rs1v | imm as u64,
+        Andi => rs1v & imm as u64,
+        Slli => rs1v << shamt(imm as u64),
+        Srli => unsigned(rs1v) >> shamt(imm as u64),
+        Srai => ((rs1v as i64) >> shamt(imm as u64)) as u64,
+        Add => rs1v.wrapping_add(rs2v),
+        Sub => rs1v.wrapping_sub(rs2v),
+        Sll => rs1v << shamt(rs2v),
+        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
+        Sltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
+        Xor => rs1v ^ rs2v,
+        Srl => unsigned(rs1v) >> shamt(rs2v),
+        Sra => ((rs1v as i64) >> shamt(rs2v)) as u64,
+        Or => rs1v | rs2v,
+        And => rs1v & rs2v,
+        Mul => rs1v.wrapping_mul(rs2v),
+        Mulh => ((i128::from(rs1v as i64) * i128::from(rs2v as i64)) >> 64) as u64,
+        Mulhsu => (i128::from(rs1v as i64).wrapping_mul(i128::from(rs2v)) >> 64) as u64,
+        Mulhu => ((u128::from(rs1v) * u128::from(rs2v)) >> 64) as u64,
+        Div => {
+            let (a, b) = (rs1v as i64, rs2v as i64);
+            (if b == 0 { -1 } else { a.wrapping_div(b) }) as u64
+        }
+        Divu => unsigned(rs1v).checked_div(unsigned(rs2v)).unwrap_or(u64::MAX),
+        Rem => {
+            let (a, b) = (rs1v as i64, rs2v as i64);
+            (if b == 0 { a } else { a.wrapping_rem(b) }) as u64
+        }
+        Remu => {
+            let (a, b) = (unsigned(rs1v), unsigned(rs2v));
+            if b == 0 { a } else { a % b }
+        }
+        FaddS => wf(f1 + f2),
+        FsubS => wf(f1 - f2),
+        FmulS => wf(f1 * f2),
+        FdivS => wf(f1 / f2),
+        FsqrtS => wf(f1.sqrt()),
+        FminS => wf(f1.min(f2)),
+        FmaxS => wf(f1.max(f2)),
+        FmaddS => wf(f1.mul_add(f2, f3)),
+        FmsubS => wf(f1.mul_add(f2, -f3)),
+        FnmaddS => wf((-f1).mul_add(f2, -f3)),
+        FnmsubS => wf((-f1).mul_add(f2, f3)),
+        FcvtWS => (f1 as i32) as u64,
+        FcvtWuS => u64::from(f1 as u32),
+        FcvtSW => wf(rs1v as i32 as f32),
+        FcvtSWu => wf(rs1v as u32 as f32),
+        FmvXW => (rs1v as u32) as i32 as i64 as u64,
+        FmvWX => u64::from(rs1v as u32),
+        FeqS => u64::from(f1 == f2),
+        FltS => u64::from(f1 < f2),
+        FleS => u64::from(f1 <= f2),
+        FsgnjS => u64::from((f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FsgnjnS => u64::from((!f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FsgnjxS => u64::from(((f1.to_bits() ^ f2.to_bits()) & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FclassS => u64::from(fclass(f1)),
+        Addiw => (rs1v.wrapping_add(imm as u64) as i32) as i64 as u64,
+        Slliw => ((rs1v as u32) << (imm as u32 & 31)) as i32 as i64 as u64,
+        Srliw => ((rs1v as u32) >> (imm as u32 & 31)) as i32 as i64 as u64,
+        Sraiw => ((rs1v as i32) >> (imm as u32 & 31)) as i64 as u64,
+        Addw => (rs1v.wrapping_add(rs2v) as i32) as i64 as u64,
+        Subw => (rs1v.wrapping_sub(rs2v) as i32) as i64 as u64,
+        Sllw => ((rs1v as u32) << (rs2v as u32 & 31)) as i32 as i64 as u64,
+        Srlw => ((rs1v as u32) >> (rs2v as u32 & 31)) as i32 as i64 as u64,
+        Sraw => ((rs1v as i32) >> (rs2v as u32 & 31)) as i64 as u64,
+    }
 }
 
 /// `fclass.s` result bit per the RISC-V spec.

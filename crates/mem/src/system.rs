@@ -266,22 +266,6 @@ impl MemorySystem {
         t
     }
 
-    /// Registers per-level statistics into `reg` under `<prefix>.…`:
-    /// aggregate traffic plus per-requester L1 hit/miss/writeback counts.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        self.traffic().record_metrics(reg, prefix);
-        for (id, l1) in self.l1s.iter().enumerate() {
-            let s = l1.stats();
-            reg.add(&format!("{prefix}.l1.{id}.hits"), s.hits);
-            reg.add(&format!("{prefix}.l1.{id}.misses"), s.misses);
-            reg.add(&format!("{prefix}.l1.{id}.writebacks"), s.writebacks);
-        }
-        let l2 = self.l2.stats();
-        reg.add(&format!("{prefix}.l2.hits"), l2.hits);
-        reg.add(&format!("{prefix}.l2.misses"), l2.misses);
-        reg.add(&format!("{prefix}.l2.writebacks"), l2.writebacks);
-    }
-
     /// Clears the L2 bank busy schedule.
     ///
     /// Each requester's timeline starts at cycle 0 when cores are simulated
@@ -402,11 +386,12 @@ mod tests {
         m.access(0, 0x1000, false, 0);
         m.access(0, 0x1000, true, 10);
         let mut reg = mesa_trace::MetricsRegistry::new();
-        m.record_metrics(&mut reg, "mem");
+        m.traffic().record_metrics(&mut reg, "mem");
         assert_eq!(reg.counter("mem.l1_accesses"), 2);
-        assert_eq!(reg.counter("mem.l1.0.hits"), 1);
+        assert_eq!(reg.counter("mem.l1_misses"), 1, "the second access hits");
+        assert_eq!(reg.counter("mem.l2_accesses"), 1);
+        assert_eq!(reg.counter("mem.l2_misses"), 1);
         assert_eq!(reg.counter("mem.dram_accesses"), 1);
-        assert_eq!(reg.counter("mem.l2.misses"), 1);
     }
 
     #[test]

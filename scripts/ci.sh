@@ -128,6 +128,23 @@ if [[ -n "$debug_hash_hits" ]]; then
 fi
 echo "digest gate: no Debug-formatted bytes hashed in library code"
 
+# Interpreter gate: the accelerator engine evaluates each firing from the
+# op its node plan lowered once per session (`PeOp` over
+# `mesa_isa::op_value`), never by staging an `ArchState` and running the
+# ISA interpreter per firing, which cost program-large a sixth of its
+# host time. So non-test lines of the engine neither call `step(` nor
+# construct an `ArchState`.
+interp_hits="$(nontest_lines crates/accel/src/engine.rs \
+  | grep -vE '^[^:]*:[0-9]+: *//' \
+  | grep -E '(^|[^A-Za-z0-9_])step\(|ArchState::new\(|ArchState *\{' || true)"
+if [[ -n "$interp_hits" ]]; then
+  echo "ci: per-firing ISA interpreter in the accelerator engine:" >&2
+  echo "$interp_hits" >&2
+  echo "ci: lower the node's operation into its NodePlan and call op_value" >&2
+  exit 1
+fi
+echo "interpreter gate: the engine fires nodes without step or a staged ArchState"
+
 # JSON gate: every export renders through the one codec in
 # crates/trace/src/json.rs, which owns escaping, layout and the
 # non-finite rule. So non-test library code holds no hand-written JSON key
