@@ -15,7 +15,7 @@ use mesa_isa::{codec, Reg};
 use std::fmt;
 
 /// Magic word opening every bitstream (`"MESACFG1"` as ASCII).
-pub const MAGIC: u64 = u64::from_le_bytes(*b"MESACFG1");
+const MAGIC: u64 = u64::from_le_bytes(*b"MESACFG1");
 
 /// Errors produced while decoding a bitstream.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -33,14 +33,6 @@ impl NodeCounter {
         (self.in_samples[slot] > 0).then(|| self.total_in_cycles[slot] / self.in_samples[slot])
     }
 
-    /// Total cycles this node kept its PE or input links busy: operation
-    /// latency plus both operand transfer latencies. This is the ranking
-    /// key the profiler uses to name hot nodes.
-    #[must_use]
-    fn stall_cycles(&self) -> u64 {
-        self.total_op_cycles + self.total_in_cycles[0] + self.total_in_cycles[1]
-    }
-
     /// Number of words [`NodeCounter::write_words`] emits per counter.
     pub const SNAPSHOT_WORDS: usize = 6;
 
@@ -96,41 +88,7 @@ impl PerfCounters {
     pub fn total_op_cycles(&self) -> u64 {
         self.nodes.iter().map(|n| n.total_op_cycles).sum()
     }
-
-    /// The `k` hottest nodes by [`NodeCounter::stall_cycles`], hottest
-    /// first; nodes that never accumulated cycles are skipped. Ties break
-    /// toward the lower node index so the ranking is deterministic.
-    #[must_use]
-    fn hottest_nodes(&self, k: usize) -> Vec<(usize, &NodeCounter)> {
-        let mut ranked: Vec<(usize, &NodeCounter)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.stall_cycles() > 0)
-            .collect();
-        ranked.sort_by(|a, b| b.1.stall_cycles().cmp(&a.1.stall_cycles()).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
-    }
-
-    /// Registers the aggregate feedback-channel totals — fires and summed
-    /// op cycles across all nodes — as `<prefix>.fires` /
-    /// `<prefix>.op_cycles`, plus the top-`k` nodes by stall cycles as
-    /// `<prefix>.hot<rank>.{node,stall_cycles,fires}` so the registry can
-    /// rank hot nodes without a full trace.
-    pub fn record_metrics(&self, reg: &mut mesa_trace::MetricsRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.fires"), self.total_fires());
-        reg.add(&format!("{prefix}.op_cycles"), self.total_op_cycles());
-        for (rank, (idx, ctr)) in self.hottest_nodes(HOT_NODE_EXPORTS).into_iter().enumerate() {
-            reg.add(&format!("{prefix}.hot{rank}.node"), idx as u64);
-            reg.add(&format!("{prefix}.hot{rank}.stall_cycles"), ctr.stall_cycles());
-            reg.add(&format!("{prefix}.hot{rank}.fires"), ctr.fires);
-        }
-    }
 }
-
-/// How many hot nodes [`PerfCounters::record_metrics`] exports.
-pub const HOT_NODE_EXPORTS: usize = 4;
 
 /// Aggregate activity, consumed by the energy model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,7 +134,7 @@ impl ActivityStats {
     pub const SNAPSHOT_WORDS: usize = 14;
 
     /// Appends every field to a snapshot word stream, in declaration
-    /// order (the order `record_metrics` uses).
+    /// order.
     pub fn write_words(&self, out: &mut Vec<u64>) {
         out.extend_from_slice(&[
             self.int_ops,
@@ -221,29 +179,6 @@ impl ActivityStats {
             vector_piggybacks,
             prefetch_hits,
         })
-    }
-
-    /// Registers every activity field as a counter named
-    /// `<prefix>.<field>`.
-    pub fn record_metrics(&self, reg: &mut mesa_trace::MetricsRegistry, prefix: &str) {
-        for (name, value) in [
-            ("int_ops", self.int_ops),
-            ("fp_ops", self.fp_ops),
-            ("loads", self.loads),
-            ("stores", self.stores),
-            ("pe_busy_cycles", self.pe_busy_cycles),
-            ("local_transfers", self.local_transfers),
-            ("noc_transfers", self.noc_transfers),
-            ("noc_hop_cycles", self.noc_hop_cycles),
-            ("fallback_transfers", self.fallback_transfers),
-            ("forwards", self.forwards),
-            ("violations", self.violations),
-            ("disabled_fires", self.disabled_fires),
-            ("vector_piggybacks", self.vector_piggybacks),
-            ("prefetch_hits", self.prefetch_hits),
-        ] {
-            reg.add(&format!("{prefix}.{name}"), value);
-        }
     }
 }
 
@@ -308,34 +243,5 @@ mod tests {
     fn mem_ops_sum() {
         let a = ActivityStats { loads: 3, stores: 2, ..Default::default() };
         assert_eq!(a.mem_ops(), 5);
-    }
-
-    #[test]
-    fn hot_nodes_rank_by_stall_cycles_with_index_tiebreak() {
-        let mut p = PerfCounters::new(4);
-        p.nodes[0] = NodeCounter { fires: 2, total_op_cycles: 10, ..Default::default() };
-        p.nodes[1] = NodeCounter {
-            fires: 2,
-            total_op_cycles: 5,
-            total_in_cycles: [3, 2],
-            in_samples: [2, 2],
-        };
-        // Node 2 ties node 1 on stall cycles: the lower index wins.
-        p.nodes[2] = NodeCounter { fires: 1, total_op_cycles: 10, ..Default::default() };
-        let hot = p.hottest_nodes(2);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, 0);
-        assert_eq!(hot[1].0, 1);
-        assert_eq!(hot[1].1.stall_cycles(), 10);
-
-        let mut reg = mesa_trace::MetricsRegistry::new();
-        p.record_metrics(&mut reg, "fb");
-        assert_eq!(reg.counter("fb.fires"), 5);
-        assert_eq!(reg.counter("fb.hot0.node"), 0);
-        assert_eq!(reg.counter("fb.hot0.stall_cycles"), 10);
-        assert_eq!(reg.counter("fb.hot1.node"), 1);
-        // Idle node 3 never appears.
-        assert_eq!(reg.counter("fb.hot3.node"), 0);
-        assert!(reg.render().lines().all(|l| !l.starts_with("fb.hot3")));
     }
 }

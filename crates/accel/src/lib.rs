@@ -28,7 +28,7 @@ pub mod snapshot;
 
 pub use bitstream::{decode as decode_bitstream, encode as encode_bitstream, BitstreamError};
 pub use config::{AccelConfig, FpPattern};
-pub use counters::{ActivityStats, NodeCounter, PerfCounters, HOT_NODE_EXPORTS};
+pub use counters::{ActivityStats, NodeCounter, PerfCounters};
 pub use engine::{
     AccelRunResult, SessionError, SessionRequest, SpatialAccelerator,
 };
@@ -39,4 +39,4 @@ pub use grid::{
 };
 pub use program::{AccelProgram, NodeConfig, Operand, ProgramError};
 pub use reference::{run_differential, Divergence};
-pub use snapshot::{PlacementSnapshot, SnapshotError, SNAPSHOT_MAGIC};
+pub use snapshot::{PlacementSnapshot, SnapshotError};

@@ -32,7 +32,7 @@ use std::fmt;
 use std::hash::Hasher;
 
 /// Magic word opening every snapshot stream (`"MESASNP1"` as ASCII).
-pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"MESASNP1");
+const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"MESASNP1");
 
 /// Wire-format version emitted by [`PlacementSnapshot::to_words`].
 const VERSION: u64 = 1;

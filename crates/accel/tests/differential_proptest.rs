@@ -27,13 +27,34 @@ fn checker(name: &str, cases: u32) -> Checker {
 const ARR_A: u64 = 0x10_0000;
 const ARR_OUT: u64 = 0x20_0000;
 
-/// Builds a random but valid kernel: an address induction, an optional
-/// (sometimes prefetched) load, a random-depth dependence chain with a
-/// carried accumulator, an optional forward-branch-guarded update, an
-/// optional store, and the counter induction + closing branch. Placement
-/// is randomized over the first four grid rows and nodes are sometimes
-/// left unplaced (fallback bus).
-fn random_program(seed: u64, grid_cols: usize) -> AccelProgram {
+/// How much memory traffic [`random_program`] draws per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mix {
+    /// At most one load and one store.
+    Light,
+    /// 3–8 loads and stores over a few shared cache lines, stores
+    /// aliasing the loads' addresses.
+    Heavy,
+    /// 3–8 loads over a few shared cache lines and no store.
+    LoadsOnly,
+}
+
+impl Mix {
+    /// [`Mix::Light`], [`Mix::Heavy`] or [`Mix::LoadsOnly`] for 0, 1, 2.
+    fn pick(pick: u64) -> Mix {
+        [Mix::Light, Mix::Heavy, Mix::LoadsOnly][(pick % 3) as usize]
+    }
+}
+
+/// Builds a random but valid kernel: an address induction, loads (under
+/// [`Mix::Light`] an optional, sometimes prefetched one), a random-depth
+/// dependence chain with a carried accumulator, under the heavy mixes a
+/// random interleaving of more loads and aliasing stores, an optional
+/// forward-branch-guarded update, an output store (optional under
+/// [`Mix::Light`], absent under [`Mix::LoadsOnly`]), and the counter
+/// induction + closing branch. Placement is randomized over the first
+/// four grid rows and nodes are sometimes left unplaced (fallback bus).
+fn random_program(seed: u64, grid_cols: usize, mix: Mix) -> AccelProgram {
     let mut rng = Rng::seed_from_u64(seed);
     let mut nodes: Vec<NodeConfig> = Vec::new();
     let coord = |rng: &mut Rng| {
@@ -52,21 +73,42 @@ fn random_program(seed: u64, grid_cols: usize) -> AccelProgram {
         [Operand::Node { idx: a0_idx, carried: true, via: A0 }, Operand::None],
     ));
 
-    // Optional load from the previous iteration's address.
-    let load_idx = if rng.gen_bool(0.7) {
+    // Loads ahead of the chain: an optional one under Mix::Light. The
+    // heavy mixes split 3–8 memory operations per iteration (the heavy
+    // output store included) into those loads and a mixed group after
+    // the chain.
+    let (mut early_loads, mut late_ops) = (usize::from(rng.gen_bool(0.7)), 0);
+    if mix != Mix::Light {
+        let total = rng.gen_range(3usize..=8);
+        let late_and_early = if mix == Mix::Heavy { total - 1 } else { total };
+        early_loads = rng.gen_range(1..=late_and_early.min(3));
+        late_ops = late_and_early - early_loads;
+    }
+    // A word of the array near the current address: consecutive
+    // iterations step 4 bytes, so the operations share a few cache lines
+    // and a store reaches the words later loads read.
+    let near = |rng: &mut Rng| if mix == Mix::Light { 0 } else { 4 * rng.gen_range(0i64..6) };
+    // An address operand: the previous or (heavy mixes only) the current
+    // iteration's address.
+    let base = |rng: &mut Rng| Operand::Node {
+        idx: a0_idx,
+        carried: mix == Mix::Light || rng.gen_bool(0.5),
+        via: A0,
+    };
+    let push_load = |nodes: &mut Vec<NodeConfig>, rng: &mut Rng| {
         let idx = nodes.len();
+        let imm = near(rng);
         let mut n = NodeConfig::new(
             pc(idx),
-            Instruction::load(Opcode::Lw, T3, A0, 0),
-            coord(&mut rng),
-            [Operand::Node { idx: a0_idx, carried: true, via: A0 }, Operand::None],
+            Instruction::load(Opcode::Lw, T3, A0, imm),
+            coord(rng),
+            [base(rng), Operand::None],
         );
         n.prefetched = rng.gen_bool(0.4);
         nodes.push(n);
-        Some(idx as u32)
-    } else {
-        None
+        idx as u32
     };
+    let loads: Vec<u32> = (0..early_loads).map(|_| push_load(&mut nodes, &mut rng)).collect();
 
     // Carried accumulator seed: t1 += 3.
     let acc_idx = nodes.len() as u32;
@@ -82,9 +124,7 @@ fn random_program(seed: u64, grid_cols: usize) -> AccelProgram {
     // sources are random earlier nodes.
     let mut chain_end = acc_idx;
     let mut producers = vec![acc_idx];
-    if let Some(l) = load_idx {
-        producers.push(l);
-    }
+    producers.extend(&loads);
     for _ in 0..rng.gen_range(1usize..=8) {
         let idx = nodes.len() as u32;
         let s1 = producers[rng.gen_range(0..producers.len())];
@@ -114,6 +154,25 @@ fn random_program(seed: u64, grid_cols: usize) -> AccelProgram {
         chain_end = idx;
     }
 
+    // The heavy mixes' late group: loads and (under Mix::Heavy) stores of
+    // random producers in random program order, so a load can follow a
+    // store to the same word within one iteration.
+    for _ in 0..late_ops {
+        if mix == Mix::Heavy && rng.gen_bool(0.5) {
+            let idx = nodes.len();
+            let imm = near(&mut rng);
+            let value = producers[rng.gen_range(0..producers.len())];
+            nodes.push(NodeConfig::new(
+                pc(idx),
+                Instruction::store(Opcode::Sw, T1, A0, imm),
+                coord(&mut rng),
+                [base(&mut rng), Operand::Node { idx: value, carried: false, via: T1 }],
+            ));
+        } else {
+            producers.push(push_load(&mut nodes, &mut rng));
+        }
+    }
+
     // Optional predicated update guarded by a forward branch.
     if rng.gen_bool(0.5) {
         let br = nodes.len() as u32;
@@ -138,8 +197,14 @@ fn random_program(seed: u64, grid_cols: usize) -> AccelProgram {
         nodes.push(guarded);
     }
 
-    // Optional store of the chain value.
-    if rng.gen_bool(0.7) {
+    // Store of the chain value: optional under Mix::Light, always under
+    // Mix::Heavy, never under Mix::LoadsOnly.
+    let output_store = match mix {
+        Mix::Light => rng.gen_bool(0.7),
+        Mix::Heavy => true,
+        Mix::LoadsOnly => false,
+    };
+    if output_store {
         let s = nodes.len() as u32;
         nodes.push(NodeConfig::new(
             pc(s as usize),
@@ -220,8 +285,14 @@ fn grid_for(pick: u64) -> AccelConfig {
     }
 }
 
-fn assert_agreement(seed: u64, bound: u64, cfg: AccelConfig, faults: &FaultPlan) -> Result<(), String> {
-    let prog = random_program(seed, cfg.grid().cols);
+fn assert_agreement(
+    seed: u64,
+    bound: u64,
+    cfg: AccelConfig,
+    mix: Mix,
+    faults: &FaultPlan,
+) -> Result<(), String> {
+    let prog = random_program(seed, cfg.grid().cols, mix);
     if prog.validate(cfg.grid()).is_err() {
         return Ok(()); // untranslatable draw; skip
     }
@@ -237,8 +308,8 @@ fn assert_agreement(seed: u64, bound: u64, cfg: AccelConfig, faults: &FaultPlan)
 /// The headline differential property (≥100 random kernel/grid cases).
 #[test]
 fn engines_agree_on_random_kernels() {
-    forall!(checker("differential::engines_agree_on_random_kernels", 120), |(seed in 0u64..1_000_000, bound in 1u64..120, grid in 0u64..4)| {
-        let outcome = assert_agreement(seed, bound, grid_for(grid), &FaultPlan::none());
+    forall!(checker("differential::engines_agree_on_random_kernels", 120), |(seed in 0u64..1_000_000, bound in 1u64..120, grid in 0u64..4, mix in 0u64..3)| {
+        let outcome = assert_agreement(seed, bound, grid_for(grid), Mix::pick(mix), &FaultPlan::none());
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     });
 }
@@ -247,8 +318,55 @@ fn engines_agree_on_random_kernels() {
 fn engines_agree_under_injected_timing_faults() {
     forall!(checker("differential::engines_agree_under_injected_timing_faults", 60), |(seed in 0u64..1_000_000, bound in 1u64..80, grid in 0u64..4, drop in 2u64..10)| {
         let faults = FaultPlan { bus_drop_period: drop, ..FaultPlan::none() };
-        let outcome = assert_agreement(seed, bound, grid_for(grid), &faults);
+        let outcome = assert_agreement(seed, bound, grid_for(grid), Mix::Light, &faults);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    });
+}
+
+/// Word-for-word equality of two runs' memory effects: the output array
+/// and the input array the heavy mixes store into.
+fn same_memory(
+    seed: u64,
+    what: &str,
+    bound: u64,
+    a: &mut MemorySystem,
+    b: &mut MemorySystem,
+) -> Result<(), String> {
+    for addr in (0..=bound + 8).flat_map(|i| [ARR_OUT + 4 * i, ARR_A + 4 * i]) {
+        let (x, y) = (a.data_mut().load_u32(addr), b.data_mut().load_u32(addr));
+        if x != y {
+            return Err(format!("seed {seed}: {what}: memory diverges at {addr:#x}: {x} vs {y}"));
+        }
+    }
+    Ok(())
+}
+
+/// The memory-port oracle: every load of a load-only kernel books one of
+/// the grid's ports, and the `n`-th request (from 0) cannot start before
+/// cycle `n / ports`, so a run issuing `m` loads lasts at least
+/// `(m - 1) / ports` cycles. Heavy loads keep the floor above the
+/// dataflow latency on the narrow-port grids.
+#[test]
+fn load_only_kernels_respect_the_port_floor() {
+    forall!(checker("differential::load_only_kernels_respect_the_port_floor", 60), |(seed in 0u64..1_000_000, bound in 1u64..120, grid in 0u64..4)| {
+        let cfg = grid_for(grid);
+        let prog = random_program(seed, cfg.grid().cols, Mix::LoadsOnly);
+        if prog.validate(cfg.grid()).is_err() {
+            return Ok(()); // untranslatable draw; skip
+        }
+        let ports = cfg.mem_ports as u64;
+        let (entry, mut mem) = entry_and_mem(seed, bound);
+        let r = SpatialAccelerator::new(cfg)
+            .execute(&prog, &entry, &mut mem, 0, 100_000)
+            .map_err(|e| format!("seed {seed}: rejected: {e}"))?;
+        prop_assert!(r.activity.stores == 0, "seed {}: a load-only kernel stored", seed);
+        let loads = r.activity.loads;
+        prop_assert!(loads >= 3 * r.iterations, "seed {}: {} loads in {} iterations", seed, loads, r.iterations);
+        prop_assert!(
+            r.cycles >= (loads - 1) / ports,
+            "seed {}: {} loads over {} ports in {} cycles",
+            seed, loads, ports, r.cycles
+        );
     });
 }
 
@@ -283,10 +401,11 @@ fn assert_migration_invisible(
     cfg: AccelConfig,
     cycle_pick: u64,
     row_pick: u64,
+    mix: Mix,
     faults: &FaultPlan,
 ) -> Result<(), String> {
     let cols = cfg.grid().cols;
-    let prog = random_program(seed, cols);
+    let prog = random_program(seed, cols, mix);
     let band = Region::new(0, 4, cols);
     if prog.validate(band.dims()).is_err() {
         return Ok(()); // untranslatable draw; skip
@@ -359,14 +478,7 @@ fn assert_migration_invisible(
     }
 
     // The migrated run's memory effects match word for word.
-    for i in 0..=bound + 8 {
-        let addr = ARR_OUT + 4 * i;
-        let (a, b) = (mem_solo.data_mut().load_u32(addr), mem_mig.data_mut().load_u32(addr));
-        if a != b {
-            return Err(format!("seed {seed}: memory diverges at {addr:#x}: {a} vs {b}"));
-        }
-    }
-    Ok(())
+    same_memory(seed, "migration", bound, &mut mem_solo, &mut mem_mig)
 }
 
 /// The tentpole property: checkpoint at a random cycle, serialize,
@@ -374,9 +486,10 @@ fn assert_migration_invisible(
 /// that never moved (PR 6).
 #[test]
 fn migration_is_invisible_on_random_kernels() {
-    forall!(checker("differential::migration_is_invisible", 110), |(seed in 0u64..1_000_000, bound in 1u64..100, grid in 0u64..4, cycle in 0u64..1_000_000, row in 0u64..8)| {
+    forall!(checker("differential::migration_is_invisible", 110), |(seed in 0u64..1_000_000, bound in 1u64..100, grid in 0u64..4, cycle in 0u64..1_000_000, row in 0u64..8, mix in 0u64..3)| {
+        let (cfg, mix) = (grid_for(grid), Mix::pick(mix));
         let outcome =
-            assert_migration_invisible(seed, bound, grid_for(grid), cycle, row, &FaultPlan::none());
+            assert_migration_invisible(seed, bound, cfg, cycle, row, mix, &FaultPlan::none());
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     });
 }
@@ -388,7 +501,8 @@ fn migration_is_invisible_on_random_kernels() {
 fn migration_is_invisible_under_injected_timing_faults() {
     forall!(checker("differential::migration_is_invisible_under_faults", 60), |(seed in 0u64..1_000_000, bound in 1u64..80, grid in 0u64..4, cycle in 0u64..1_000_000, row in 0u64..8, drop in 2u64..10)| {
         let faults = FaultPlan { bus_drop_period: drop, ..FaultPlan::none() };
-        let outcome = assert_migration_invisible(seed, bound, grid_for(grid), cycle, row, &faults);
+        let outcome =
+            assert_migration_invisible(seed, bound, grid_for(grid), cycle, row, Mix::Light, &faults);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     });
 }
@@ -399,7 +513,8 @@ fn migration_is_invisible_under_injected_timing_faults() {
 fn engines_agree_across_all_grids_for_one_kernel() {
     forall!(checker("differential::engines_agree_across_all_grids", 24), |(seed in 0u64..1_000_000, bound in 1u64..60)| {
         for pick in 0..4u64 {
-            let outcome = assert_agreement(seed, bound, grid_for(pick), &FaultPlan::none());
+            let outcome =
+                assert_agreement(seed, bound, grid_for(pick), Mix::Light, &FaultPlan::none());
             prop_assert!(outcome.is_ok(), "grid {}: {}", pick, outcome.unwrap_err());
         }
     });
@@ -415,9 +530,10 @@ fn assert_continuation_invisible(
     cfg: AccelConfig,
     pauses: &[u64],
     through_words: bool,
+    mix: Mix,
 ) -> Result<(), String> {
     let cols = cfg.grid().cols;
-    let prog = random_program(seed, cols);
+    let prog = random_program(seed, cols, mix);
     let band = Region::new(0, 4, cols);
     if prog.validate(band.dims()).is_err() {
         return Ok(()); // untranslatable draw; skip
@@ -461,14 +577,7 @@ fn assert_continuation_invisible(
         .map_err(|e| format!("seed {seed}: final slice rejected: {e}"))?;
     let what = format!("{} pauses (through words: {through_words})", pauses.len());
     expect_identical(seed, &what, &solo, &state.into_result(&prog))?;
-    for i in 0..=bound + 8 {
-        let addr = ARR_OUT + 4 * i;
-        let (a, b) = (mem_solo.data_mut().load_u32(addr), mem_sliced.data_mut().load_u32(addr));
-        if a != b {
-            return Err(format!("seed {seed}: {what}: memory diverges at {addr:#x}: {a} vs {b}"));
-        }
-    }
-    Ok(())
+    same_memory(seed, &what, bound, &mut mem_solo, &mut mem_sliced)
 }
 
 #[test]
@@ -481,13 +590,20 @@ fn continuing_a_paused_state_in_place_matches_the_solo_run() {
             grid in 0u64..3,
             pauses in vec(0u64..1_000_000, 1..8),
             through_words in any_bool(),
+            mix in 0u64..3,
         )| {
-            // Every case also runs on the one-port grid: the port floor
-            // binds only there, and then mostly in a run's first rounds.
+            // Every case also runs on the one-port grid, where a heavy
+            // mix keeps the port floor binding in steady state.
             for pick in [grid, ONE_PORT] {
                 let cfg = grid_for(pick);
-                let outcome =
-                    assert_continuation_invisible(seed, bound, cfg, &pauses, through_words);
+                let outcome = assert_continuation_invisible(
+                    seed,
+                    bound,
+                    cfg,
+                    &pauses,
+                    through_words,
+                    Mix::pick(mix),
+                );
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }

@@ -80,4 +80,4 @@ pub use dfg::{BuildError, Ldfg, LdfgNode};
 pub use imap::{config_latency, reconfig_latency, trace_map_stages, ConfigLatency, ImapTiming};
 pub use mapper::{map_instructions, MapperConfig, Sdfg, WindowMode};
 pub use memopt::{analyze as analyze_memopts, MemOptPlan};
-pub use optimizer::{apply_counters, reoptimize, ReoptOutcome, ReoptRound, MAX_MEASURED_WEIGHT};
+pub use optimizer::{apply_counters, reoptimize, ReoptOutcome, ReoptRound};

@@ -29,7 +29,7 @@ pub fn apply_counters(ldfg: &mut Ldfg, counters: &PerfCounters) {
 /// per-operation latency in these simulators approaches 2^20 cycles, but a
 /// corrupted counter (a flipped high bit) can report one; unclamped it
 /// would dominate every critical-path sum and steer placement forever.
-pub const MAX_MEASURED_WEIGHT: u64 = 1 << 20;
+const MAX_MEASURED_WEIGHT: u64 = 1 << 20;
 
 /// Record of one F3 re-optimization round, kept by the controller so
 /// profilers can reconstruct the convergence story (Fig. 13-style): what

@@ -851,16 +851,6 @@ impl FlatMemory {
     pub fn store_u32(&mut self, addr: u64, value: u32) {
         self.store(addr, 4, u64::from(value));
     }
-
-    /// Writes an `f32`'s bits at `addr`.
-    pub fn store_f32(&mut self, addr: u64, value: f32) {
-        self.store_u32(addr, value.to_bits());
-    }
-
-    /// Reads an `f32` from `addr`.
-    pub fn load_f32(&mut self, addr: u64) -> f32 {
-        f32::from_bits(self.load(addr, 4) as u32)
-    }
 }
 
 impl MemoryIo for FlatMemory {

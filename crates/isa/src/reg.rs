@@ -109,14 +109,14 @@ impl Reg {
 }
 
 /// ABI names for the integer registers, indexed by register number.
-pub const INT_ABI_NAMES: [&str; 32] = [
+const INT_ABI_NAMES: [&str; 32] = [
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1",
     "a2", "a3", "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7",
     "s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6",
 ];
 
 /// ABI names for the floating-point registers, indexed by register number.
-pub const FP_ABI_NAMES: [&str; 32] = [
+const FP_ABI_NAMES: [&str; 32] = [
     "ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "ft6", "ft7", "fs0", "fs1",
     "fa0", "fa1", "fa2", "fa3", "fa4", "fa5", "fa6", "fa7", "fs2", "fs3",
     "fs4", "fs5", "fs6", "fs7", "fs8", "fs9", "fs10", "fs11", "ft8", "ft9",

@@ -22,7 +22,7 @@ pub struct AmatEntry {
 impl AmatEntry {
     /// Average latency, or `None` before the first observation.
     #[must_use]
-    pub fn average(&self) -> Option<u64> {
+    fn average(&self) -> Option<u64> {
         (self.count > 0).then(|| self.total_cycles / self.count)
     }
 }

@@ -203,11 +203,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets statistics (e.g. after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;

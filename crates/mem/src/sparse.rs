@@ -136,16 +136,6 @@ impl SparseMemory {
     pub fn load_u32(&mut self, addr: u64) -> u32 {
         self.load(addr, 4) as u32
     }
-
-    /// Writes an `f32`'s bits little-endian.
-    pub fn store_f32(&mut self, addr: u64, value: f32) {
-        self.store_u32(addr, value.to_bits());
-    }
-
-    /// Reads an `f32` from its bits.
-    pub fn load_f32(&mut self, addr: u64) -> f32 {
-        f32::from_bits(self.load_u32(addr))
-    }
 }
 
 impl MemoryIo for SparseMemory {
@@ -227,12 +217,5 @@ mod tests {
         m.store(0x100, 8, 0x1122_3344_5566_7788);
         m.store(0x102, 2, 0xFFFF);
         assert_eq!(m.load(0x100, 8), 0x1122_3344_FFFF_7788);
-    }
-
-    #[test]
-    fn f32_roundtrip() {
-        let mut m = SparseMemory::new();
-        m.store_f32(0x40, 3.25);
-        assert_eq!(m.load_f32(0x40), 3.25);
     }
 }

@@ -8,7 +8,7 @@
 //! L2 is modelled here.
 
 use crate::{Cache, CacheConfig, CacheStats, SparseMemory};
-use mesa_trace::{MetricsRegistry, Subsystem, Tracer};
+use mesa_trace::{Subsystem, Tracer};
 
 /// Parameters of the whole memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,15 +99,6 @@ impl MemTraffic {
             l2_misses: self.l2_misses.saturating_sub(earlier.l2_misses),
             dram_accesses: self.dram_accesses.saturating_sub(earlier.dram_accesses),
         }
-    }
-
-    /// Registers the totals as counters named `<prefix>.l1_accesses` etc.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.l1_accesses"), self.l1_accesses);
-        reg.add(&format!("{prefix}.l1_misses"), self.l1_misses);
-        reg.add(&format!("{prefix}.l2_accesses"), self.l2_accesses);
-        reg.add(&format!("{prefix}.l2_misses"), self.l2_misses);
-        reg.add(&format!("{prefix}.dram_accesses"), self.dram_accesses);
     }
 
     /// Emits the totals as counter events on the memory timeline at
@@ -298,15 +289,6 @@ impl MemorySystem {
         self.l2.flush();
         self.bank_free_at.fill(0);
     }
-
-    /// Resets all statistics.
-    pub fn reset_stats(&mut self) {
-        for l1 in &mut self.l1s {
-            l1.reset_stats();
-        }
-        self.l2.reset_stats();
-        self.dram_accesses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -381,17 +363,16 @@ mod tests {
     }
 
     #[test]
-    fn record_metrics_registers_all_levels() {
+    fn traffic_counts_every_level() {
         let mut m = sys();
         m.access(0, 0x1000, false, 0);
         m.access(0, 0x1000, true, 10);
-        let mut reg = mesa_trace::MetricsRegistry::new();
-        m.traffic().record_metrics(&mut reg, "mem");
-        assert_eq!(reg.counter("mem.l1_accesses"), 2);
-        assert_eq!(reg.counter("mem.l1_misses"), 1, "the second access hits");
-        assert_eq!(reg.counter("mem.l2_accesses"), 1);
-        assert_eq!(reg.counter("mem.l2_misses"), 1);
-        assert_eq!(reg.counter("mem.dram_accesses"), 1);
+        let t = m.traffic();
+        assert_eq!(t.l1_accesses, 2);
+        assert_eq!(t.l1_misses, 1, "the second access hits");
+        assert_eq!(t.l2_accesses, 1);
+        assert_eq!(t.l2_misses, 1);
+        assert_eq!(t.dram_accesses, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! cycle-timestamped trace of one full `nn` offload episode: a Chrome
 //! trace-event file at `<path>` (load in Perfetto or `chrome://tracing`),
 //! the raw event log at `<path>.jsonl`, and a timeline summary plus the
-//! metrics registry on stdout. With no positional argument, `--trace`
+//! episode's `OffloadReport` on stdout. With no positional argument, `--trace`
 //! captures only the trace (it does not regenerate the figures).
 //!
 //! Passing `--profile <path>` (or `MESA_PROFILE=<path>`) runs one full
@@ -40,7 +40,7 @@
 use mesa_bench as bench;
 use mesa_core::{RunOptions, SystemConfig};
 use mesa_trace::host::{self, HostClock};
-use mesa_trace::{MetricsRegistry, RingTracer};
+use mesa_trace::RingTracer;
 use mesa_workloads::{by_name, KernelSize};
 
 /// Pass-through to the system allocator until counting is switched on
@@ -237,10 +237,8 @@ fn capture_trace(path: &str, size: KernelSize, ff: bool) {
         .unwrap_or_else(|e| panic!("writing {jsonl_path}: {e}"));
     println!("== Trace: one nn offload episode on M-128 ==");
     println!("{}", tracer.timeline_summary());
-    let mut reg = MetricsRegistry::new();
     if let Some(report) = &run.report {
-        report.record_metrics(&mut reg);
-        println!("{}", reg.render());
+        println!("{report}\n");
     }
     println!(
         "wrote Chrome trace to {path} (open in Perfetto or chrome://tracing) and event log to {jsonl_path}\n"

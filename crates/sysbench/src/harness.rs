@@ -94,7 +94,7 @@ pub fn cpu_single(kernel: &Kernel, core: CoreConfig) -> BaselineRun {
 /// in cycles — the cost of waking, distributing to, and barrier-joining
 /// the worker threads, which the gem5+OpenMP baseline of the paper also
 /// pays once per parallel region.
-pub const FORK_JOIN_CYCLES: u64 = 1200;
+const FORK_JOIN_CYCLES: u64 = 1200;
 
 /// Runs the kernel on an `n`-core multicore with static iteration
 /// chunking (serial kernels run on core 0 alone).

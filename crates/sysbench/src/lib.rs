@@ -32,5 +32,5 @@ pub use cli::CliError;
 pub use pool::{jobs, par_map, set_jobs};
 pub use serve::{
     bench_request, loadgen, one_shot, synthetic_kernel, GridSpec, KernelSpec, ServeEngine,
-    ServeRequest, ServeResponse, SERVE_KERNELS, SYNTH_ITERS,
+    ServeRequest, ServeResponse, SERVE_KERNELS,
 };

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Trip count of every synthetic serving kernel: enough iterations to
 /// clear loop detection (LSD warmup) and the C3 profitability floor of
 /// 50 expected iterations, while keeping the accelerator run short.
-pub const SYNTH_ITERS: u64 = 60;
+const SYNTH_ITERS: u64 = 60;
 
 /// The workloads kernels the load generator draws from (a serving-shaped
 /// subset: all translate and offload cleanly at `Tiny` size).
@@ -49,7 +49,7 @@ pub enum KernelSpec {
         size: KernelSize,
     },
     /// A seed-generated synthetic loop: a dependent ALU chain of `nodes`
-    /// operations between a load and a store, [`SYNTH_ITERS`] iterations.
+    /// operations between a load and a store, `SYNTH_ITERS` iterations.
     Synthetic {
         /// ALU chain length (mapping cost grows with it).
         nodes: u32,

@@ -156,23 +156,6 @@ impl Strategy for AnyBool {
     }
 }
 
-/// Always yields a clone of one fixed value (proptest's `Just`).
-#[derive(Debug, Clone)]
-pub struct Just<T>(pub T);
-
-/// Strategy producing exactly `value` every time.
-#[must_use]
-pub fn just<T: Clone + Debug>(value: T) -> Just<T> {
-    Just(value)
-}
-
-impl<T: Clone + Debug> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut Rng) -> T {
-        self.0.clone()
-    }
-}
-
 /// Uniform choice from a static slice, shrinking toward the first
 /// element.
 #[derive(Debug, Clone, Copy)]
@@ -491,7 +474,7 @@ pub struct Checker {
 
 /// Environment variable that pins every [`Checker`] in the process to a
 /// single replayed case seed (as printed by a failure message).
-pub const SEED_ENV: &str = "MESA_TEST_SEED";
+const SEED_ENV: &str = "MESA_TEST_SEED";
 
 impl Checker {
     /// New runner for the property `name` (used in failure messages and
@@ -816,7 +799,7 @@ mod tests {
         assert_eq!(s.shrink(&30), vec![10]);
         assert!(s.shrink(&10).is_empty());
 
-        let u = one_of(vec![just(1u8).boxed(), just(2u8).boxed()]);
+        let u = one_of(vec![(1u8..2).boxed(), (2u8..3).boxed()]);
         for _ in 0..50 {
             assert!([1, 2].contains(&u.generate(&mut rng)));
         }

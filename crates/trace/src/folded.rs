@@ -130,9 +130,10 @@ mod tests {
         prof.attribute_sim_cycles(95_000);
         prof.end();
         prof.end();
-        prof.set_gauge("episodes_per_sec", 42.125);
-        prof.set_gauge("broken_ratio", f64::NAN);
-        prof.finish()
+        let mut p = prof.finish();
+        p.gauges.insert("episodes_per_sec".to_string(), 42.125);
+        p.gauges.insert("broken_ratio".to_string(), f64::NAN);
+        p
     }
 
     #[test]

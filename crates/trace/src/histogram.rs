@@ -17,7 +17,7 @@
 use crate::json::Json;
 
 /// Number of log buckets: one for zero plus one per bit width of `u64`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A mergeable, deterministic log-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +128,7 @@ impl Histogram {
     /// estimates are monotone in `q` (p50 ≤ p90 ≤ p99 ≤ max, the invariant
     /// `tracecheck fleetstats` validates).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -143,7 +143,7 @@ impl Histogram {
         self.max
     }
 
-    /// Median estimate (see [`Histogram::quantile`]).
+    /// Median estimate (see `Histogram::quantile`).
     #[must_use]
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)

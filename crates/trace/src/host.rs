@@ -454,7 +454,6 @@ pub struct HostProfiler {
     nodes: Vec<Node>,
     roots: Vec<usize>,
     open: Vec<Frame>,
-    gauges: BTreeMap<String, f64>,
 }
 
 impl std::fmt::Debug for HostProfiler {
@@ -479,7 +478,6 @@ impl HostProfiler {
             nodes: Vec::new(),
             roots: Vec::new(),
             open: Vec::new(),
-            gauges: BTreeMap::new(),
         }
     }
 
@@ -553,11 +551,6 @@ impl HostProfiler {
         }
     }
 
-    /// Sets a named throughput gauge on the eventual profile.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Grafts a finished worker profile under the innermost open span
     /// (or at the roots), merging by name. Call in input order to keep
     /// the merged export independent of worker count.
@@ -600,7 +593,7 @@ impl HostProfiler {
             .into_iter()
             .map(|idx| build_span(&mut self.nodes, idx))
             .collect();
-        HostProfile { clock: self.clock_kind, wall_ns, alloc, gauges: self.gauges, roots }
+        HostProfile { clock: self.clock_kind, wall_ns, alloc, gauges: BTreeMap::new(), roots }
     }
 }
 
@@ -719,19 +712,6 @@ pub fn sim_cycles(n: u64) {
     PROFILER.with(|p| {
         if let Some(prof) = p.borrow_mut().as_mut() {
             prof.attribute_sim_cycles(n);
-        }
-    });
-}
-
-/// Sets a throughput gauge on the current thread's profiler (no-op
-/// when profiling is off).
-pub fn gauge(name: &str, value: f64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    PROFILER.with(|p| {
-        if let Some(prof) = p.borrow_mut().as_mut() {
-            prof.set_gauge(name, value);
         }
     });
 }
@@ -942,7 +922,6 @@ mod tests {
         assert!(!g.active);
         drop(g);
         sim_cycles(1);
-        gauge("x", 1.0);
         let (v, prof) = scoped(|| 42);
         assert_eq!(v, 42);
         assert!(prof.is_none());
@@ -973,13 +952,13 @@ mod tests {
 
     #[test]
     fn render_mentions_clock_and_spans() {
-        let p = profile_of(|prof| {
+        let mut p = profile_of(|prof| {
             prof.begin("episode");
             prof.begin("offload");
             prof.end();
             prof.end();
-            prof.set_gauge("episodes_per_sec", 12.5);
         });
+        p.gauges.insert("episodes_per_sec".to_string(), 12.5);
         let text = p.render();
         assert!(text.contains("mock clock"));
         assert!(text.contains("episode"));

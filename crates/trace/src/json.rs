@@ -4,9 +4,9 @@
 //! - Objects keep their key order, so a writer's field order is the
 //!   document's field order.
 //! - Numbers keep their literal text: a `u64` reads back exactly, and
-//!   each writer picks its float format ([`Json::float`] or
-//!   [`Json::fixed`]). Those two constructors hold the one non-finite
-//!   rule: JSON has no NaN or infinity, so such values render as `null`.
+//!   each writer picks its float's digits with [`Json::fixed`]. That
+//!   constructor holds the one non-finite rule: JSON has no NaN or
+//!   infinity, so such values render as `null`.
 //! - [`parse`] is total over any input: it returns a tree or an error
 //!   naming a byte offset, and nesting deeper than 128 levels is an error
 //!   rather than a stack overflow.
@@ -51,17 +51,6 @@ impl Json {
     /// An array of anything convertible to [`Json`].
     pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
         Json::Arr(items.into_iter().map(Into::into).collect())
-    }
-
-    /// A float in Rust's shortest round-trip format; `null` when not
-    /// finite.
-    #[must_use]
-    pub fn float(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(v.to_string())
-        } else {
-            Json::Null
-        }
     }
 
     /// A float with `decimals` digits after the point; `null` when not
@@ -515,9 +504,9 @@ mod tests {
         let doc = Json::obj([
             ("u", u64::MAX.into()),
             ("i", (-3i64).into()),
-            ("f", Json::float(0.5)),
+            ("f", Json::fixed(0.5, 1)),
             ("x", Json::fixed(2.0 / 3.0, 3)),
-            ("nan", Json::float(f64::NAN)),
+            ("nan", Json::fixed(f64::NAN, 2)),
             ("inf", Json::fixed(f64::INFINITY, 1)),
             ("none", None::<u64>.into()),
             ("s", "a\"b\n".into()),
@@ -552,7 +541,7 @@ mod tests {
             0 => u64::MAX.into(),
             1 => rng.next_u64().into(),
             2 => (rng.next_u64() as i64).into(),
-            3 => Json::float(f64::from_bits(rng.next_u64())),
+            3 => Json::fixed(f64::from_bits(rng.next_u64()), 3),
             _ => Json::fixed(rng.next_u64() as f64 / 7.0e9, rng.gen_range(0..5)),
         }
     }
@@ -578,6 +567,7 @@ mod tests {
         let mut flight = FlightRecorder::new();
         let mut hist = Histogram::new();
         let mut prof = HostProfiler::from_spec(ClockSpec::Mock { step_ns: 10 });
+        let mut gauges = Vec::new();
         for cycle in 0..rng.gen_range(1..12u64) {
             let name = random_string(rng);
             let sub = Subsystem::ALL[rng.gen_range(0..Subsystem::ALL.len())];
@@ -590,16 +580,18 @@ mod tests {
             hist.record(rng.next_u64() >> rng.gen_range(0..64));
             prof.begin(&name);
             prof.attribute_sim_cycles(rng.gen_range(0..1000));
-            prof.set_gauge(&random_string(rng), f64::from_bits(rng.next_u64()));
+            gauges.push((random_string(rng), f64::from_bits(rng.next_u64())));
             if rng.gen_bool(0.5) {
                 prof.end();
             }
         }
+        let mut profile = prof.finish();
+        profile.gauges.extend(gauges);
         let mut out = vec![
             tracer.to_chrome_trace(),
             flight.post_mortem(&random_string(rng)),
             hist.to_json().to_string(),
-            prof.finish().to_json().to_string(),
+            profile.to_json().to_string(),
         ];
         out.extend(tracer.to_json_lines().lines().map(str::to_string));
         out

@@ -4,8 +4,7 @@
 //! counters at PEs and load-store entries are reported back to MESA's
 //! frontend" (paper §5.2) — and this crate makes that loop *visible*:
 //! every phase of an offload episode emits cycle-timestamped events into a
-//! [`Tracer`], and an episode's counters and gauges can register into a
-//! [`MetricsRegistry`] and print as one table.
+//! [`Tracer`].
 //!
 //! Three design rules:
 //!
@@ -81,17 +80,15 @@ pub mod folded;
 pub mod histogram;
 pub mod host;
 pub mod json;
-pub mod metrics;
 pub mod tracer;
 
 pub use alloc::{AllocStats, CountingAlloc};
 pub use export::{validate_chrome_trace, ChromeTraceSummary};
 pub use flight::FlightRecorder;
 pub use fnv::Fnv64;
-pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
+pub use histogram::Histogram;
 pub use host::{
     ClockSpec, HostClock, HostProfile, HostProfiler, HostSpan, MockClock, RealClock, SpanGuard,
 };
 pub use json::{json_string, Json};
-pub use metrics::MetricsRegistry;
 pub use tracer::{Event, EventKind, NullTracer, RingTracer, Subsystem, Tracer};

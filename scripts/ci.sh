@@ -77,29 +77,39 @@ if [[ -n "$run_api_hits" ]]; then
 fi
 echo "run-API gate: no _traced/_faulted/_shared public run variants"
 
-# Surface gate: a non-test library `pub fn` must have a caller. Its name
-# has to appear in some tracked `.rs` file other than its own file and its
-# crate's `lib.rs` (bench/, tests and binaries count). Make a function
-# used only in its own file private, one used only in its crate
-# `pub(crate)`, one used only by tests `#[cfg(test)]`, and delete one
-# nothing uses. Each allow-list entry is `name:reason`; an entry whose
-# function is gone fails the gate too, so the list cannot go stale.
+# Surface gate: a non-test library `pub fn`, `pub const` or `pub static`
+# must have a user. Its name has to appear in some tracked `.rs` file
+# other than its own file and its crate's `lib.rs` (bench/, tests and
+# binaries count), on a line that is neither a `//` comment nor a
+# definition of the same name: another type's `fn NAME` or `const NAME`
+# is not a caller. Make an item used only in its own file private, one
+# used only in its crate `pub(crate)`, one used only by tests
+# `#[cfg(test)]`, and delete one nothing uses. Public types stay outside
+# the gate: most are return types that callers never name. Each
+# allow-list entry is `name:reason`; an entry whose item is gone fails the
+# gate too, so the list cannot go stale.
 surface_allow=(
-  "run_tenants_fleet_shared:only bench/ calls it, and bench/ changes only with the benchmark; delete it then (ROADMAP item 2)"
+  "run_tenants_fleet_shared:only bench/ calls it, and bench/ changes only with the benchmark; delete it then (ROADMAP item 4)"
 )
 surface_defs="$(library_sources | while read -r f; do nontest_lines "$f"; done \
-  | sed -nE 's/^([^:]*):[0-9]+: *pub fn ([A-Za-z0-9_]+).*/\1 \2/p' | sort -u)"
+  | sed -nE 's/^([^:]*):[0-9]+: *pub (const )?fn ([A-Za-z0-9_]+).*/\1 fn \3/p
+            s/^([^:]*):[0-9]+: *pub (const|static) ([A-Za-z0-9_]+) *:.*/\1 \2 \3/p' \
+  | sort -u)"
 surface_hits=""
-while read -r f name; do
+while read -r f kind name; do
   lib="$(sed -E 's#^((crates/[^/]+/)?src)/.*#\1/lib.rs#' <<< "$f")"
-  if [[ -n "$(git grep -lw -e "$name" -- '*.rs' | grep -vxF -e "$f" -e "$lib")" ]]; then
-    continue
-  fi
+  users="$(git grep -nw -e "$name" -- '*.rs' | awk -v f="$f" -v lib="$lib" -v n="$name" '
+    BEGIN { w = "[^A-Za-z0-9_]"; def = "(^|" w ")(fn|const|static) +" n "(" w "|$)"
+            use = "(^|" w ")" n "(" w "|$)" }
+    { split($0, p, ":"); if (p[1] == f || p[1] == lib) next
+      text = $0; sub(/^[^:]*:[0-9]+:/, "", text); sub(/\/\/.*/, "", text)
+      if (text !~ def && text ~ use) print }')"
+  [[ -n "$users" ]] && continue
   allowed=0
   for entry in "${surface_allow[@]}"; do
     [[ "${entry%%:*}" == "$name" ]] && allowed=1
   done
-  [[ "$allowed" == 0 ]] && surface_hits+="$f: pub fn $name"$'\n'
+  [[ "$allowed" == 0 ]] && surface_hits+="$f: pub $kind $name"$'\n'
 done <<< "$surface_defs"
 for entry in "${surface_allow[@]}"; do
   if ! grep -q " ${entry%%:*}\$" <<< "$surface_defs"; then
@@ -107,12 +117,12 @@ for entry in "${surface_allow[@]}"; do
   fi
 done
 if [[ -n "$surface_hits" ]]; then
-  echo "ci: public library functions without a caller outside their file:" >&2
+  echo "ci: public library items without a user outside their file:" >&2
   printf '%s' "$surface_hits" >&2
   echo "ci: make them private, pub(crate) or #[cfg(test)], or delete them" >&2
   exit 1
 fi
-echo "surface gate: every public library function has a caller"
+echo "surface gate: every public library function, const and static has a user"
 
 # Digest gate: fingerprints hash a value's structure (derived `Hash` into
 # `mesa_trace::Fnv64`), never its Debug rendering. Hashing

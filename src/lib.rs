@@ -24,8 +24,8 @@
 //!   1-D feedforward mapper used for the paper's comparisons.
 //! * [`workloads`] — Rodinia-style kernels written in the assembler DSL.
 //! * [`power`] — area/power/energy model seeded with the paper's Table 1.
-//! * [`trace`] — cycle-timestamped tracing, a metrics registry, and
-//!   Chrome-trace / JSON-lines / timeline exporters for every layer above.
+//! * [`trace`] — cycle-timestamped tracing and Chrome-trace / JSON-lines /
+//!   timeline exporters for every layer above.
 //! * [`profile`] — bottleneck attribution over the counters: top-down
 //!   cycle accounting, per-PE spatial heatmaps, measured critical paths
 //!   and re-optimization deltas, unified into one profile report.
@@ -70,6 +70,6 @@ pub mod prelude {
     pub use mesa_isa::{ArchState, Asm, Instruction, Program, Reg, Xlen};
     pub use mesa_mem::{MemConfig, MemorySystem};
     pub use mesa_power::{EnergyParams, MemActivity};
-    pub use mesa_trace::{MetricsRegistry, NullTracer, RingTracer, Tracer};
+    pub use mesa_trace::{NullTracer, RingTracer, Tracer};
     pub use mesa_workloads::{Kernel, KernelSize};
 }

@@ -1,8 +1,8 @@
 //! Trace determinism and span-balance invariants.
 //!
 //! Traces are pure functions of the simulated execution: the tracer
-//! timestamps events with *simulated* cycles (never wall clock) and the
-//! metrics registry iterates in a fixed order, so the same kernel under
+//! timestamps events with *simulated* cycles (never wall clock) and every
+//! exporter iterates in a fixed order, so the same kernel under
 //! the same seed must export byte-identical artifacts. The property test
 //! additionally checks that the ring tracer keeps span begin/end events
 //! balanced under arbitrary interleavings.
@@ -176,9 +176,10 @@ fn random_host_profile(seed: u64, ops: usize) -> mesa::trace::host::HostProfile 
         worker.end();
         prof.adopt(&worker.finish());
     }
-    prof.set_gauge("episodes_per_sec", 42.0);
     // `finish` closes whatever is still open, innermost first.
-    prof.finish()
+    let mut profile = prof.finish();
+    profile.gauges.insert("episodes_per_sec".to_string(), 42.0);
+    profile
 }
 
 /// The host span tree conserves wall time **exactly** at every level:
