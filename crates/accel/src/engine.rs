@@ -19,7 +19,9 @@ use crate::{
     AccelConfig, AccelProgram, ActivityStats, Coord, HalfRingModel, LatencyModel, NodeConfig,
     Operand, PerfCounters, ProgramError, Region,
 };
-use mesa_isa::{op_value, ArchState, Instruction, MemoryIo, OpClass, Opcode, Reg, Xlen};
+use mesa_isa::{
+    extend_load, op_value, ArchState, Instruction, MemoryIo, OpClass, Opcode, Reg, Xlen,
+};
 use mesa_mem::MemorySystem;
 use mesa_trace::{NullTracer, Subsystem, Tracer};
 use std::fmt;
@@ -894,13 +896,7 @@ impl SpatialAccelerator {
 
         // Functional value (stores earlier in program order already applied).
         let raw = mem.data_mut().load(addr, width);
-        let value = if load.sign_extend {
-            let bits = u32::from(width) * 8;
-            ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-        } else {
-            raw
-        };
-        cur_value[i] = value;
+        cur_value[i] = extend_load(raw, width, load.sign_extend);
         activity.loads += 1;
 
         // Static store→load forwarding edge (§4.2).

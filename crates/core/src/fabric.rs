@@ -34,7 +34,7 @@ use mesa_accel::{
 use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
 use mesa_mem::MemorySystem;
-use mesa_trace::host::{self, HostClock};
+use mesa_trace::host;
 use mesa_trace::{FlightRecorder, Histogram, Json, Subsystem, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
@@ -161,50 +161,6 @@ pub struct TenantStats {
     pub checkpoint_cycles: u64,
 }
 
-/// Host-side (wall-clock) throughput section of a [`FleetStats`]
-/// export, present when the driver was given a clock via
-/// [`FleetDriver::set_host_clock`]. `mesa-top`'s host columns and the
-/// future `mesa-serve` throughput endpoint read these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostStats {
-    /// Wall nanoseconds spent inside [`FleetDriver::step`].
-    pub elapsed_ns: u64,
-    /// Scheduler rounds timed.
-    pub steps: u64,
-    /// Jobs that completed successfully so far.
-    pub episodes: u64,
-    /// Fleet clock (total scheduled session cycles) at export time.
-    pub sim_cycles: u64,
-}
-
-impl HostStats {
-    /// Completed episodes per host second (`None` before any time has
-    /// been observed).
-    #[must_use]
-    pub fn episodes_per_sec(&self) -> Option<f64> {
-        (self.elapsed_ns > 0).then(|| self.episodes as f64 * 1e9 / self.elapsed_ns as f64)
-    }
-
-    /// Simulation speed in millions of simulated cycles per host
-    /// second.
-    #[must_use]
-    pub fn sim_mcycles_per_sec(&self) -> Option<f64> {
-        (self.elapsed_ns > 0).then(|| self.sim_cycles as f64 * 1e3 / self.elapsed_ns as f64)
-    }
-
-    fn to_json(self) -> Json {
-        let rate = |r: Option<f64>| Json::fixed(r.unwrap_or(f64::NAN), 3);
-        Json::obj([
-            ("elapsed_ns", self.elapsed_ns.into()),
-            ("steps", self.steps.into()),
-            ("episodes", self.episodes.into()),
-            ("sim_cycles", self.sim_cycles.into()),
-            ("episodes_per_sec", rate(self.episodes_per_sec())),
-            ("sim_mcycles_per_sec", rate(self.sim_mcycles_per_sec())),
-        ])
-    }
-}
-
 /// A stable, mergeable summary of one fleet run — the JSON schema
 /// (`"schema":"mesa.fleetstats/v1"`) that `tracecheck fleetstats`
 /// validates and that `mesa-serve` (ROADMAP item 2) will serve verbatim.
@@ -239,10 +195,6 @@ pub struct FleetStats {
     pub migration_cycles: Histogram,
     /// Per-tenant detail, in tenant-id order.
     pub tenants: Vec<TenantStats>,
-    /// Wall-clock throughput section (`None` unless the driver was
-    /// given a host clock; absent sections keep exports byte-identical
-    /// with pre-host-profiling runs).
-    pub host: Option<HostStats>,
     /// Shared-artifact-cache counters (`None` unless a
     /// [`SharedArtifactCache`](crate::SharedArtifactCache) was attached;
     /// absent sections keep exports byte-identical with cacheless runs).
@@ -304,15 +256,6 @@ impl FleetStats {
         self.slice_cycles.merge(&other.slice_cycles);
         self.migration_cycles.merge(&other.migration_cycles);
         self.tenants.extend(other.tenants.iter().cloned());
-        self.host = match (self.host, other.host) {
-            (Some(a), Some(b)) => Some(HostStats {
-                elapsed_ns: a.elapsed_ns.saturating_add(b.elapsed_ns),
-                steps: a.steps.saturating_add(b.steps),
-                episodes: a.episodes.saturating_add(b.episodes),
-                sim_cycles: a.sim_cycles.saturating_add(b.sim_cycles),
-            }),
-            (a, b) => a.or(b),
-        };
         self.artifacts = match (self.artifacts, other.artifacts) {
             (Some(mut a), Some(b)) => {
                 a.absorb(&b);
@@ -364,9 +307,8 @@ impl FleetStats {
             ("histograms", histograms),
             ("tenants", Json::arr(self.tenants.iter().map(tenant))),
         ];
-        // Absent sections keep exports byte-identical with runs that had
-        // no host clock or no shared cache.
-        fields.extend(self.host.map(|h| ("host", h.to_json())));
+        // An absent section keeps exports byte-identical with runs that had
+        // no shared cache.
         fields.extend(self.artifacts.map(|a| ("artifact_cache", a.to_json())));
         Json::obj(fields)
     }
@@ -1015,19 +957,9 @@ pub struct FleetDriver<'a> {
     quantum: u64,
     migrate_every: u64,
     remaining: usize,
-    /// Wall-clock accounting for [`step`](Self::step), when a clock was
-    /// attached via [`set_host_clock`](Self::set_host_clock).
-    host: Option<HostTiming>,
     /// Shared artifact cache the per-tenant controllers were attached to
     /// (kept so fleet exports carry the cache counters).
     shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
-}
-
-/// Clock + accumulators behind [`FleetDriver::set_host_clock`].
-struct HostTiming {
-    clock: Box<dyn HostClock>,
-    elapsed_ns: u64,
-    steps: u64,
 }
 
 impl<'a> FleetDriver<'a> {
@@ -1120,7 +1052,6 @@ impl<'a> FleetDriver<'a> {
             quantum,
             migrate_every,
             remaining,
-            host: None,
             shared_cache,
         };
         driver.sync_region_spans(tracer);
@@ -1158,33 +1089,12 @@ impl<'a> FleetDriver<'a> {
         }
     }
 
-    /// Attaches a wall clock: every subsequent [`step`](Self::step) is
-    /// timed, and [`fleet_stats`](Self::fleet_stats) exports carry a
-    /// [`HostStats`] section with the derived throughput gauges.
-    pub fn set_host_clock(&mut self, clock: Box<dyn HostClock>) {
-        self.host = Some(HostTiming { clock, elapsed_ns: 0, steps: 0 });
-    }
-
-    fn host_stats(&self, sim_cycles: u64) -> Option<HostStats> {
-        self.host.as_ref().map(|h| HostStats {
-            elapsed_ns: h.elapsed_ns,
-            steps: h.steps,
-            episodes: self
-                .outcomes
-                .iter()
-                .filter(|o| matches!(o, Some(Ok(_))))
-                .count() as u64,
-            sim_cycles,
-        })
-    }
-
     /// Runs one full round-robin pass over the unsettled jobs. Returns
     /// `true` while at least one job is still live (keep stepping).
     pub fn step(&mut self, tracer: &mut dyn Tracer) -> bool {
         if self.remaining == 0 {
             return false;
         }
-        let step_started = self.host.as_mut().map(|h| h.clock.now_ns());
         let mut advanced_any = false;
         for i in 0..self.slots.len() {
             if self.outcomes[i].is_some() {
@@ -1262,10 +1172,6 @@ impl<'a> FleetDriver<'a> {
                 }
             }
         }
-        if let (Some(h), Some(t0)) = (self.host.as_mut(), step_started) {
-            h.elapsed_ns = h.elapsed_ns.saturating_add(h.clock.now_ns().saturating_sub(t0));
-            h.steps = h.steps.saturating_add(1);
-        }
         self.remaining > 0
     }
 
@@ -1284,11 +1190,10 @@ impl<'a> FleetDriver<'a> {
     }
 
     /// Point-in-time fleet stats (see [`FabricManager::fleet_stats`]),
-    /// with the host throughput section attached when a clock is.
+    /// with the shared cache's counters attached when a cache is.
     #[must_use]
     pub fn fleet_stats(&self) -> FleetStats {
         let mut stats = self.manager.fleet_stats();
-        stats.host = self.host_stats(stats.elapsed_cycles);
         stats.artifacts = self.shared_cache.as_ref().map(|c| c.stats());
         stats
     }

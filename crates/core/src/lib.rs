@@ -73,8 +73,7 @@ pub use controller::{
 pub use detect::{check_region, DetectConfig, DetectedRegion, RejectReason};
 pub use fabric::{
     run_tenants_fleet, run_tenants_fleet_shared, Admission, FabricError, FabricManager,
-    FleetDriver, FleetRun, FleetStats, HostStats, TenantId, TenantJob, TenantProgress,
-    TenantStats,
+    FleetDriver, FleetRun, FleetStats, TenantId, TenantJob, TenantProgress, TenantStats,
 };
 pub use dfg::{BuildError, Ldfg, LdfgNode};
 pub use imap::{config_latency, reconfig_latency, trace_map_stages, ConfigLatency, ImapTiming};

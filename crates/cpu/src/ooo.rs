@@ -10,7 +10,7 @@
 
 use crate::{BranchPredictor, CoreConfig};
 use mesa_isa::{
-    step, step_flat, step_fused, ArchState, FlatKind, FlatOp, FusedKind, FusedOp, Instruction, OpClass,
+    step, step_flat, step_fused, ArchState, FlatOp, FusedKind, FusedOp, Instruction, OpClass,
     Outcome, Program, StepInfo, Xlen,
 };
 use mesa_mem::MemorySystem;
@@ -312,25 +312,13 @@ impl Uop {
             _ => 0,
         };
         let flat = if lower { FlatOp::lower(&instr, xlen) } else { None };
-        let dkind = match flat {
-            Some(f) => match f.kind {
-                k if k.is_int_alu() => K_ALU,
-                FlatKind::Beq
-                | FlatKind::Bne
-                | FlatKind::Blt
-                | FlatKind::Bge
-                | FlatKind::Bltu
-                | FlatKind::Bgeu => K_BR,
-                FlatKind::Lb | FlatKind::Lh | FlatKind::Lw | FlatKind::Lbu | FlatKind::Lhu => {
-                    K_LD
-                }
-                FlatKind::Sb | FlatKind::Sh | FlatKind::Sw => K_ST,
-                FlatKind::Jal => K_ALU,
-                // Unreachable: the guard above covers every remaining
-                // variant, but the guard hides that from exhaustiveness.
-                _ => K_GEN,
-            },
-            None => K_GEN,
+        let dkind = match (flat, class) {
+            (None, _) => K_GEN,
+            (Some(_), OpClass::Branch) => K_BR,
+            (Some(_), OpClass::Load) => K_LD,
+            (Some(_), OpClass::Store) => K_ST,
+            // Integer ALU, and `jal` (see the field doc).
+            (Some(_), _) => K_ALU,
         };
         Uop {
             instr,

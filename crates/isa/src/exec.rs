@@ -5,9 +5,14 @@
 //! invalidation-on-disambiguation, and predicated forward branches (paper
 //! §4.2, §5.2) are all value-dependent. This module is the single source of
 //! truth for what each instruction computes, so the accelerator's result can
-//! be checked against the CPU's instruction-by-instruction.
+//! be checked against the CPU's instruction-by-instruction: [`op_value`]
+//! is the one copy of every operation's value and branch direction, and
+//! [`extend_load`] the one copy of load extension. The general interpreter
+//! [`step`], the CPU's predecoded fast paths ([`step_flat`] on a
+//! [`FlatOp`], [`step_fused`] on a [`FusedOp`] pair) and the accelerator's
+//! PEs all evaluate through them.
 
-use crate::{Instruction, Opcode, Reg};
+use crate::{Instruction, OpClass, Opcode, Reg};
 
 /// Register width of the modelled hart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -189,12 +194,7 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
             let width = instr.op.mem_width().expect("load width");
             let raw = mem.load(addr, width);
             mem_access = Some(MemAccess { addr, width, is_store: false });
-            Some(if instr.op.load_sign_extends() {
-                let bits = u32::from(width) * 8;
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            })
+            Some(extend_load(raw, width, instr.op.load_sign_extends()))
         }
         Sb | Sh | Sw | Sd | Fsw => {
             let addr = rs1v.wrapping_add(imm as u64);
@@ -232,6 +232,21 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
     StepInfo { outcome, mem: mem_access }
 }
 
+/// The value a load of `width` bytes leaves in `rd` when memory returned
+/// `raw` (zero-extended, as [`MemoryIo::load`] reads it): sign-extended
+/// from `width` bytes when `sign_extends` ([`Opcode::load_sign_extends`]),
+/// else `raw` unchanged.
+#[inline]
+#[must_use]
+pub fn extend_load(raw: u64, width: u8, sign_extends: bool) -> u64 {
+    if sign_extends {
+        let shift = 64 - u32::from(width) * 8;
+        ((raw << shift) as i64 >> shift) as u64
+    } else {
+        raw
+    }
+}
+
 /// The value `op` computes from its source registers, the one copy of the
 /// ISA's value semantics: what [`step`] writes to `rd`, and for a
 /// conditional branch 1 when taken and 0 when not.
@@ -252,38 +267,7 @@ pub fn op_value(op: Opcode, rs1v: u64, rs2v: u64, rs3v: u64, imm: i64, pc: u64, 
     let f3 = f32::from_bits(rs3v as u32);
     let wf = |v: f32| u64::from(v.to_bits());
     let unsigned = |v: u64| xlen.unsigned(v);
-    let shamt = |v: u64| v as u32 & xlen.shamt_mask();
     match op {
-        Lui => imm as u64,
-        Auipc => pc.wrapping_add(imm as u64),
-        Jal | Jalr => pc.wrapping_add(4),
-        Beq => u64::from(rs1v == rs2v),
-        Bne => u64::from(rs1v != rs2v),
-        Blt => u64::from((rs1v as i64) < rs2v as i64),
-        Bge => u64::from(rs1v as i64 >= rs2v as i64),
-        Bltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
-        Bgeu => u64::from(unsigned(rs1v) >= unsigned(rs2v)),
-        Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw | Sb | Sh | Sw | Sd | Fsw | Fence | Ecall
-        | Ebreak => 0,
-        Addi => rs1v.wrapping_add(imm as u64),
-        Slti => u64::from((rs1v as i64) < imm),
-        Sltiu => u64::from(unsigned(rs1v) < unsigned(imm as u64)),
-        Xori => rs1v ^ imm as u64,
-        Ori => rs1v | imm as u64,
-        Andi => rs1v & imm as u64,
-        Slli => rs1v << shamt(imm as u64),
-        Srli => unsigned(rs1v) >> shamt(imm as u64),
-        Srai => ((rs1v as i64) >> shamt(imm as u64)) as u64,
-        Add => rs1v.wrapping_add(rs2v),
-        Sub => rs1v.wrapping_sub(rs2v),
-        Sll => rs1v << shamt(rs2v),
-        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
-        Sltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
-        Xor => rs1v ^ rs2v,
-        Srl => unsigned(rs1v) >> shamt(rs2v),
-        Sra => ((rs1v as i64) >> shamt(rs2v)) as u64,
-        Or => rs1v | rs2v,
-        And => rs1v & rs2v,
         Mul => rs1v.wrapping_mul(rs2v),
         Mulh => ((i128::from(rs1v as i64) * i128::from(rs2v as i64)) >> 64) as u64,
         Mulhsu => (i128::from(rs1v as i64).wrapping_mul(i128::from(rs2v)) >> 64) as u64,
@@ -334,6 +318,53 @@ pub fn op_value(op: Opcode, rs1v: u64, rs2v: u64, rs3v: u64, imm: i64, pc: u64, 
         Sllw => ((rs1v as u32) << (rs2v as u32 & 31)) as i32 as i64 as u64,
         Srlw => ((rs1v as u32) >> (rs2v as u32 & 31)) as i32 as i64 as u64,
         Sraw => ((rs1v as i32) >> (rs2v as u32 & 31)) as i64 as u64,
+        _ => base_value(op, rs1v, rs2v, imm, pc, xlen),
+    }
+}
+
+/// The RV32I half of [`op_value`]: upper-immediate, jump-link, branch and
+/// integer ALU operations (0 for loads, stores and system operations).
+///
+/// Always inlined, so the CPU's flat paths ([`step_flat`], [`step_fused`])
+/// dispatch each op with one jump on its opcode; the general `op_value`
+/// body is too large for the compiler to inline into their loops.
+#[inline(always)]
+fn base_value(op: Opcode, rs1v: u64, rs2v: u64, imm: i64, pc: u64, xlen: Xlen) -> u64 {
+    use Opcode::*;
+    let unsigned = |v: u64| xlen.unsigned(v);
+    let shamt = |v: u64| v as u32 & xlen.shamt_mask();
+    match op {
+        Lui => imm as u64,
+        Auipc => pc.wrapping_add(imm as u64),
+        Jal | Jalr => pc.wrapping_add(4),
+        Beq => u64::from(rs1v == rs2v),
+        Bne => u64::from(rs1v != rs2v),
+        Blt => u64::from((rs1v as i64) < rs2v as i64),
+        Bge => u64::from(rs1v as i64 >= rs2v as i64),
+        Bltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
+        Bgeu => u64::from(unsigned(rs1v) >= unsigned(rs2v)),
+        Addi => rs1v.wrapping_add(imm as u64),
+        Slti => u64::from((rs1v as i64) < imm),
+        Sltiu => u64::from(unsigned(rs1v) < unsigned(imm as u64)),
+        Xori => rs1v ^ imm as u64,
+        Ori => rs1v | imm as u64,
+        Andi => rs1v & imm as u64,
+        Slli => rs1v << shamt(imm as u64),
+        Srli => unsigned(rs1v) >> shamt(imm as u64),
+        Srai => ((rs1v as i64) >> shamt(imm as u64)) as u64,
+        Add => rs1v.wrapping_add(rs2v),
+        Sub => rs1v.wrapping_sub(rs2v),
+        Sll => rs1v << shamt(rs2v),
+        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
+        Sltu => u64::from(unsigned(rs1v) < unsigned(rs2v)),
+        Xor => rs1v ^ rs2v,
+        Srl => unsigned(rs1v) >> shamt(rs2v),
+        Sra => ((rs1v as i64) >> shamt(rs2v)) as u64,
+        Or => rs1v | rs2v,
+        And => rs1v & rs2v,
+        // Loads, stores and system operations; the M, F and RV64 arms are
+        // `op_value`'s own.
+        _ => 0,
     }
 }
 
@@ -360,134 +391,20 @@ fn fclass(v: f32) -> u32 {
     }
 }
 
-/// Operation selector of a [`FlatOp`].
+/// A predecoded RV32 micro-op: the instruction's [`Opcode`] with raw
+/// x-register indices and its immediate.
 ///
-/// One variant per hot RV32 opcode, dispatched by a single flat `match` in
-/// [`step_flat`] — no nested decode, no `Option<Reg>` walks, no FP-file
-/// reads on integer paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlatKind {
-    /// `rd = imm` (the decoder pre-shifts LUI's immediate).
-    Lui,
-    /// `rd = pc + imm`.
-    Auipc,
-    /// `rd = rs1 + imm`.
-    Addi,
-    /// `rd = (rs1 <s imm)`.
-    Slti,
-    /// `rd = (rs1 <u imm)`.
-    Sltiu,
-    /// `rd = rs1 ^ imm`.
-    Xori,
-    /// `rd = rs1 | imm`.
-    Ori,
-    /// `rd = rs1 & imm`.
-    Andi,
-    /// `rd = rs1 << shamt`.
-    Slli,
-    /// `rd = rs1 >>u shamt`.
-    Srli,
-    /// `rd = rs1 >>s shamt`.
-    Srai,
-    /// `rd = rs1 + rs2`.
-    Add,
-    /// `rd = rs1 - rs2`.
-    Sub,
-    /// `rd = rs1 << rs2`.
-    Sll,
-    /// `rd = (rs1 <s rs2)`.
-    Slt,
-    /// `rd = (rs1 <u rs2)`.
-    Sltu,
-    /// `rd = rs1 ^ rs2`.
-    Xor,
-    /// `rd = rs1 >>u rs2`.
-    Srl,
-    /// `rd = rs1 >>s rs2`.
-    Sra,
-    /// `rd = rs1 | rs2`.
-    Or,
-    /// `rd = rs1 & rs2`.
-    And,
-    /// Branch if `rs1 == rs2`.
-    Beq,
-    /// Branch if `rs1 != rs2`.
-    Bne,
-    /// Branch if `rs1 <s rs2`.
-    Blt,
-    /// Branch if `rs1 >=s rs2`.
-    Bge,
-    /// Branch if `rs1 <u rs2`.
-    Bltu,
-    /// Branch if `rs1 >=u rs2`.
-    Bgeu,
-    /// `rd = pc + 4; pc += imm`.
-    Jal,
-    /// Sign-extending byte load.
-    Lb,
-    /// Sign-extending half load.
-    Lh,
-    /// Word load.
-    Lw,
-    /// Zero-extending byte load.
-    Lbu,
-    /// Zero-extending half load.
-    Lhu,
-    /// Byte store.
-    Sb,
-    /// Half store.
-    Sh,
-    /// Word store.
-    Sw,
-}
-
-impl FlatKind {
-    /// `true` for pure fall-through integer ALU operations — the only legal
-    /// first constituent of a fused pair (they can never redirect control
-    /// flow, touch memory, or trap, so a pair is never split mid-execution).
-    #[must_use]
-    pub fn is_int_alu(self) -> bool {
-        use FlatKind::*;
-        matches!(
-            self,
-            Lui | Auipc
-                | Addi
-                | Slti
-                | Sltiu
-                | Xori
-                | Ori
-                | Andi
-                | Slli
-                | Srli
-                | Srai
-                | Add
-                | Sub
-                | Sll
-                | Slt
-                | Sltu
-                | Xor
-                | Srl
-                | Sra
-                | Or
-                | And
-        )
-    }
-}
-
-/// A predecoded, flattened RV32 micro-op.
-///
-/// Raw register-file indices and a pre-extracted immediate replace the
-/// general [`Instruction`]'s `Option<Reg>` operands, so [`step_flat`] runs
-/// one array index per source and a single flat `match` — the
-/// interpreter-class dispatch pattern (PC-indexed decoded caches, flattened
-/// handlers) from production RISC-V interpreters. Lowered once per static
-/// instruction by [`FlatOp::lower`]; semantics are bit-identical to [`step`]
-/// on the instruction it was lowered from (property-tested in `mesa-isa` and
-/// differentially arbitrated in `mesa-bench`).
+/// Raw register-file indices replace the general [`Instruction`]'s
+/// `Option<Reg>` operands, so [`step_flat`] runs one array index per source
+/// and never reads the FP file — the PC-indexed decoded-cache pattern of
+/// production RISC-V interpreters. Lowered once per static instruction by
+/// [`FlatOp::lower`]. What the op computes is [`op_value`], as for [`step`],
+/// so the two are bit-identical on the instruction it was lowered from
+/// (property-tested here and differentially arbitrated in `mesa-bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlatOp {
-    /// Operation selector.
-    pub kind: FlatKind,
+    /// The operation.
+    pub op: Opcode,
     /// Destination x-register index (`0` discards, like `x0`).
     pub rd: u8,
     /// First source x-register index (`0` when unused).
@@ -501,143 +418,60 @@ pub struct FlatOp {
 impl FlatOp {
     /// Lowers an instruction into flattened form.
     ///
-    /// Returns `None` for anything outside the RV32 integer hot subset
-    /// (FP, mul/div, `jalr`, system ops, RV64) — those fall back to the
-    /// general [`step`] interpreter.
+    /// Accepts the RV32 integer ALU, branch, load and store classes plus
+    /// `jal`, on x registers only. Returns `None` for everything else (FP,
+    /// mul/div, `jalr`, system ops, RV64-only ops, any RV64 state) — those
+    /// fall back to the general [`step`] interpreter.
     #[must_use]
     pub fn lower(instr: &Instruction, xlen: Xlen) -> Option<FlatOp> {
-        if xlen != Xlen::Rv32 {
+        let op = instr.op;
+        let flat_class =
+            matches!(op.class(), OpClass::IntAlu | OpClass::Branch | OpClass::Load | OpClass::Store)
+                || op == Opcode::Jal;
+        if xlen != Xlen::Rv32 || !flat_class || op.is_rv64_only() || instr.rs3.is_some() {
             return None;
         }
-        let kind = match instr.op {
-            Opcode::Lui => FlatKind::Lui,
-            Opcode::Auipc => FlatKind::Auipc,
-            Opcode::Addi => FlatKind::Addi,
-            Opcode::Slti => FlatKind::Slti,
-            Opcode::Sltiu => FlatKind::Sltiu,
-            Opcode::Xori => FlatKind::Xori,
-            Opcode::Ori => FlatKind::Ori,
-            Opcode::Andi => FlatKind::Andi,
-            Opcode::Slli => FlatKind::Slli,
-            Opcode::Srli => FlatKind::Srli,
-            Opcode::Srai => FlatKind::Srai,
-            Opcode::Add => FlatKind::Add,
-            Opcode::Sub => FlatKind::Sub,
-            Opcode::Sll => FlatKind::Sll,
-            Opcode::Slt => FlatKind::Slt,
-            Opcode::Sltu => FlatKind::Sltu,
-            Opcode::Xor => FlatKind::Xor,
-            Opcode::Srl => FlatKind::Srl,
-            Opcode::Sra => FlatKind::Sra,
-            Opcode::Or => FlatKind::Or,
-            Opcode::And => FlatKind::And,
-            Opcode::Beq => FlatKind::Beq,
-            Opcode::Bne => FlatKind::Bne,
-            Opcode::Blt => FlatKind::Blt,
-            Opcode::Bge => FlatKind::Bge,
-            Opcode::Bltu => FlatKind::Bltu,
-            Opcode::Bgeu => FlatKind::Bgeu,
-            Opcode::Jal => FlatKind::Jal,
-            Opcode::Lb => FlatKind::Lb,
-            Opcode::Lh => FlatKind::Lh,
-            Opcode::Lw => FlatKind::Lw,
-            Opcode::Lbu => FlatKind::Lbu,
-            Opcode::Lhu => FlatKind::Lhu,
-            Opcode::Sb => FlatKind::Sb,
-            Opcode::Sh => FlatKind::Sh,
-            Opcode::Sw => FlatKind::Sw,
-            _ => return None,
-        };
         let x = |r: Option<Reg>| match r {
             None => Some(0u8),
             Some(Reg::X(n)) => Some(n),
             Some(Reg::F(_)) => None,
         };
-        if instr.rs3.is_some() {
-            return None;
-        }
-        Some(FlatOp {
-            kind,
-            rd: x(instr.rd)?,
-            rs1: x(instr.rs1)?,
-            rs2: x(instr.rs2)?,
-            imm: instr.imm,
-        })
+        let (rd, rs1, rs2) = (x(instr.rd)?, x(instr.rs1)?, x(instr.rs2)?);
+        Some(FlatOp { op, rd, rs1, rs2, imm: instr.imm })
     }
-}
 
-/// Canonical RV32 register write form (sign-extended to 64 bits), matching
-/// [`ArchState::write`].
-#[inline]
-fn sext32(v: u64) -> u64 {
-    (v as u32) as i32 as i64 as u64
-}
-
-/// RV32 unsigned view of a canonical register value, matching
-/// `ArchState::unsigned` under `Xlen::Rv32`.
-#[inline]
-fn u32v(v: u64) -> u64 {
-    u64::from(v as u32)
-}
-
-/// Result value of a pure integer ALU [`FlatKind`]; pre-canonicalization.
-/// Non-ALU kinds never reach here (callers dispatch them separately).
-#[inline]
-fn alu_value(kind: FlatKind, pc: u64, rs1v: u64, rs2v: u64, imm: i64) -> u64 {
-    use FlatKind::*;
-    match kind {
-        Lui => imm as u64,
-        Auipc => pc.wrapping_add(imm as u64),
-        Addi => rs1v.wrapping_add(imm as u64),
-        Slti => u64::from((rs1v as i64) < imm),
-        Sltiu => u64::from(u32v(rs1v) < u32v(imm as u64)),
-        Xori => rs1v ^ imm as u64,
-        Ori => rs1v | imm as u64,
-        Andi => rs1v & imm as u64,
-        Slli => rs1v << (imm as u32 & 31),
-        Srli => u32v(rs1v) >> (imm as u32 & 31),
-        Srai => ((rs1v as i64) >> (imm as u32 & 31)) as u64,
-        Add => rs1v.wrapping_add(rs2v),
-        Sub => rs1v.wrapping_sub(rs2v),
-        Sll => rs1v << (rs2v as u32 & 31),
-        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
-        Sltu => u64::from(u32v(rs1v) < u32v(rs2v)),
-        Xor => rs1v ^ rs2v,
-        Srl => u32v(rs1v) >> (rs2v as u32 & 31),
-        Sra => ((rs1v as i64) >> (rs2v as u32 & 31)) as u64,
-        Or => rs1v | rs2v,
-        And => rs1v & rs2v,
-        // Callers guarantee a pure ALU kind; anything else reads as a no-op.
-        _ => 0,
+    /// [`op_value`] of this op at `pc` on RV32 sources. Every flat op is
+    /// RV32I, so this is `op_value`'s always-inlined RV32I half.
+    #[inline]
+    fn value(&self, rs1v: u64, rs2v: u64, pc: u64) -> u64 {
+        base_value(self.op, rs1v, rs2v, self.imm, pc, Xlen::Rv32)
     }
-}
 
-/// Condition of a branch [`FlatKind`] on canonical RV32 register values.
-#[inline]
-fn branch_taken(kind: FlatKind, rs1v: u64, rs2v: u64) -> bool {
-    use FlatKind::*;
-    match kind {
-        Beq => rs1v == rs2v,
-        Bne => rs1v != rs2v,
-        Blt => (rs1v as i64) < (rs2v as i64),
-        Bge => (rs1v as i64) >= (rs2v as i64),
-        Bltu => u32v(rs1v) < u32v(rs2v),
-        Bgeu => u32v(rs1v) >= u32v(rs2v),
-        // Callers guarantee a branch kind.
-        _ => false,
+    /// Writes `value` to `rd`, canonicalized as [`ArchState::write`] does
+    /// under RV32, keeping `x0` zero.
+    #[inline]
+    fn write_rd(&self, state: &mut ArchState, value: u64) {
+        state.x[usize::from(self.rd)] = (value as u32) as i32 as i64 as u64;
+        state.x[0] = 0;
     }
-}
 
-/// Load byte width and sign-extension bit count of a load [`FlatKind`].
-#[inline]
-fn load_shape(kind: FlatKind) -> (u8, u32) {
-    match kind {
-        FlatKind::Lb => (1, 8),
-        FlatKind::Lh => (2, 16),
-        FlatKind::Lbu => (1, 0),
-        FlatKind::Lhu => (2, 0),
-        // Lw (and, defensively, anything else).
-        _ => (4, 32),
+    /// Performs this load from base `rs1v`, writing `rd`.
+    #[inline(always)]
+    fn load<M: MemoryIo>(&self, state: &mut ArchState, rs1v: u64, mem: &mut M) -> MemAccess {
+        let addr = rs1v.wrapping_add(self.imm as u64);
+        let width = self.op.mem_width().unwrap_or(4);
+        let raw = mem.load(addr, width);
+        self.write_rd(state, extend_load(raw, width, self.op.load_sign_extends()));
+        MemAccess { addr, width, is_store: false }
+    }
+
+    /// Performs this store of `rs2v` at base `rs1v`.
+    #[inline(always)]
+    fn store<M: MemoryIo>(&self, rs1v: u64, rs2v: u64, mem: &mut M) -> MemAccess {
+        let addr = rs1v.wrapping_add(self.imm as u64);
+        let width = self.op.mem_width().unwrap_or(4);
+        mem.store(addr, width, rs2v);
+        MemAccess { addr, width, is_store: true }
     }
 }
 
@@ -651,58 +485,33 @@ pub fn step_flat<M: MemoryIo>(state: &mut ArchState, op: &FlatOp, mem: &mut M) -
     // if a caller poked the register file directly.
     state.x[0] = 0;
     let pc = state.pc;
+    let next = pc.wrapping_add(4);
     let rs1v = state.x[usize::from(op.rs1)];
     let rs2v = state.x[usize::from(op.rs2)];
-    use FlatKind::*;
-    let (outcome, mem_access) = match op.kind {
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => (
-            Outcome::Branch {
-                taken: branch_taken(op.kind, rs1v, rs2v),
-                target: pc.wrapping_add(op.imm as u64),
-            },
-            None,
-        ),
+    let target = pc.wrapping_add(op.imm as u64);
+    use Opcode::*;
+    // Match the opcode itself, not its class, so the compiler folds
+    // `base_value`'s match into this one: one jump per op.
+    let mem_access = match op.op {
+        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
+            let taken = op.value(rs1v, rs2v, pc) != 0;
+            state.pc = if taken { target } else { next };
+            return StepInfo { outcome: Outcome::Branch { taken, target }, mem: None };
+        }
         Jal => {
-            state.x[usize::from(op.rd)] = sext32(pc.wrapping_add(4));
-            state.x[0] = 0;
-            (Outcome::Jump { target: pc.wrapping_add(op.imm as u64) }, None)
+            op.write_rd(state, op.value(rs1v, rs2v, pc));
+            state.pc = target;
+            return StepInfo { outcome: Outcome::Jump { target }, mem: None };
         }
-        Lb | Lh | Lw | Lbu | Lhu => {
-            let addr = rs1v.wrapping_add(op.imm as u64);
-            let (width, bits) = load_shape(op.kind);
-            let raw = mem.load(addr, width);
-            let value = if bits > 0 {
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            };
-            state.x[usize::from(op.rd)] = sext32(value);
-            state.x[0] = 0;
-            (Outcome::Next, Some(MemAccess { addr, width, is_store: false }))
-        }
-        Sb | Sh | Sw => {
-            let addr = rs1v.wrapping_add(op.imm as u64);
-            let width = match op.kind {
-                Sb => 1,
-                Sh => 2,
-                _ => 4,
-            };
-            mem.store(addr, width, rs2v);
-            (Outcome::Next, Some(MemAccess { addr, width, is_store: true }))
-        }
+        Lb | Lh | Lw | Lbu | Lhu => Some(op.load(state, rs1v, mem)),
+        Sb | Sh | Sw => Some(op.store(rs1v, rs2v, mem)),
         _ => {
-            state.x[usize::from(op.rd)] = sext32(alu_value(op.kind, pc, rs1v, rs2v, op.imm));
-            state.x[0] = 0;
-            (Outcome::Next, None)
+            op.write_rd(state, op.value(rs1v, rs2v, pc));
+            None
         }
     };
-    state.pc = match outcome {
-        Outcome::Next | Outcome::Syscall => pc.wrapping_add(4),
-        Outcome::Branch { taken: true, target } | Outcome::Jump { target } => target,
-        Outcome::Branch { taken: false, .. } => pc.wrapping_add(4),
-        Outcome::Halt => pc,
-    };
-    StepInfo { outcome, mem: mem_access }
+    state.pc = next;
+    StepInfo { outcome: Outcome::Next, mem: mem_access }
 }
 
 /// The idiom a fused superinstruction pair implements.
@@ -722,9 +531,9 @@ pub enum FusedKind {
 /// handler ([`step_fused`]).
 ///
 /// The first constituent is always a pure fall-through integer ALU op
-/// ([`FlatKind::is_int_alu`]), so the pair can never be split by control
-/// flow, a trap, or a memory fault between its halves — architectural state
-/// after [`step_fused`] is exactly the state after two [`step_flat`] calls.
+/// ([`OpClass::IntAlu`]), so the pair can never be split by control flow, a
+/// trap, or a memory fault between its halves — architectural state after
+/// [`step_fused`] is exactly the state after two [`step_flat`] calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedOp {
     /// Which idiom the pair matched (drives per-pair fusion-hit counters).
@@ -738,21 +547,20 @@ pub struct FusedOp {
 impl FusedOp {
     /// Attempts to fuse `a` followed immediately by `b`.
     ///
-    /// `a` must be a pure fall-through integer ALU op; `b` classifies the
-    /// idiom: branch → [`FusedKind::CmpBranch`], load →
+    /// `a` must be a pure fall-through integer ALU op; `b`'s class picks
+    /// the idiom: branch → [`FusedKind::CmpBranch`], load →
     /// [`FusedKind::AddrLoad`], store → [`FusedKind::AddrStore`], ALU →
     /// [`FusedKind::AluAlu`]. Anything else (e.g. `jal` second) declines.
     #[must_use]
     pub fn fuse(a: FlatOp, b: FlatOp) -> Option<FusedOp> {
-        use FlatKind::*;
-        if !a.kind.is_int_alu() {
+        if a.op.class() != OpClass::IntAlu {
             return None;
         }
-        let kind = match b.kind {
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => FusedKind::CmpBranch,
-            Lb | Lh | Lw | Lbu | Lhu => FusedKind::AddrLoad,
-            Sb | Sh | Sw => FusedKind::AddrStore,
-            k if k.is_int_alu() => FusedKind::AluAlu,
+        let kind = match b.op.class() {
+            OpClass::Branch => FusedKind::CmpBranch,
+            OpClass::Load => FusedKind::AddrLoad,
+            OpClass::Store => FusedKind::AddrStore,
+            OpClass::IntAlu => FusedKind::AluAlu,
             _ => return None,
         };
         Some(FusedOp { kind, a, b })
@@ -771,71 +579,35 @@ pub fn step_fused<M: MemoryIo>(state: &mut ArchState, f: &FusedOp, mem: &mut M) 
     state.x[0] = 0;
     let pc = state.pc;
     let a = &f.a;
-    let va = alu_value(
-        a.kind,
-        pc,
-        state.x[usize::from(a.rs1)],
-        state.x[usize::from(a.rs2)],
-        a.imm,
-    );
-    state.x[usize::from(a.rd)] = sext32(va);
-    state.x[0] = 0;
+    let va = a.value(state.x[usize::from(a.rs1)], state.x[usize::from(a.rs2)], pc);
+    a.write_rd(state, va);
     let pc2 = pc.wrapping_add(4);
+    let next = pc2.wrapping_add(4);
     let ia = StepInfo { outcome: Outcome::Next, mem: None };
 
     let b = &f.b;
     let rs1v = state.x[usize::from(b.rs1)];
     let rs2v = state.x[usize::from(b.rs2)];
-    let ib = match f.kind {
+    let mem_access = match f.kind {
         FusedKind::AluAlu => {
-            state.x[usize::from(b.rd)] = sext32(alu_value(b.kind, pc2, rs1v, rs2v, b.imm));
-            state.x[0] = 0;
-            state.pc = pc2.wrapping_add(4);
-            StepInfo { outcome: Outcome::Next, mem: None }
+            b.write_rd(state, b.value(rs1v, rs2v, pc2));
+            None
         }
         FusedKind::CmpBranch => {
-            let taken = branch_taken(b.kind, rs1v, rs2v);
+            let taken = b.value(rs1v, rs2v, pc2) != 0;
             let target = pc2.wrapping_add(b.imm as u64);
-            state.pc = if taken { target } else { pc2.wrapping_add(4) };
-            StepInfo { outcome: Outcome::Branch { taken, target }, mem: None }
+            state.pc = if taken { target } else { next };
+            return (ia, StepInfo { outcome: Outcome::Branch { taken, target }, mem: None });
         }
-        FusedKind::AddrLoad => {
-            let addr = rs1v.wrapping_add(b.imm as u64);
-            let (width, bits) = load_shape(b.kind);
-            let raw = mem.load(addr, width);
-            let value = if bits > 0 {
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            };
-            state.x[usize::from(b.rd)] = sext32(value);
-            state.x[0] = 0;
-            state.pc = pc2.wrapping_add(4);
-            StepInfo {
-                outcome: Outcome::Next,
-                mem: Some(MemAccess { addr, width, is_store: false }),
-            }
-        }
-        FusedKind::AddrStore => {
-            let addr = rs1v.wrapping_add(b.imm as u64);
-            let width = match b.kind {
-                FlatKind::Sb => 1,
-                FlatKind::Sh => 2,
-                _ => 4,
-            };
-            mem.store(addr, width, rs2v);
-            state.pc = pc2.wrapping_add(4);
-            StepInfo {
-                outcome: Outcome::Next,
-                mem: Some(MemAccess { addr, width, is_store: true }),
-            }
-        }
+        FusedKind::AddrLoad => Some(b.load(state, rs1v, mem)),
+        FusedKind::AddrStore => Some(b.store(rs1v, rs2v, mem)),
     };
-    (ia, ib)
+    state.pc = next;
+    (ia, StepInfo { outcome: Outcome::Next, mem: mem_access })
 }
 
 /// A trivially simple flat memory for tests and functional-only runs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatMemory {
     bytes: std::collections::HashMap<u64, u8>,
 }
@@ -875,6 +647,8 @@ impl MemoryIo for FlatMemory {
 mod tests {
     use super::*;
     use crate::reg::abi::*;
+    use mesa_test::prop::{any_u32, any_u64, sample, vec, Checker, Strategy, StrategyExt};
+    use mesa_test::{forall, prop_assert, prop_assert_eq};
 
     fn run(instrs: &[Instruction]) -> (ArchState, FlatMemory) {
         let mut st = ArchState::new(0, Xlen::Rv32);
@@ -1044,112 +818,88 @@ mod tests {
         assert_eq!(st.read(A2), 0);
     }
 
-    /// Every instruction in the flat subset, with operand registers chosen
-    /// so sign/zero-extension, shifts, and x0 edge cases all get exercised.
-    fn flat_subset_instrs() -> Vec<Instruction> {
+    /// The opcodes [`FlatOp::lower`] accepts, pinned: the RV32I integer
+    /// ALU, branch, load and store classes plus `jal`.
+    const FLAT_OPCODES: [Opcode; 36] = {
         use Opcode::*;
-        let mut v = vec![
-            Instruction::upper(Lui, A0, 0x12345 << 12),
-            Instruction::upper(Auipc, A1, 0x1000),
-            Instruction::reg_imm(Addi, A2, A0, -7),
-            Instruction::reg_imm(Slti, A3, A0, 3),
-            Instruction::reg_imm(Sltiu, A3, A0, -1),
-            Instruction::reg_imm(Xori, A4, A1, 0x5A5),
-            Instruction::reg_imm(Ori, A5, A2, 0x0F0),
-            Instruction::reg_imm(Andi, A0, A3, 0x7F),
-            Instruction::reg_imm(Slli, A1, A4, 5),
-            Instruction::reg_imm(Srli, A2, A5, 3),
-            Instruction::reg_imm(Srai, A3, A0, 2),
-            Instruction::reg3(Add, A4, A0, A1),
-            Instruction::reg3(Sub, A5, A1, A2),
-            Instruction::reg3(Sll, A0, A2, A3),
-            Instruction::reg3(Slt, A1, A3, A4),
-            Instruction::reg3(Sltu, A2, A4, A5),
-            Instruction::reg3(Xor, A3, A5, A0),
-            Instruction::reg3(Srl, A4, A0, A1),
-            Instruction::reg3(Sra, A5, A1, A2),
-            Instruction::reg3(Or, A0, A2, A3),
-            Instruction::reg3(And, A1, A3, A4),
-            Instruction::reg_imm(Addi, ZERO, A0, 1), // write to x0 discarded
+        [
+            Lui, Auipc, Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt,
+            Sltu, Xor, Srl, Sra, Or, And, Beq, Bne, Blt, Bge, Bltu, Bgeu, Jal, Lb, Lh, Lw, Lbu, Lhu,
+            Sb, Sh, Sw,
+        ]
+    };
+
+    /// Random machine words that decode often: a real major opcode (the
+    /// integer ones drawn more often), a funct7 that is either a real one
+    /// or sets the immediate's sign, and random register, funct3 and
+    /// immediate bits.
+    fn words() -> impl Strategy<Value = u32> {
+        const MAJORS: &[u32] = &[
+            0x37, 0x17, 0x6F, 0x67, 0x63, 0x63, 0x03, 0x03, 0x23, 0x23, 0x13, 0x13, 0x13, 0x33,
+            0x33, 0x33, 0x33, 0x1B, 0x3B, 0x0F, 0x73, 0x07, 0x27, 0x53, 0x43, 0x47, 0x4B, 0x4F,
         ];
-        for op in [Beq, Bne, Blt, Bge, Bltu, Bgeu] {
-            v.push(Instruction::branch(op, A0, A1, 0x40));
+        const FUNCT7S: &[u32] = &[0x00, 0x01, 0x20, 0x40, 0x55, 0x7F];
+        (sample(MAJORS), sample(FUNCT7S), any_u32())
+            .prop_map(|(major, funct7, bits)| major | (bits & 0x01FF_FF80) | (funct7 << 25))
+    }
+
+    /// RV32 state with every x register random and `x[rs1] + imm` backed by
+    /// a random doubleword, so loads see sign bits and stores overwrite.
+    fn seeded(instr: &Instruction, regs: &[u64], word: u64) -> (ArchState, FlatMemory) {
+        let mut st = ArchState::new(0x8000_1000, Xlen::Rv32);
+        for (n, &v) in (1..32u8).zip(regs) {
+            st.write(Reg::X(n), v);
         }
-        v.push(Instruction::jal(RA, 0x80));
-        for op in [Lb, Lh, Lw, Lbu, Lhu] {
-            v.push(Instruction::load(op, A2, A3, 4));
-        }
-        for op in [Sb, Sh, Sw] {
-            v.push(Instruction::store(op, A4, A3, 8));
-        }
-        v
+        let mut mem = FlatMemory::new();
+        let base = instr.rs1.map_or(0, |r| st.read(r));
+        mem.store(base.wrapping_add(instr.imm as u64), 8, word);
+        (st, mem)
     }
 
     #[test]
-    fn step_flat_matches_step_on_whole_subset() {
-        for (i, instr) in flat_subset_instrs().iter().enumerate() {
-            let op = FlatOp::lower(instr, Xlen::Rv32)
-                .unwrap_or_else(|| panic!("instr {i} should lower: {instr:?}"));
-            // Seed registers with extension-hostile values.
-            let mut a = ArchState::new(0x1000, Xlen::Rv32);
-            for n in 1..32u8 {
-                a.write(Reg::X(n), 0x8000_0000u64.wrapping_mul(u64::from(n)) ^ 0xDEAD_BEEF);
+    fn flat_paths_match_step_on_random_words() {
+        let mut seen = std::collections::HashSet::new();
+        let mut idioms = [false; 4];
+        let report = forall!(
+            Checker::new("exec::flat_paths_match_step_on_random_words").cases(4000),
+            |(w1 in words(), w2 in words(), regs in vec(any_u64(), 31..32), word in any_u64())| {
+                let Ok(x) = crate::codec::decode(w1) else { return Ok(()) };
+                let flat = FlatOp::lower(&x, Xlen::Rv32);
+                prop_assert_eq!(flat.is_some(), FLAT_OPCODES.contains(&x.op), "lower({x:?})");
+                let fp = [x.rd, x.rs1, x.rs2, x.rs3].into_iter().flatten().any(Reg::is_fp);
+                prop_assert!(!(fp && flat.is_some()), "lowered an F-register operand: {x:?}");
+                prop_assert!(FlatOp::lower(&x, Xlen::Rv64).is_none(), "lowered RV64 state: {x:?}");
+                let Some(fa) = flat else { return Ok(()) };
+                seen.insert(x.op);
+
+                let (mut a, mut mem_a) = seeded(&x, &regs, word);
+                let (mut b, mut mem_b) = (a.clone(), mem_a.clone());
+                let ia = step(&mut a, &x, &mut mem_a);
+                let ib = step_flat(&mut b, &fa, &mut mem_b);
+                prop_assert_eq!(ia, ib, "StepInfo of {x:?}");
+                prop_assert_eq!(&a, &b, "ArchState after {x:?}");
+                prop_assert!(mem_a == mem_b, "memory after {x:?}");
+
+                let Ok(y) = crate::codec::decode(w2) else { return Ok(()) };
+                let Some(fused) = FlatOp::lower(&y, Xlen::Rv32).and_then(|fb| FusedOp::fuse(fa, fb))
+                else {
+                    return Ok(());
+                };
+                idioms[fused.kind as usize] = true;
+                let (mut a, mut mem_a) = seeded(&x, &regs, word);
+                let (mut b, mut mem_b) = (a.clone(), mem_a.clone());
+                let i1 = step_flat(&mut a, &fused.a, &mut mem_a);
+                let i2 = step_flat(&mut a, &fused.b, &mut mem_a);
+                let (j1, j2) = step_fused(&mut b, &fused, &mut mem_b);
+                prop_assert_eq!((i1, i2), (j1, j2), "StepInfos of {x:?}; {y:?}");
+                prop_assert_eq!(&a, &b, "ArchState after {x:?}; {y:?}");
+                prop_assert!(mem_a == mem_b, "memory after {x:?}; {y:?}");
             }
-            a.write(A3, 0x100); // load/store base
-            let mut b = a.clone();
-            let mut mem_a = FlatMemory::new();
-            mem_a.store_u32(0x100, 0xFFEE_DDCC);
-            mem_a.store_u32(0x104, 0x8001_7FFE);
-            let mut mem_b = mem_a.clone();
-            let ia = step(&mut a, instr, &mut mem_a);
-            let ib = step_flat(&mut b, &op, &mut mem_b);
-            assert_eq!(ia, ib, "StepInfo diverged on instr {i}: {instr:?}");
-            assert_eq!(a, b, "ArchState diverged on instr {i}: {instr:?}");
-            assert_eq!(mem_a.load(0x108, 8), mem_b.load(0x108, 8));
-            assert_eq!(mem_a.load(0x100, 8), mem_b.load(0x100, 8));
-        }
-    }
-
-    #[test]
-    fn lower_declines_non_flat_instrs() {
-        assert!(FlatOp::lower(&Instruction::system(Opcode::Ecall), Xlen::Rv32).is_none());
-        assert!(FlatOp::lower(&Instruction::reg3(Opcode::Mul, A0, A1, A2), Xlen::Rv32).is_none());
-        assert!(FlatOp::lower(&Instruction::reg3(Opcode::FaddS, FA0, FA1, FA2), Xlen::Rv32).is_none());
-        // RV64 never lowers: the flat handlers bake in 32-bit canonicalization.
-        assert!(FlatOp::lower(&Instruction::reg_imm(Opcode::Addi, A0, A0, 1), Xlen::Rv64).is_none());
-    }
-
-    #[test]
-    fn step_fused_matches_two_flat_steps_per_idiom() {
-        use Opcode::*;
-        let pairs: Vec<[Instruction; 2]> = vec![
-            // compare + branch
-            [Instruction::reg3(Slt, T0, A0, A1), Instruction::branch(Bne, T0, ZERO, -0x20)],
-            // addr-gen + load
-            [Instruction::reg_imm(Addi, T1, A3, 4), Instruction::load(Lw, T2, T1, 0)],
-            // addr-gen + store
-            [Instruction::reg3(Add, T1, A3, ZERO), Instruction::store(Sw, A0, T1, 0)],
-            // add + add chain
-            [Instruction::reg_imm(Addi, T3, A0, 1), Instruction::reg3(Add, T4, T3, A1)],
-        ];
-        for (i, [x, y]) in pairs.iter().enumerate() {
-            let fa = FlatOp::lower(x, Xlen::Rv32).expect("first lowers");
-            let fb = FlatOp::lower(y, Xlen::Rv32).expect("second lowers");
-            let fused = FusedOp::fuse(fa, fb).unwrap_or_else(|| panic!("pair {i} should fuse"));
-            let mut a = ArchState::new(0x2000, Xlen::Rv32);
-            a.write(A0, 5);
-            a.write(A1, 9);
-            a.write(A3, 0x200);
-            let mut b = a.clone();
-            let mut mem_a = FlatMemory::new();
-            mem_a.store_u32(0x204, 0xCAFE_F00D);
-            let mut mem_b = mem_a.clone();
-            let i1 = step_flat(&mut a, &fa, &mut mem_a);
-            let i2 = step_flat(&mut a, &fb, &mut mem_a);
-            let (j1, j2) = step_fused(&mut b, &fused, &mut mem_b);
-            assert_eq!((i1, i2), (j1, j2), "StepInfos diverged on pair {i}");
-            assert_eq!(a, b, "ArchState diverged on pair {i}");
-            assert_eq!(mem_a.load(0x200, 8), mem_b.load(0x200, 8));
+        );
+        if report.cases_run > 0 {
+            let missed: Vec<_> = FLAT_OPCODES.iter().filter(|op| !seen.contains(*op)).collect();
+            assert!(missed.is_empty(), "no random word lowered to {missed:?}");
+            assert_eq!(idioms, [true; 4], "a fused idiom went untested");
         }
     }
 

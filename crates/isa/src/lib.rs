@@ -55,7 +55,7 @@ pub mod reg;
 pub use asm::{Annotation, Asm, AsmError, ParallelKind, Program};
 pub use codec::{decode, encode, DecodeError, EncodeError};
 pub use exec::{
-    op_value, step, step_flat, step_fused, ArchState, FlatKind, FlatMemory, FlatOp, FusedKind, FusedOp,
+    extend_load, op_value, step, step_flat, step_fused, ArchState, FlatMemory, FlatOp, FusedKind, FusedOp,
     MemAccess, MemoryIo, Outcome, StepInfo, Xlen,
 };
 pub use instr::Instruction;

@@ -13,29 +13,28 @@
 //! functional fast-forward interpreter (estimated warmup cycles), for
 //! quick large-size runs.
 //!
-//! Passing `--trace <path>` (or setting `MESA_TRACE=<path>`) captures a
-//! cycle-timestamped trace of one full `nn` offload episode: a Chrome
-//! trace-event file at `<path>` (load in Perfetto or `chrome://tracing`),
-//! the raw event log at `<path>.jsonl`, and a timeline summary plus the
-//! episode's `OffloadReport` on stdout. With no positional argument, `--trace`
+//! Passing `--trace <path>` captures a cycle-timestamped trace of one
+//! full `nn` offload episode: a Chrome trace-event file at `<path>` (load
+//! in Perfetto or `chrome://tracing`), the raw event log at
+//! `<path>.jsonl`, and a timeline summary plus the episode's
+//! `OffloadReport` on stdout. With no positional argument, `--trace`
 //! captures only the trace (it does not regenerate the figures).
 //!
-//! Passing `--profile <path>` (or `MESA_PROFILE=<path>`) runs one full
-//! `nn` offload episode through the profiler and writes the unified
-//! bottleneck-attribution report (top-down cycle accounting, per-PE
-//! heatmap, measured critical path, re-optimization rounds) as JSON to
-//! `<path>`, printing the human summary on stdout.
+//! Passing `--profile <path>` runs one full `nn` offload episode through
+//! the profiler and writes the unified bottleneck-attribution report
+//! (top-down cycle accounting, per-PE heatmap, measured critical path,
+//! re-optimization rounds) as JSON to `<path>`, printing the human
+//! summary on stdout.
 //!
-//! Passing `--host-profile[=<path>]` (or `MESA_HOST_PROFILE=<path>`)
-//! additionally profiles the *host* side of the run: wall-clock span
-//! tree, allocation accounting, and sim-throughput gauges, written as
-//! `mesa.hostprofile/v1` JSON to `<path>` (default `mesa_host.json`)
-//! plus a flamegraph-ready folded-stack file at `<path>.folded`.
-//! `--host-clock mock[:STEP_NS]` (or `MESA_HOST_CLOCK`) swaps the real
-//! clock for a deterministic mock, making both exports byte-identical
-//! at any `--jobs N`. A one-line wall-clock summary (elapsed,
-//! episodes/sec, peak allocation) always goes to **stderr**, so stdout
-//! stays byte-comparable across worker counts.
+//! Passing `--host-profile[=<path>]` additionally profiles the *host*
+//! side of the run: wall-clock span tree, allocation accounting, and
+//! sim-throughput gauges, written as `mesa.hostprofile/v1` JSON to
+//! `<path>` (default `mesa_host.json`) plus a flamegraph-ready
+//! folded-stack file at `<path>.folded`. `--host-clock mock[:STEP_NS]`
+//! swaps the real clock for a deterministic mock, making both exports
+//! byte-identical at any `--jobs N`. A one-line wall-clock summary
+//! (elapsed, episodes/sec, peak allocation) always goes to **stderr**, so
+//! stdout stays byte-comparable across worker counts.
 
 use mesa_bench as bench;
 use mesa_core::{RunOptions, SystemConfig};
@@ -50,10 +49,10 @@ use mesa_workloads::{by_name, KernelSize};
 static ALLOC: mesa_trace::CountingAlloc = mesa_trace::CountingAlloc;
 
 fn main() {
-    let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
-    let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
-    let mut host_path = std::env::var("MESA_HOST_PROFILE").ok().filter(|p| !p.is_empty());
-    let mut host_clock = std::env::var("MESA_HOST_CLOCK").ok().filter(|c| !c.is_empty());
+    let mut trace_path = None;
+    let mut profile_path = None;
+    let mut host_path = None;
+    let mut host_clock = None;
     let mut rest: Vec<String> = Vec::new();
     let (ff, args) = bench::cli::fast_forward_args();
     let mut args = args.into_iter();

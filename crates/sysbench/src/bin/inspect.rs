@@ -7,11 +7,11 @@
 //! Usage: `cargo run --release -p mesa-bench --bin inspect -- <kernel>
 //! [tiny|small|large] [--trace <path>] [--profile <path>] [--fast-forward]`
 //!
-//! `--trace <path>` (or `MESA_TRACE=<path>`) additionally writes a Chrome
-//! trace-event file of the controller episode to `<path>` and the raw
-//! event log to `<path>.jsonl`. `--profile <path>` (or
-//! `MESA_PROFILE=<path>`) writes the unified bottleneck-attribution
-//! report of the episode as JSON to `<path>` and prints its summary.
+//! `--trace <path>` additionally writes a Chrome trace-event file of the
+//! controller episode to `<path>` and the raw event log to
+//! `<path>.jsonl`. `--profile <path>` writes the unified
+//! bottleneck-attribution report of the episode as JSON to `<path>` and
+//! prints its summary.
 
 use mesa_accel::{AccelConfig, Coord, SpatialAccelerator};
 use mesa_bench::region_ldfg;
@@ -26,8 +26,8 @@ use mesa_trace::{EventKind, RingTracer};
 use mesa_workloads::{by_name, KernelSize};
 
 fn main() {
-    let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
-    let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
+    let mut trace_path = None;
+    let mut profile_path = None;
     let mut rest: Vec<String> = Vec::new();
     let (fast_forward, args) = mesa_bench::cli::fast_forward_args();
     let mut args = args.into_iter();

@@ -11,11 +11,11 @@
 //! Output is deterministic plain text by default, so frames can be
 //! captured and diffed; `--ansi` redraws in place for a live view.
 //!
-//! `--host-clock real|mock[:STEP_NS]` attaches a host clock to the
-//! fleet driver and adds one host line per frame: wall-clock
-//! episodes/sec plus the rolling sim-to-host throughput between frames.
-//! `mock` keeps the dashboard byte-deterministic; the default (`off`)
-//! leaves the classic output untouched.
+//! `--host-clock real|mock[:STEP_NS]` times every scheduler round on a
+//! host clock and adds one host line per frame: wall-clock episodes/sec
+//! plus the rolling sim-to-host throughput between frames. `mock` keeps
+//! the dashboard byte-deterministic; the default (`off`) leaves the
+//! classic output untouched.
 //!
 //! Usage:
 //!   mesa-top [--tenants K] [--seed S] [--migrate-every M]
@@ -24,8 +24,8 @@
 
 use mesa_bench::cli::{self, CliError};
 use mesa_bench::kernelgen::tenant_jobs;
-use mesa_core::{FleetDriver, FleetStats, HostStats, SystemConfig, TenantStats};
-use mesa_trace::host::{self, fmt_gauge, MockClock, RealClock};
+use mesa_core::{FleetDriver, FleetStats, SystemConfig, TenantStats};
+use mesa_trace::host::{self, fmt_gauge, HostClock, MockClock, RealClock};
 use mesa_trace::NullTracer;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -79,11 +79,23 @@ fn tenant_row(t: &TenantStats, name: &str) -> String {
     )
 }
 
+/// Host time spent inside `FleetDriver::step` up to one frame, with the
+/// fleet's progress at that frame.
+#[derive(Debug, Clone, Copy)]
+struct HostSample {
+    /// Wall nanoseconds spent stepping the driver.
+    elapsed_ns: u64,
+    /// Tenants finished so far.
+    episodes: u64,
+    /// Fleet clock (total scheduled session cycles).
+    sim_cycles: u64,
+}
+
 /// One compact host-telemetry line: total wall-clock episode rate plus
 /// the rolling sim-to-host throughput since the previous frame. Kept on
 /// a single short line so `--ansi` redraws stay stable at narrow
 /// terminal widths.
-fn host_line(h: &HostStats, prev: Option<&HostStats>) -> String {
+fn host_line(h: &HostSample, prev: Option<&HostSample>) -> String {
     let (d_cycles, d_ns) = match prev {
         Some(p) => (
             h.sim_cycles.saturating_sub(p.sim_cycles),
@@ -98,11 +110,13 @@ fn host_line(h: &HostStats, prev: Option<&HostStats>) -> String {
         Some(rate) => fmt_gauge(rate / 1e6),
         None => "-".to_string(),
     };
+    let mcycles_per_sec =
+        (h.elapsed_ns > 0).then(|| h.sim_cycles as f64 * 1e3 / h.elapsed_ns as f64);
     format!(
         "host: {:.1}ms {} eps/s {} Mcyc/s (rolling {rolling})",
         h.elapsed_ns as f64 / 1e6,
-        h.episodes_per_sec().map_or_else(|| "-".to_string(), fmt_gauge),
-        h.sim_mcycles_per_sec().map_or_else(|| "-".to_string(), fmt_gauge),
+        host::rate_per_sec(h.episodes, h.elapsed_ns).map_or_else(|| "-".to_string(), fmt_gauge),
+        mcycles_per_sec.map_or_else(|| "-".to_string(), fmt_gauge),
     )
 }
 
@@ -244,19 +258,16 @@ fn main() -> ExitCode {
     let mut tracer = NullTracer;
     let mut driver =
         FleetDriver::new(&system, &mut jobs, quantum, migrate_every, None, &mut tracer);
-    match host_clock.as_deref() {
-        None | Some("off") => {}
-        Some("real") => driver.set_host_clock(Box::new(RealClock::new())),
-        Some("mock") => driver.set_host_clock(Box::new(MockClock::new(1_000_000))),
-        Some(v) => {
-            // parse_args validated the spelling; anything else is mock:STEP.
-            if let Some(step_ns) =
-                v.strip_prefix("mock:").and_then(|s| s.trim().parse::<u64>().ok())
-            {
-                driver.set_host_clock(Box::new(MockClock::new(step_ns)));
-            }
-        }
-    }
+    let mut clock: Option<Box<dyn HostClock>> = match host_clock.as_deref() {
+        None | Some("off") => None,
+        Some("real") => Some(Box::new(RealClock::new())),
+        Some("mock") => Some(Box::new(MockClock::new(1_000_000))),
+        // parse_args validated the spelling; anything else is mock:STEP.
+        Some(v) => v
+            .strip_prefix("mock:")
+            .and_then(|s| s.trim().parse::<u64>().ok())
+            .map(|step_ns| Box::new(MockClock::new(step_ns)) as Box<dyn HostClock>),
+    };
     // Tenant ids skip over prepare-stage declines; index names by tenant.
     let names: Vec<Option<&str>> = (0..job_names.len())
         .map(|id| driver.job_of_tenant(id as u32).map(|j| job_names[j]))
@@ -265,13 +276,19 @@ fn main() -> ExitCode {
     let mut frame = 0u64;
     let mut round = 0u64;
     let mut last_elapsed = 0u64;
-    let mut last_host: Option<HostStats> = None;
+    let mut host_ns = 0u64;
+    let mut last_host: Option<HostSample> = None;
     loop {
         let stats = driver.fleet_stats();
         render_frame(frame, round, &stats, &names, last_elapsed, driver.remaining(), ansi);
-        if let Some(h) = &stats.host {
-            println!("{}", host_line(h, last_host.as_ref()));
-            last_host = Some(*h);
+        if clock.is_some() {
+            let h = HostSample {
+                elapsed_ns: host_ns,
+                episodes: stats.tenants.iter().filter(|t| t.state == "done").count() as u64,
+                sim_cycles: stats.elapsed_cycles,
+            };
+            println!("{}", host_line(&h, last_host.as_ref()));
+            last_host = Some(h);
         }
         last_elapsed = stats.elapsed_cycles;
         frame += 1;
@@ -280,7 +297,12 @@ fn main() -> ExitCode {
         }
         for _ in 0..every {
             round += 1;
-            if !driver.step(&mut tracer) {
+            let t0 = clock.as_mut().map_or(0, |c| c.now_ns());
+            let live = driver.step(&mut tracer);
+            if let Some(c) = clock.as_mut() {
+                host_ns = host_ns.saturating_add(c.now_ns().saturating_sub(t0));
+            }
+            if !live {
                 break;
             }
         }

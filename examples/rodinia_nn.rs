@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --example rodinia_nn`
 //!
-//! Set `MESA_TRACE=<path>` to also write a Chrome trace-event file of the
-//! offload episode (phases on simulated-cycle timestamps; open it in
-//! Perfetto or `chrome://tracing`).
+//! Pass `--trace <path>` (`cargo run --example rodinia_nn -- --trace
+//! out.json`) to also write a Chrome trace-event file of the offload
+//! episode (phases on simulated-cycle timestamps; open it in Perfetto or
+//! `chrome://tracing`).
 
 use mesa::core::{run_offload_with, RunOptions, SystemConfig};
 use mesa::cpu::{CoreConfig, NullMonitor, OoOCore, RunLimits};
@@ -19,6 +20,15 @@ use mesa::trace::RingTracer;
 use mesa::workloads::{by_name, KernelSize};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut args = std::env::args().skip(1);
+    let mut trace_path = None;
+    while let Some(a) = args.next() {
+        match a.strip_prefix("--trace=") {
+            Some(p) => trace_path = Some(p.to_string()),
+            None if a == "--trace" => trace_path = args.next(),
+            None => return Err(format!("unknown argument `{a}` (usage: [--trace <path>])").into()),
+        }
+    }
     let kernel = by_name("nn", KernelSize::Small).expect("nn is registered");
     println!("kernel: {} — {}", kernel.name, kernel.description);
     println!("{} iterations, {} instructions in the hot loop\n",
@@ -42,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mem = MemorySystem::new(MemConfig::default(), 2);
     kernel.populate(mem.data_mut());
     let mut state = kernel.entry.clone();
-    let trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
     let mut tracer = RingTracer::new(1 << 16);
     let (system, opts) = (SystemConfig::m128(), RunOptions::default());
     let report =

@@ -315,6 +315,20 @@ cargo run --release --offline -q -p mesa-bench --bin tracecheck -- hostprofile \
   "$host_j1" "$host_j1.folded"
 echo "host-profile smoke: mock-clock export is conserved and --jobs invariant"
 
+# Dashboard host-line smoke: `mesa-top` times its own scheduler rounds;
+# under the mock clock every frame's host line, and so the whole output,
+# must be byte-identical from run to run.
+top_1="$(mktemp -t mesa_top_1.XXXXXX.txt)"
+top_2="$(mktemp -t mesa_top_2.XXXXXX.txt)"
+cargo run --release --offline -q -p mesa-bench --bin mesa-top -- \
+  --host-clock mock --frames 3 > "$top_1"
+cargo run --release --offline -q -p mesa-bench --bin mesa-top -- \
+  --host-clock mock --frames 3 > "$top_2"
+grep -q '^host: ' "$top_1"
+cmp "$top_1" "$top_2"
+rm -f "$top_1" "$top_2"
+echo "mesa-top smoke: --host-clock mock frames carry a host line and are byte-identical"
+
 # Bench gates, on a fresh suite run written to a temp file (CI never
 # overwrites the committed BENCH_components.json baseline; refresh it
 # deliberately with `scripts/bench_diff.sh --refresh`).
